@@ -6,7 +6,6 @@ bit-flip robustness harness."""
 from .hv import (
     AccumHV,
     BipolarHV,
-    ItemMemory,
     LevelMemory,
     bind,
     bundle,
@@ -14,7 +13,6 @@ from .hv import (
     dot,
     hamming,
     make_level_memory,
-    permute,
     random_hv,
     sign_quantize,
 )
@@ -24,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccumHV",
     "BipolarHV",
-    "ItemMemory",
     "LevelMemory",
     "bind",
     "bundle",
@@ -32,7 +29,6 @@ __all__ = [
     "dot",
     "hamming",
     "make_level_memory",
-    "permute",
     "random_hv",
     "sign_quantize",
     "__version__",

@@ -23,6 +23,7 @@ from .errors import (
     SchemaError,
     UnknownSubjectError,
 )
+from .hv import rng
 
 FEATURE_STATS = ("mean", "std", "min", "max", "rms", "mad", "zcross")
 
@@ -36,7 +37,6 @@ class CsvSchema:
     label: str | None = None
     subject: str | None = None
     delimiter: str = ","
-    sample_rate_hz: float = 1.0
 
     def __post_init__(self):
         if not self.channels:
@@ -51,7 +51,6 @@ class Recording:
 
     subject_id: str
     channels: dict  # channel name -> np.ndarray
-    sample_rate_hz: float = 1.0
     labels: np.ndarray | None = None  # per-sample, parallel to the channels
 
     @property
@@ -82,7 +81,6 @@ class FeatureStats:
 class WindowedDataset:
     windows: list
     feature_names: list = field(default_factory=list)
-    stats: FeatureStats | None = None
     skipped_recordings: int = 0
 
     def __len__(self):
@@ -169,7 +167,6 @@ def load_csv(path, schema: CsvSchema) -> list:
             Recording(
                 subject_id=subject,
                 channels={ch: np.array(vals) for ch, vals in bucket.items()},
-                sample_rate_hz=schema.sample_rate_hz,
                 labels=None if labels and labels[0] is None else np.array(labels),
             )
         )
@@ -275,7 +272,6 @@ def build_dataset(
             rec = Recording(
                 subject_id=rec.subject_id,
                 channels={ch: moving_average(arr, smooth) for ch, arr in rec.channels.items()},
-                sample_rate_hz=rec.sample_rate_hz,
                 labels=rec.labels,
             )
         segs = segment(rec, window_samples, stride, label_policy)
@@ -304,8 +300,7 @@ def fit_stats(ds: WindowedDataset) -> FeatureStats:
     return FeatureStats(mins=X.min(axis=0), maxs=X.max(axis=0))
 
 
-def _split_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, 2**32], dtype=np.uint64)))
+_SPLIT_STREAM = 2**32
 
 
 def split_random(ds: WindowedDataset, seed: int, fraction: float = 0.5):
@@ -313,7 +308,7 @@ def split_random(ds: WindowedDataset, seed: int, fraction: float = 0.5):
     if not 0 < fraction < 1:
         raise InvalidArgumentError(f"fraction must be in (0, 1), got {fraction}")
     n = len(ds)
-    order = _split_rng(seed).permutation(n)
+    order = rng(seed, _SPLIT_STREAM).permutation(n)
     n_train = int(n * fraction)
     return ds.select(order[:n_train]), ds.select(order[n_train:])
 
@@ -340,7 +335,7 @@ def split_leave_one_subject_out(ds: WindowedDataset, subject: str, seed: int):
         raise InvalidArgumentError("leave-one-subject-out needs at least 2 subjects")
     train_idx = [i for i, w in enumerate(ds.windows) if w.subject_id != subject]
     held = [i for i, w in enumerate(ds.windows) if w.subject_id == subject]
-    order = _split_rng(seed).permutation(len(held))
+    order = rng(seed, _SPLIT_STREAM).permutation(len(held))
     picked = sorted(held[i] for i in order[: len(held) // 2])
     return ds.select(train_idx), ds.select(picked)
 

@@ -1,14 +1,9 @@
-"""Encoders mapping text, time-series windows, multi-sensor groups, and
-feature records into hypervectors.
+"""Feature-record encoding: each window's feature vector becomes one
+hypervector.
 
-Two rotation conventions coexist, on purpose:
-
-* text n-grams rotate the FIRST symbol the most
-  (trigram "A-B-C" -> rot^2(L_A) * rot(L_B) * L_C)
-* time-series windows rotate the LAST sample the most
-  (window t1,t2,t3 -> rot^2(L_t3) * rot(L_t2) * L_t1)
-
-Both are kept verbatim; pick the encoder that matches your data.
+Feature i is quantized against its own training-split bounds to a level
+L_q, bound with the feature's random signature S_i, and the F bound
+vectors are bundled:  H = sum_i S_i * L_{q_i}.
 """
 
 from __future__ import annotations
@@ -18,45 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidArgumentError,
-    InvalidSampleError,
-    UnknownSymbolError,
-)
+from .errors import InvalidArgumentError, InvalidSampleError
 from .hv import (
     AccumHV,
     BipolarHV,
-    ItemMemory,
     LevelMemory,
     bind,
     bundle_all,
+    check_seed,
     make_level_memory,
-    permute,
+    random_hv,
 )
-
-
-@dataclass
-class NGramConfig:
-    """Window length, dimensionality, and quantization bounds for the
-    sliding-window signal encoder."""
-
-    n: int = 3
-    dim: int = 4096
-    q_levels: int = 16
-    v_min: float = 0.0
-    v_max: float = 1.0
-    stride: int = 1
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgumentError(f"n must be >= 1, got {self.n}")
-        if self.q_levels < 2:
-            raise InvalidArgumentError(f"need >= 2 levels, got {self.q_levels}")
-        if self.v_min > self.v_max:
-            raise InvalidArgumentError("v_min must not exceed v_max")
-        if self.stride < 1:
-            raise InvalidArgumentError(f"stride must be >= 1, got {self.stride}")
 
 
 def quantize_scalar(x: float, v_min: float, v_max: float, q: int) -> int:
@@ -73,156 +40,42 @@ def quantize_scalar(x: float, v_min: float, v_max: float, q: int) -> int:
     return min(int(t * q), q - 1)
 
 
-def quantize_value(x: float, cfg: NGramConfig) -> int:
-    return quantize_scalar(x, cfg.v_min, cfg.v_max, cfg.q_levels)
-
-
-def encode_window(levels, lm: LevelMemory) -> BipolarHV:
-    """Bind one window of level indices; sample i (0 = oldest) gets i rotations."""
-    out = None
-    for i, lv in enumerate(levels):
-        factor = permute(lm[lv], i)
-        out = factor if out is None else bind(out, factor)
-    if out is None:
-        raise InvalidArgumentError("window must contain at least one sample")
-    return out
-
-
-@dataclass
-class TimeseriesEncoding:
-    """Window encodings plus the too-short-input flag."""
-
-    hvs: list
-    input_too_short: bool = False
-
-    def __len__(self):
-        return len(self.hvs)
-
-    def __iter__(self):
-        return iter(self.hvs)
-
-    def __getitem__(self, i):
-        return self.hvs[i]
-
-
-def encode_timeseries(signal, cfg: NGramConfig, lm: LevelMemory) -> TimeseriesEncoding:
-    """Encode every length-n window of the signal at the configured stride.
-
-    Output count is floor((len - n) / stride) + 1; a signal shorter than n
-    yields an empty result with ``input_too_short`` set.
-    """
-    signal = list(signal)
-    if len(signal) < cfg.n:
-        return TimeseriesEncoding([], input_too_short=True)
-    levels = [quantize_value(x, cfg) for x in signal]
-    hvs = []
-    for start in range(0, len(signal) - cfg.n + 1, cfg.stride):
-        hvs.append(encode_window(levels[start : start + cfg.n], lm))
-    return TimeseriesEncoding(hvs)
-
-
-@dataclass
-class SensorCodebook:
-    """One signature hypervector per sensor (or per extracted feature),
-    deterministic from the codebook seed."""
-
-    sensor_ids: list
-    memory: ItemMemory
-    _index: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if len(set(self.sensor_ids)) != len(self.sensor_ids):
-            raise InvalidArgumentError("duplicate sensor ids")
-        self._index = {sid: i for i, sid in enumerate(self.sensor_ids)}
-
-    @classmethod
-    def from_seed(cls, seed: int, dim: int, sensor_ids) -> "SensorCodebook":
-        return cls(list(sensor_ids), ItemMemory(seed, dim))
-
-    def __len__(self):
-        return len(self.sensor_ids)
-
-    def signature(self, sensor_id) -> BipolarHV:
-        try:
-            return self.memory[self._index[sensor_id]]
-        except KeyError:
-            raise UnknownSymbolError(f"unknown sensor id {sensor_id!r}") from None
-
-
-def encode_multisensor(per_sensor, cb: SensorCodebook) -> AccumHV:
-    """Fuse synchronized per-sensor encodings: sum over sensors of
-    signature(sensor) bound with that sensor's window encoding."""
-    bound = []
-    dim = cb.memory.dim
-    for sensor_id, hv in per_sensor:
-        sig = cb.signature(sensor_id)
-        if hv.dim != dim:
-            raise DimensionMismatchError(f"sensor {sensor_id!r}: dim {hv.dim} != {dim}")
-        bound.append(bind(sig, hv))
-    return bundle_all(bound, dim)
-
-
-def encode_feature_record(features, bounds, lm: LevelMemory, cb: SensorCodebook) -> AccumHV:
+def encode_feature_record(features, bounds, lm: LevelMemory, signatures: list[BipolarHV]) -> AccumHV:
     """Encode a fixed-arity feature vector: each feature is quantized against
     its own (v_min, v_max), looked up in the level memory, bound with the
     feature's signature vector, and the results are bundled."""
     features = np.asarray(features, dtype=np.float64)
-    if features.shape != (len(cb),):
+    if features.shape != (len(signatures),):
         raise InvalidArgumentError(
-            f"expected {len(cb)} features, got shape {features.shape}"
+            f"expected {len(signatures)} features, got shape {features.shape}"
         )
-    if len(bounds) != len(cb):
+    if len(bounds) != len(signatures):
         raise InvalidArgumentError("one (v_min, v_max) pair per feature required")
     bound = []
     for i, x in enumerate(features):
         lo, hi = bounds[i]
         lv = quantize_scalar(float(x), lo, hi, lm.q)
-        bound.append(bind(cb.memory[i], lm[lv]))
+        bound.append(bind(signatures[i], lm[lv]))
     return bundle_all(bound, lm.dim)
-
-
-def encode_text(text, n: int, im: ItemMemory) -> AccumHV:
-    """Bundle all n-grams of a symbol sequence; within an n-gram the first
-    symbol receives the most rotations."""
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    symbols = list(text)
-    if len(symbols) < n:
-        raise InvalidArgumentError(f"need at least {n} symbols, got {len(symbols)}")
-    grams = []
-    for start in range(len(symbols) - n + 1):
-        gram = None
-        for j in range(n):
-            factor = permute(im[_symbol_id(symbols[start + j])], n - 1 - j)
-            gram = factor if gram is None else bind(gram, factor)
-        grams.append(gram)
-    return bundle_all(grams, im.dim)
-
-
-def _symbol_id(sym) -> int:
-    if isinstance(sym, (int, np.integer)):
-        if sym < 0:
-            raise UnknownSymbolError(f"negative symbol id {sym}")
-        return int(sym)
-    if isinstance(sym, str) and len(sym) == 1:
-        return ord(sym)
-    raise UnknownSymbolError(f"cannot map symbol {sym!r} to an id")
 
 
 @dataclass
 class EncoderConfig:
     """Everything needed to re-create bit-identical encodings: geometry,
-    the four codebook seeds, and the per-feature quantization bounds frozen
-    from the training split."""
+    the three seeds (level memory, feature signatures, sign-quantization
+    ties), and the per-feature quantization bounds frozen from the training
+    split."""
 
     dim: int = 4096
-    n: int = 3
     q_levels: int = 16
-    item_seed: int = 0
     level_seed: int = 1
     sensor_seed: int = 2
     tie_seed: int = 3
     feature_bounds: list = field(default_factory=list)  # [(v_min, v_max), ...]
+
+    def __post_init__(self):
+        for name in ("level_seed", "sensor_seed", "tie_seed"):
+            check_seed(getattr(self, name), name)
 
     @property
     def n_features(self) -> int:
@@ -230,23 +83,21 @@ class EncoderConfig:
 
 
 class FeatureEncoder:
-    """Materialized codebooks for the feature-record pipeline."""
+    """Level memory and one signature per feature for the feature-record
+    pipeline; signature i is random_hv(sensor_seed, i, dim)."""
 
     def __init__(self, config: EncoderConfig):
         if config.n_features == 0:
             raise InvalidArgumentError("encoder config carries no feature bounds")
         self.config = config
         self.level_memory = make_level_memory(config.level_seed, config.dim, config.q_levels)
-        self.codebook = SensorCodebook.from_seed(
-            config.sensor_seed, config.dim, list(range(config.n_features))
-        )
-        # pre-materialize so encoding is lock-free afterwards
-        for i in range(config.n_features):
-            self.codebook.memory[i]
+        self.signatures = [
+            random_hv(config.sensor_seed, i, config.dim) for i in range(config.n_features)
+        ]
 
     def encode_record(self, features) -> AccumHV:
         return encode_feature_record(
-            features, self.config.feature_bounds, self.level_memory, self.codebook
+            features, self.config.feature_bounds, self.level_memory, self.signatures
         )
 
     def encode_matrix(self, X) -> list:

@@ -1,8 +1,8 @@
 """Exception hierarchy for the hdwear package.
 
-Grouped by subsystem so callers (and the CLI exit-code mapping) can catch
-whole families: ``DataError`` for anything wrong with input data,
-``ModelIOError`` for model-file problems.
+Grouped by subsystem so callers can catch whole families: ``DataError``
+for anything wrong with input data, ``ModelIOError`` for model-file
+problems.
 """
 
 
@@ -26,20 +26,12 @@ class ZeroNormError(HDWearError, ArithmeticError):
     """Cosine similarity requested against an all-zero vector."""
 
 
-class UnknownSymbolError(HDWearError, KeyError):
-    """Symbol or sensor id not present in the codebook."""
-
-
 class UnknownClassError(HDWearError, KeyError):
     """Label not in the model's class list."""
 
 
 class ModelNotTrainedError(HDWearError, RuntimeError):
     """Operation requires a model that has seen at least one sample."""
-
-
-class ConfigMismatchError(HDWearError, ValueError):
-    """Model configuration incompatible with the supplied data."""
 
 
 class DataError(HDWearError):

@@ -1,4 +1,5 @@
-"""Bit-packed bipolar hypervectors and the HDC algebra.
+"""Bit-packed bipolar hypervectors, the HDC algebra the feature-record
+pipeline uses, level memories, and the package's one random generator.
 
 A hypervector is a D-dimensional vector with components in {-1, +1}.  We
 store it packed, one bit per component, inside a single Python integer
@@ -6,20 +7,18 @@ store it packed, one bit per component, inside a single Python integer
 words, so the bitwise ops below run word-parallel in C:
 
     bind(a, b)     component-wise product  = XNOR of the bit arrays
-    permute(a, k)  circular shift by k     = rotate of the bit array
     dot(a, b)      sum of products         = D - 2 * popcount(a XOR b)
 
 Bundling (addition) leaves the bipolar domain, so accumulators are plain
 numpy arrays wrapped in :class:`AccumHV`.
 
-All randomness flows through counter-based Philox streams keyed by
-(seed, stream): a generated vector depends only on those two integers and
-its index in the stream, never on platform, thread count, or call order.
+All randomness in hdwear comes from :func:`rng`, a counter-based Philox
+stream keyed by (seed, stream): what it draws depends only on those two
+integers, never on platform, thread count, or call order.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +30,18 @@ from .errors import (
     ZeroNormError,
 )
 
-_MASK64 = (1 << 64) - 1
+
+def check_seed(seed, what: str = "seed") -> int:
+    """Return `seed` if it is an integer in [0, 2**64), the range of one
+    Philox key word; raise InvalidArgumentError otherwise."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise InvalidArgumentError(f"{what} must be an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
-def _philox(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+def rng(seed: int, stream: int) -> np.random.Generator:
+    """Philox generator keyed by (seed, stream); both must lie in [0, 2**64)."""
+    key = np.array([check_seed(seed), check_seed(stream, "stream")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -75,28 +81,11 @@ class BipolarHV:
     def n_bytes(self) -> int:
         return (self.dim + 7) // 8
 
-    @property
-    def words(self) -> np.ndarray:
-        """Packed bits as little-endian uint64 words (ceil(D/64) of them)."""
-        n_words = (self.dim + 63) // 64
-        raw = self.bits.to_bytes(n_words * 8, "little")
-        return np.frombuffer(raw, dtype="<u8").copy()
-
     def to_array(self) -> np.ndarray:
         """Unpack to a +-1 int8 array of length dim."""
         raw = np.frombuffer(self.bits.to_bytes(self.n_bytes, "little"), dtype=np.uint8)
         ones = np.unpackbits(raw, bitorder="little", count=self.dim)
         return (ones.astype(np.int8) << 1) - 1
-
-    @classmethod
-    def from_array(cls, arr) -> "BipolarHV":
-        arr = np.asarray(arr)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidDimensionError("need a non-empty 1-D array")
-        if not np.all(np.abs(arr) == 1):
-            raise InvalidArgumentError("components must be exactly +-1")
-        packed = np.packbits(arr > 0, bitorder="little")
-        return cls(arr.size, int.from_bytes(packed.tobytes(), "little"))
 
     @classmethod
     def all_ones(cls, dim: int) -> "BipolarHV":
@@ -136,24 +125,9 @@ def random_hv(seed: int, stream_id: int, dim: int) -> BipolarHV:
     """Deterministic i.i.d. uniform {-1,+1} vector keyed by (seed, stream_id)."""
     if dim <= 0:
         raise InvalidDimensionError(f"dim must be positive, got {dim}")
-    raw = _philox(seed, stream_id).bytes((dim + 7) // 8)
+    raw = rng(seed, stream_id).bytes((dim + 7) // 8)
     bits = int.from_bytes(raw, "little") & ((1 << dim) - 1)
     return BipolarHV(dim, bits)
-
-
-def random_hv_batch(seed: int, stream_id: int, dim: int, count: int) -> list[BipolarHV]:
-    """`count` vectors from one (seed, stream_id) stream; element i is fixed
-    by (seed, stream_id, i).  Element 0 equals random_hv(seed, stream_id, dim).
-    """
-    if dim <= 0:
-        raise InvalidDimensionError(f"dim must be positive, got {dim}")
-    nb = (dim + 7) // 8
-    raw = _philox(seed, stream_id).bytes(nb * count)
-    mask = (1 << dim) - 1
-    return [
-        BipolarHV(dim, int.from_bytes(raw[i * nb : (i + 1) * nb], "little") & mask)
-        for i in range(count)
-    ]
 
 
 def bind(a: BipolarHV, b: BipolarHV) -> BipolarHV:
@@ -162,18 +136,6 @@ def bind(a: BipolarHV, b: BipolarHV) -> BipolarHV:
         raise DimensionMismatchError(f"dim {a.dim} != {b.dim}")
     # For canonical operands, (a ^ b) ^ mask == ~(a ^ b) & mask.
     return BipolarHV(a.dim, (a.bits ^ b.bits) ^ ((1 << a.dim) - 1))
-
-
-def permute(a: BipolarHV, k: int) -> BipolarHV:
-    """Circular shift by k positions toward higher component indices."""
-    if k < 0:
-        raise InvalidArgumentError(f"k must be >= 0, got {k}")
-    d = a.dim
-    k %= d
-    if k == 0:
-        return a
-    rotated = ((a.bits << k) | (a.bits >> (d - k))) & ((1 << d) - 1)
-    return BipolarHV(d, rotated)
 
 
 def bundle(acc: AccumHV, hv: BipolarHV, weight: float = 1.0) -> AccumHV:
@@ -258,37 +220,6 @@ def sign_quantize(acc: AccumHV, tie_seed: int) -> BipolarHV:
     return BipolarHV(acc.dim, int.from_bytes(packed.tobytes(), "little"))
 
 
-class ItemMemory:
-    """Seeded codebook: symbol id (non-negative int) -> random hypervector.
-
-    Entries are generated lazily and cached; generation is locked so the
-    memory can be shared across threads.  Same (seed, dim, symbol) always
-    yields the bit-identical vector.
-    """
-
-    def __init__(self, seed: int, dim: int):
-        if dim <= 0:
-            raise InvalidDimensionError(f"dim must be positive, got {dim}")
-        self.seed = seed
-        self.dim = dim
-        self._cache: dict[int, BipolarHV] = {}
-        self._lock = threading.Lock()
-
-    def get(self, symbol: int) -> BipolarHV:
-        if symbol < 0:
-            raise InvalidArgumentError(f"symbol ids are non-negative, got {symbol}")
-        hv = self._cache.get(symbol)
-        if hv is None:
-            with self._lock:
-                hv = self._cache.get(symbol)
-                if hv is None:
-                    hv = random_hv(self.seed, symbol, self.dim)
-                    self._cache[symbol] = hv
-        return hv
-
-    __getitem__ = get
-
-
 _LEVEL_BASE_STREAM = 0
 _LEVEL_ORDER_STREAM = 1
 
@@ -302,11 +233,9 @@ class LevelMemory:
     floor(D/2) components (near-orthogonal rather than anti-correlated).
     """
 
-    def __init__(self, seed: int, dim: int, levels: list[BipolarHV], flip_order: np.ndarray):
-        self.seed = seed
+    def __init__(self, dim: int, levels: list[BipolarHV]):
         self.dim = dim
         self.levels = levels
-        self.flip_order = flip_order
 
     @property
     def q(self) -> int:
@@ -325,7 +254,7 @@ def make_level_memory(seed: int, dim: int, q: int) -> LevelMemory:
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     base = random_hv(seed, _LEVEL_BASE_STREAM, dim)
-    flip_order = _philox(seed, _LEVEL_ORDER_STREAM).permutation(dim)
+    flip_order = rng(seed, _LEVEL_ORDER_STREAM).permutation(dim)
     half = dim // 2
     levels = [base]
     flip_bool = np.zeros(dim, dtype=bool)
@@ -340,4 +269,4 @@ def make_level_memory(seed: int, dim: int, q: int) -> LevelMemory:
             mask_bits ^= int.from_bytes(packed.tobytes(), "little")
             prev_k = k
         levels.append(BipolarHV(dim, base.bits ^ mask_bits))
-    return LevelMemory(seed, dim, levels, flip_order)
+    return LevelMemory(dim, levels)

@@ -31,12 +31,15 @@ from .errors import (
     ChecksumError,
     DimensionMismatchError,
     EmptyDatasetError,
+    HDWearError,
+    InvalidArgumentError,
+    ModelIOError,
     ModelNotTrainedError,
     TruncatedModelError,
     UnknownClassError,
     UnsupportedVersionError,
 )
-from .hv import AccumHV
+from .hv import AccumHV, rng
 
 MAGIC = b"HDWM"
 FORMAT_VERSION = 1
@@ -45,6 +48,8 @@ FORMAT_VERSION = 1
 @dataclass(eq=False)
 class Model:
     """Per-class accumulators plus everything needed to reproduce encodings.
+
+    Class labels are ``str``, so they round-trip through the model file.
 
     ``trained_epochs`` counts retraining epochs (0 right after online
     training); it and ``retrain_curve`` are runtime metadata, not persisted.
@@ -60,6 +65,8 @@ class Model:
     def __post_init__(self):
         if not self.classes:
             raise UnknownClassError("model needs at least one class")
+        if not all(isinstance(c, str) for c in self.classes):
+            raise InvalidArgumentError(f"class labels must be str, got {self.classes!r}")
         if len(set(self.classes)) != len(self.classes):
             raise UnknownClassError("duplicate class labels")
         k = len(self.classes)
@@ -85,9 +92,6 @@ class Model:
     @property
     def is_trained(self) -> bool:
         return bool(np.any(self.class_matrix))
-
-    def class_hv(self, label) -> AccumHV:
-        return AccumHV(self.dim, self.class_matrix[self.class_index(label)])
 
     def class_index(self, label) -> int:
         try:
@@ -183,6 +187,9 @@ def retrain_epoch(model: Model, dataset) -> tuple[Model, int]:
     return model, misses
 
 
+_SHUFFLE_STREAM = 0
+
+
 def train_iterative(
     model: Model,
     dataset,
@@ -202,13 +209,11 @@ def train_iterative(
     best_misses = None
     bad_epochs = 0
     curve = []
-    rng = None if shuffle_seed is None else np.random.Generator(
-        np.random.Philox(key=np.array([shuffle_seed, 0], dtype=np.uint64))
-    )
+    shuffler = None if shuffle_seed is None else rng(shuffle_seed, _SHUFFLE_STREAM)
     for _ in range(max_epochs):
         epoch_data = dataset
-        if rng is not None:
-            epoch_data = [dataset[i] for i in rng.permutation(len(dataset))]
+        if shuffler is not None:
+            epoch_data = [dataset[i] for i in shuffler.permutation(len(dataset))]
         model, misses = retrain_epoch(model, epoch_data)
         curve.append(misses)
         if best_misses is None or misses < best_misses:
@@ -267,12 +272,17 @@ def evaluate(model: Model, dataset) -> EvalReport:
 # ------------------------------------------------------------- serialization
 #
 # Layout (all integers little-endian):
-#   magic "HDWM" | u16 version | u32 D | u32 K | u32 Q | u32 n | f64 eta
-#   | u64 item_seed | u64 level_seed | u64 sensor_seed | u64 tie_seed
+#   magic "HDWM" | u16 version | u32 D | u32 K | u32 Q | u32 reserved | f64 eta
+#   | u64 reserved | u64 level_seed | u64 sensor_seed | u64 tie_seed
 #   | u32 F | F x (f64 v_min, f64 v_max)
 #   | K x (u32 byte_len, UTF-8 label)
 #   | K x D f32 class components (row-major)
 #   | u32 CRC32 of all preceding bytes
+#
+# The two reserved slots are written as 3 and 0 and ignored on read.  Nothing
+# may follow the CRC.
+
+_RESERVED = (3, 0)
 
 
 def model_to_bytes(model: Model) -> bytes:
@@ -284,19 +294,19 @@ def model_to_bytes(model: Model) -> bytes:
         enc.dim,
         model.n_classes,
         enc.q_levels,
-        enc.n,
+        _RESERVED[0],
         model.eta,
-        enc.item_seed & (2**64 - 1),
-        enc.level_seed & (2**64 - 1),
-        enc.sensor_seed & (2**64 - 1),
-        enc.tie_seed & (2**64 - 1),
+        _RESERVED[1],
+        enc.level_seed,
+        enc.sensor_seed,
+        enc.tie_seed,
         enc.n_features,
     )
     parts = [head]
     for lo, hi in enc.feature_bounds:
         parts.append(struct.pack("<dd", float(lo), float(hi)))
     for label in model.classes:
-        raw = str(label).encode("utf-8")
+        raw = label.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)) + raw)
     parts.append(model.class_matrix.astype("<f4").tobytes())
     payload = b"".join(parts)
@@ -322,6 +332,7 @@ class _Reader:
 
 
 def model_from_bytes(blob: bytes) -> Model:
+    """Parse a model file; any malformed blob raises a ModelIOError."""
     if len(blob) < 4 or blob[:4] != MAGIC:
         raise BadMagicError("not a model file (bad magic)")
     r = _Reader(blob)
@@ -331,35 +342,42 @@ def model_from_bytes(blob: bytes) -> Model:
         raise UnsupportedVersionError(
             f"format version {version} not supported (expected {FORMAT_VERSION})"
         )
-    dim, k, q, n = r.unpack("<IIII")
+    dim, k, q, _ = r.unpack("<IIII")
     (eta,) = r.unpack("<d")
-    item_seed, level_seed, sensor_seed, tie_seed = r.unpack("<4Q")
+    _, level_seed, sensor_seed, tie_seed = r.unpack("<4Q")
     (n_features,) = r.unpack("<I")
     bounds = [r.unpack("<dd") for _ in range(n_features)]
     classes = []
     for _ in range(k):
         (ln,) = r.unpack("<I")
-        classes.append(r.take(ln).decode("utf-8"))
+        try:
+            classes.append(r.take(ln).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ModelIOError(f"class label is not valid UTF-8: {exc}") from None
     matrix = np.frombuffer(r.take(4 * k * dim), dtype="<f4").reshape(k, dim)
     payload_end = r.pos
     (stored_crc,) = r.unpack("<I")
     if zlib.crc32(blob[:payload_end]) != stored_crc:
         raise ChecksumError("model file checksum mismatch")
-    encoder = EncoderConfig(
-        dim=dim,
-        n=n,
-        q_levels=q,
-        item_seed=item_seed,
-        level_seed=level_seed,
-        sensor_seed=sensor_seed,
-        tie_seed=tie_seed,
-        feature_bounds=[(lo, hi) for lo, hi in bounds],
-    )
-    return Model(classes=classes, encoder=encoder, eta=eta, class_matrix=matrix.copy())
+    if r.pos != len(blob):
+        raise ModelIOError(f"{len(blob) - r.pos} trailing bytes after the checksum")
+    try:
+        encoder = EncoderConfig(
+            dim=dim,
+            q_levels=q,
+            level_seed=level_seed,
+            sensor_seed=sensor_seed,
+            tie_seed=tie_seed,
+            feature_bounds=[(lo, hi) for lo, hi in bounds],
+        )
+        return Model(classes=classes, encoder=encoder, eta=eta, class_matrix=matrix.copy())
+    except HDWearError as exc:
+        raise ModelIOError(f"invalid model: {exc}") from exc
 
 
 def save_model(model: Model, path) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+    """Write atomically and durably: temp file in the target directory,
+    fsync, rename, then fsync the directory so the rename survives a crash."""
     blob = model_to_bytes(model)
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -367,11 +385,18 @@ def save_model(model: Model, path) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_model(path) -> Model:

@@ -26,15 +26,6 @@ def bind(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def permute(a: list[int], k: int) -> list[int]:
-    d = len(a)
-    k %= d
-    out = [0] * d
-    for i in range(d):
-        out[(i + k) % d] = a[i]
-    return out
-
-
 def bundle(acc: list[float], a: list[int], weight: float) -> list[float]:
     assert len(acc) == len(a)
     out = []

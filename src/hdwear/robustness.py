@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, ModelNotTrainedError
-from .hv import AccumHV, BipolarHV, sign_quantize
+from .hv import AccumHV, BipolarHV, rng, sign_quantize
 from .learning import Model, model_to_bytes
 
 TABLE4_RATES = (0.01, 0.02, 0.04, 0.06, 0.10, 0.12)
@@ -75,10 +75,7 @@ def inject_bitflips(bm: BinaryModel, rate: float, trial_seed: int) -> BinaryMode
     n_flips = round(rate * total)
     if n_flips == 0:
         return replace(bm, class_bits=list(bm.class_bits))
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([trial_seed, _FLIP_STREAM], dtype=np.uint64))
-    )
-    positions = rng.choice(total, size=n_flips, replace=False)
+    positions = rng(trial_seed, _FLIP_STREAM).choice(total, size=n_flips, replace=False)
     new_bits = []
     flip_bool = np.zeros(bm.dim, dtype=bool)
     for ci in range(k):

@@ -305,6 +305,13 @@ def test_random_split_reproducible():
     assert got == [float(i) for i in range(20)]  # disjoint and complete
 
 
+def test_split_negative_seed_rejected():
+    with pytest.raises(InvalidArgumentError):
+        split_random(make_ds([[0.0], [1.0]]), -1)
+    with pytest.raises(InvalidArgumentError):
+        split_leave_one_subject_out(subject_ds(), "s1", seed=-1)
+
+
 def test_split_dispatcher():
     ds = subject_ds()
     assert len(split(ds, "subject-half")[0]) == 8

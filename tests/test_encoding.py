@@ -1,4 +1,4 @@
-"""Encoders: quantization, window/text/multi-sensor/feature-record encoding."""
+"""Feature-record encoding: quantization, record encoding, FeatureEncoder."""
 
 import numpy as np
 import pytest
@@ -8,30 +8,11 @@ from hypothesis import strategies as st
 from hdwear.encoding import (
     EncoderConfig,
     FeatureEncoder,
-    NGramConfig,
-    SensorCodebook,
     encode_feature_record,
-    encode_multisensor,
-    encode_text,
-    encode_timeseries,
-    encode_window,
     quantize_scalar,
-    quantize_value,
 )
-from hdwear.errors import (
-    InvalidArgumentError,
-    InvalidSampleError,
-    UnknownSymbolError,
-)
-from hdwear.hv import (
-    ItemMemory,
-    bind,
-    cosine,
-    make_level_memory,
-    permute,
-    random_hv,
-    sign_quantize,
-)
+from hdwear.errors import InvalidArgumentError, InvalidSampleError
+from hdwear.hv import bind, cosine, make_level_memory, random_hv, sign_quantize
 
 D = 4096
 
@@ -41,29 +22,25 @@ def lm():
     return make_level_memory(21, D, 16)
 
 
-@pytest.fixture(scope="module")
-def lm_small():
-    return make_level_memory(22, 256, 8)
+def signatures(seed, count):
+    return [random_hv(seed, i, D) for i in range(count)]
 
 
 # ---------------------------------------------------------------- quantize
 
 
 def test_quantize_bounds():
-    cfg = NGramConfig(v_min=-2.0, v_max=3.0, q_levels=10)
-    assert quantize_value(-2.0, cfg) == 0
-    assert quantize_value(3.0, cfg) == 9
+    assert quantize_scalar(-2.0, -2.0, 3.0, 10) == 0
+    assert quantize_scalar(3.0, -2.0, 3.0, 10) == 9
 
 
 def test_quantize_interior():
-    cfg = NGramConfig(v_min=0.0, v_max=1.0, q_levels=4)
-    assert quantize_value(0.49, cfg) == 1  # floor(0.49 * 4)
+    assert quantize_scalar(0.49, 0.0, 1.0, 4) == 1  # floor(0.49 * 4)
 
 
 def test_quantize_clamps():
-    cfg = NGramConfig(v_min=0.0, v_max=1.0, q_levels=4)
-    assert quantize_value(-5.0, cfg) == 0
-    assert quantize_value(7.0, cfg) == 3
+    assert quantize_scalar(-5.0, 0.0, 1.0, 4) == 0
+    assert quantize_scalar(7.0, 0.0, 1.0, 4) == 3
 
 
 def test_quantize_degenerate_range():
@@ -71,10 +48,9 @@ def test_quantize_degenerate_range():
 
 
 def test_quantize_rejects_non_finite():
-    cfg = NGramConfig()
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidSampleError):
-            quantize_value(bad, cfg)
+            quantize_scalar(bad, 0.0, 1.0, 16)
 
 
 @given(st.floats(-100, 100), st.integers(2, 64))
@@ -84,190 +60,40 @@ def test_quantize_in_range(x, q):
     assert 0 <= lv <= q - 1
 
 
-# ------------------------------------------------------------ encode_window
-
-
-def test_window_n1_is_level(lm):
-    assert encode_window([5], lm) == lm[5]
-
-
-def test_window_trigram_formula(lm):
-    # later samples receive more rotations: L_a * rot(L_b) * rot^2(L_c)
-    a, b, c = 2, 9, 14
-    got = encode_window([a, b, c], lm)
-    expect = bind(bind(lm[a], permute(lm[b], 1)), permute(lm[c], 2))
-    assert got == expect
-
-
-def test_window_changed_level_decorrelates(lm):
-    # swapping one factor for a near-orthogonal one: cosine equals
-    # cos(L_old, L_new) exactly, which is 0 for the endpoints at even D
-    base = encode_window([0, 7, 3], lm)
-    changed = encode_window([15, 7, 3], lm)
-    assert abs(cosine(base, changed)) < 0.1
-
-
-def test_window_sequence_sensitivity(lm):
-    # tested on near-orthogonal levels (0 vs 15); for nearby levels the
-    # designed level-locality keeps reordered windows similar
-    fwd = encode_window([0, 15, 15], lm)
-    rev = encode_window([15, 15, 0], lm)
-    assert abs(cosine(fwd, rev)) < 0.2
-
-
-def test_window_level_locality(lm):
-    # moving one sample's level further away never increases similarity
-    base = encode_window([0, 8, 3], lm)
-    cosines = [cosine(base, encode_window([0, 8, lv], lm)) for lv in range(3, 16)]
-    for earlier, later in zip(cosines, cosines[1:]):
-        assert later <= earlier + 1e-12
-
-
-def test_window_empty_rejected(lm):
-    with pytest.raises(InvalidArgumentError):
-        encode_window([], lm)
-
-
-# -------------------------------------------------------- encode_timeseries
-
-
-def test_timeseries_count():
-    cfg = NGramConfig(n=3, dim=256, q_levels=8)
-    lm = make_level_memory(1, 256, 8)
-    enc = encode_timeseries([0.1, 0.5, 0.9, 0.3, 0.7], cfg, lm)
-    assert len(enc) == 3 and not enc.input_too_short
-
-
-def test_timeseries_count_formula():
-    lm = make_level_memory(1, 64, 4)
-    for length in range(2, 12):
-        for n in range(1, 5):
-            for stride in (1, 2, 3):
-                cfg = NGramConfig(n=n, dim=64, q_levels=4, stride=stride)
-                enc = encode_timeseries(np.linspace(0, 1, length), cfg, lm)
-                if length < n:
-                    assert len(enc) == 0 and enc.input_too_short
-                else:
-                    assert len(enc) == (length - n) // stride + 1
-
-
-def test_timeseries_constant_signal():
-    cfg = NGramConfig(n=3, dim=128, q_levels=8)
-    lm = make_level_memory(2, 128, 8)
-    enc = encode_timeseries([0.4] * 6, cfg, lm)
-    assert all(hv == enc[0] for hv in enc)
-
-
-def test_timeseries_exact_length():
-    cfg = NGramConfig(n=4, dim=128, q_levels=8)
-    lm = make_level_memory(2, 128, 8)
-    enc = encode_timeseries([0.1, 0.2, 0.3, 0.4], cfg, lm)
-    assert len(enc) == 1
-
-
-# ------------------------------------------------------- encode_multisensor
-
-
-def test_multisensor_single(lm):
-    cb = SensorCodebook.from_seed(31, D, ["ppg", "ecg"])
-    h = random_hv(40, 0, D)
-    acc = encode_multisensor([("ppg", h)], cb)
-    assert sign_quantize(acc, 0) == bind(cb.signature("ppg"), h)
-
-
-def test_multisensor_member_cosine(lm):
-    cb = SensorCodebook.from_seed(31, D, ["a", "b"])
-    h1, h2 = random_hv(41, 0, D), random_hv(41, 1, D)
-    acc = encode_multisensor([("a", h1), ("b", h2)], cb)
-    assert cosine(acc, bind(cb.signature("a"), h1)) > 0.4
-
-
-def test_multisensor_position_sensitive(lm):
-    cb = SensorCodebook.from_seed(31, D, ["a", "b"])
-    h1, h2 = random_hv(42, 0, D), random_hv(42, 1, D)
-    orig = encode_multisensor([("a", h1), ("b", h2)], cb)
-    swapped = encode_multisensor([("a", h2), ("b", h1)], cb)
-    assert cosine(orig, swapped) < 0.2
-
-
-def test_multisensor_unknown_sensor(lm):
-    cb = SensorCodebook.from_seed(31, D, ["a"])
-    with pytest.raises(UnknownSymbolError):
-        encode_multisensor([("zz", random_hv(43, 0, D))], cb)
-
-
 # ---------------------------------------------------- encode_feature_record
 
 
 def test_feature_record_single(lm):
-    cb = SensorCodebook.from_seed(32, D, [0])
+    sigs = signatures(32, 1)
     bounds = [(0.0, 1.0)]
-    acc = encode_feature_record([0.3], bounds, lm, cb)
+    acc = encode_feature_record([0.3], bounds, lm, sigs)
     lv = quantize_scalar(0.3, 0.0, 1.0, 16)
-    assert sign_quantize(acc, 0) == bind(cb.memory[0], lm[lv])
+    assert sign_quantize(acc, 0) == bind(sigs[0], lm[lv])
 
 
 def test_feature_record_deterministic(lm):
-    cb = SensorCodebook.from_seed(32, D, list(range(7)))
+    sigs = signatures(32, 7)
     bounds = [(0.0, 1.0)] * 7
     rec = [0.1, 0.9, 0.4, 0.2, 0.8, 0.55, 0.0]
-    a = encode_feature_record(rec, bounds, lm, cb)
-    b = encode_feature_record(rec, bounds, lm, cb)
+    a = encode_feature_record(rec, bounds, lm, sigs)
+    b = encode_feature_record(rec, bounds, lm, sigs)
     assert np.array_equal(a.comps, b.comps)
 
 
 def test_feature_record_full_range_change(lm):
-    cb = SensorCodebook.from_seed(32, D, list(range(7)))
+    sigs = signatures(32, 7)
     bounds = [(0.0, 1.0)] * 7
     rec = [0.1, 0.9, 0.4, 0.2, 0.8, 0.55, 0.0]
     moved = list(rec)
     moved[3] = 1.0  # full quantization range away
-    a = encode_feature_record(rec, bounds, lm, cb)
-    b = encode_feature_record(moved, bounds, lm, cb)
+    a = encode_feature_record(rec, bounds, lm, sigs)
+    b = encode_feature_record(moved, bounds, lm, sigs)
     assert cosine(a, b) < 0.9
 
 
 def test_feature_record_arity_mismatch(lm):
-    cb = SensorCodebook.from_seed(32, D, list(range(3)))
     with pytest.raises(InvalidArgumentError):
-        encode_feature_record([0.1, 0.2], [(0, 1)] * 3, lm, cb)
-
-
-# --------------------------------------------------------------- encode_text
-
-
-def test_text_single_trigram():
-    im = ItemMemory(50, D)
-    acc = encode_text("ABC", 3, im)
-    expect = bind(
-        permute(im[ord("A")], 2), bind(permute(im[ord("B")], 1), im[ord("C")])
-    )
-    assert sign_quantize(acc, 0) == expect
-
-
-def test_text_length_n_single_gram():
-    im = ItemMemory(50, 256)
-    acc = encode_text("xy", 2, im)
-    assert np.all(np.abs(acc.comps) == 1)
-
-
-def test_text_reversal_near_orthogonal():
-    im = ItemMemory(50, D)
-    a = encode_text("ABC", 3, im)
-    b = encode_text("CBA", 3, im)
-    assert abs(cosine(a, b)) < 0.08
-
-
-def test_text_too_short():
-    im = ItemMemory(50, 64)
-    with pytest.raises(InvalidArgumentError):
-        encode_text("AB", 3, im)
-
-
-def test_text_bad_symbol():
-    im = ItemMemory(50, 64)
-    with pytest.raises(UnknownSymbolError):
-        encode_text([("tuple",)], 1, im)
+        encode_feature_record([0.1, 0.2], [(0, 1)] * 3, lm, signatures(32, 3))
 
 
 # ------------------------------------------------------------ FeatureEncoder
@@ -286,12 +112,15 @@ def test_feature_encoder_requires_bounds():
         FeatureEncoder(EncoderConfig())
 
 
-def test_ngram_config_validation():
+def test_feature_encoder_signature_streams():
+    # signature i is stream i of sensor_seed, so saved models keep encoding
+    # the same way
+    cfg = EncoderConfig(dim=256, sensor_seed=7, feature_bounds=[(0.0, 1.0)] * 3)
+    assert FeatureEncoder(cfg).signatures == [random_hv(7, i, 256) for i in range(3)]
+
+
+@pytest.mark.parametrize("field", ["level_seed", "sensor_seed", "tie_seed"])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_encoder_config_rejects_bad_seed(field, seed):
     with pytest.raises(InvalidArgumentError):
-        NGramConfig(n=0)
-    with pytest.raises(InvalidArgumentError):
-        NGramConfig(q_levels=1)
-    with pytest.raises(InvalidArgumentError):
-        NGramConfig(v_min=2.0, v_max=1.0)
-    with pytest.raises(InvalidArgumentError):
-        NGramConfig(stride=0)
+        EncoderConfig(feature_bounds=[(0.0, 1.0)], **{field: seed})

@@ -1,7 +1,5 @@
 """Core hypervector algebra: packed ops against the per-component reference."""
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from hdwear.errors import (
 from hdwear.hv import (
     AccumHV,
     BipolarHV,
-    ItemMemory,
     bind,
     bundle,
     bundle_all,
@@ -25,9 +22,8 @@ from hdwear.hv import (
     dot,
     hamming,
     make_level_memory,
-    permute,
     random_hv,
-    random_hv_batch,
+    rng,
     sign_quantize,
 )
 
@@ -37,9 +33,7 @@ D = 4096
 @pytest.fixture(scope="module")
 def pairs_4096():
     """1000 independent random pairs at D=4096."""
-    a = random_hv_batch(11, 0, D, 1000)
-    b = random_hv_batch(11, 1, D, 1000)
-    return list(zip(a, b))
+    return [(random_hv(11, 2 * i, D), random_hv(11, 2 * i + 1, D)) for i in range(1000)]
 
 
 # ---------------------------------------------------------------- random_hv
@@ -65,10 +59,23 @@ def test_random_hv_zero_dim_rejected():
         random_hv(7, 0, 0)
 
 
-def test_random_hv_batch_consistent_with_single():
-    batch = random_hv_batch(5, 3, 128, 4)
-    assert batch[0] == random_hv(5, 3, 128)
-    assert len({hv.bits for hv in batch}) == 4
+def test_random_hv_negative_seed_rejected():
+    with pytest.raises(InvalidArgumentError):
+        random_hv(-1, 0, 8)
+
+
+def test_rng_is_philox_keyed_by_seed_and_stream():
+    key = np.array([2**64 - 1, 2**33], dtype=np.uint64)
+    expect = np.random.Generator(np.random.Philox(key=key)).bytes(16)
+    assert rng(2**64 - 1, 2**33).bytes(16) == expect
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, None])
+def test_rng_rejects_bad_seed_and_stream(seed):
+    with pytest.raises(InvalidArgumentError):
+        rng(seed, 0)
+    with pytest.raises(InvalidArgumentError):
+        rng(0, seed)
 
 
 def test_padding_canonical():
@@ -104,35 +111,6 @@ def test_bind_dim_mismatch():
         bind(random_hv(1, 0, 64), random_hv(1, 0, 65))
 
 
-# ------------------------------------------------------------------- permute
-
-
-def test_permute_full_rotation_is_identity():
-    for d in (64, 100, D):
-        v = random_hv(3, 0, d)
-        assert permute(v, d) == v
-
-
-def test_permute_composes():
-    v = random_hv(3, 1, 333)
-    assert permute(permute(v, 1), 1) == permute(v, 2)
-
-
-def test_permute_zero_is_identity():
-    v = random_hv(3, 2, 100)
-    assert permute(v, 0) == v
-
-
-def test_permute_near_orthogonal():
-    v = random_hv(3, 3, D)
-    assert abs(cosine(v, permute(v, 1))) < 5 / np.sqrt(D)
-
-
-def test_permute_negative_rejected():
-    with pytest.raises(InvalidArgumentError):
-        permute(random_hv(3, 0, 64), -1)
-
-
 # -------------------------------------------------------------------- bundle
 
 
@@ -156,7 +134,7 @@ def test_bundle_member_cosine():
 
 
 def test_bundle_all_matches_fold():
-    hvs = random_hv_batch(4, 9, 200, 5)
+    hvs = [random_hv(4, 9 + i, 200) for i in range(5)]
     folded = AccumHV(200)
     for hv in hvs:
         folded = bundle(folded, hv, 1)
@@ -165,7 +143,7 @@ def test_bundle_all_matches_fold():
 
 
 def test_bundle_all_odd_dim():
-    hvs = random_hv_batch(4, 10, 77, 3)
+    hvs = [random_hv(4, 20 + i, 77) for i in range(3)]
     folded = AccumHV(77)
     for hv in hvs:
         folded = bundle(folded, hv, 1)
@@ -284,36 +262,6 @@ def test_level_memory_q_too_small():
         make_level_memory(8, 64, 1)
 
 
-# -------------------------------------------------------------- item memory
-
-
-def test_item_memory_deterministic_and_distinct():
-    im = ItemMemory(13, 256)
-    assert im[5] == ItemMemory(13, 256)[5]
-    assert im[5] != im[6]
-
-
-def test_item_memory_thread_shareable():
-    im = ItemMemory(13, 512)
-    out = [None] * 8
-
-    def work(i):
-        out[i] = im[i % 4]
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for i in range(8):
-        assert out[i] == im[i % 4]
-
-
-def test_item_memory_negative_symbol():
-    with pytest.raises(InvalidArgumentError):
-        ItemMemory(13, 64)[-1]
-
-
 # --------------------------------------------------- algebraic invariants
 
 
@@ -322,22 +270,8 @@ SEEDS = range(100)
 
 def test_bind_preserves_similarity_exactly():
     for s in SEEDS:
-        a, b, c = random_hv_batch(s, 100, 256, 3)
+        a, b, c = (random_hv(s, 100 + i, 256) for i in range(3))
         assert dot(bind(a, c), bind(b, c)) == dot(a, b)
-
-
-def test_permute_distributes_over_bind():
-    for s in SEEDS:
-        a, b = random_hv_batch(s, 101, 193, 2)
-        k = s % 193
-        assert permute(bind(a, b), k) == bind(permute(a, k), permute(b, k))
-
-
-def test_joint_permutation_preserves_dot():
-    for s in SEEDS:
-        a, b = random_hv_batch(s, 102, 320, 2)
-        k = (s * 7) % 320
-        assert dot(permute(a, k), permute(b, k)) == dot(a, b)
 
 
 def test_near_orthogonality_statistics(pairs_4096):
@@ -358,24 +292,16 @@ def dim_and_seed(draw):
 @settings(max_examples=60, deadline=None)
 def test_bind_matches_reference(ds):
     d, s = ds
-    a, b = random_hv_batch(s, 0, d, 2)
+    a, b = random_hv(s, 0, d), random_hv(s, 1, d)
     expect = ref.bind(a.to_array().tolist(), b.to_array().tolist())
     assert bind(a, b).to_array().tolist() == expect
-
-
-@given(dim_and_seed(), st.integers(0, 400))
-@settings(max_examples=60, deadline=None)
-def test_permute_matches_reference(ds, k):
-    d, s = ds
-    v = random_hv(s, 0, d)
-    assert permute(v, k).to_array().tolist() == ref.permute(v.to_array().tolist(), k)
 
 
 @given(dim_and_seed())
 @settings(max_examples=60, deadline=None)
 def test_dot_and_hamming_match_reference(ds):
     d, s = ds
-    a, b = random_hv_batch(s, 1, d, 2)
+    a, b = random_hv(s, 2, d), random_hv(s, 3, d)
     al, bl = a.to_array().tolist(), b.to_array().tolist()
     assert dot(a, b) == ref.dot(al, bl)
     assert hamming(a, b) == ref.hamming(al, bl)

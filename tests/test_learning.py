@@ -1,5 +1,10 @@
 """Training rules, prediction, evaluation, and model serialization."""
 
+import os
+import stat
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,8 @@ from hdwear.errors import (
     BadMagicError,
     ChecksumError,
     EmptyDatasetError,
+    InvalidArgumentError,
+    ModelIOError,
     ModelNotTrainedError,
     TruncatedModelError,
     UnknownClassError,
@@ -37,7 +44,6 @@ D = 4096
 def make_model(n_classes=2, dim=D, eta=0.5, n_features=4):
     enc = EncoderConfig(
         dim=dim,
-        item_seed=10,
         level_seed=11,
         sensor_seed=12,
         tie_seed=13,
@@ -325,6 +331,13 @@ def test_iterative_shuffle_is_deterministic():
     assert np.array_equal(m1.class_matrix, m2.class_matrix)
 
 
+def test_iterative_negative_shuffle_seed_rejected():
+    data = linearly_separable(16)
+    m = train_online(make_model(dim=512), data)
+    with pytest.raises(InvalidArgumentError):
+        train_iterative(m, data, 5, 2, shuffle_seed=-1)
+
+
 # ------------------------------------------------------------------ evaluate
 
 
@@ -368,12 +381,10 @@ def test_evaluate_empty_dataset():
 # ------------------------------------------------------------- serialization
 
 
-def trained_model():
+def trained_model(dim=256):
     enc = EncoderConfig(
-        dim=256,
-        n=3,
+        dim=dim,
         q_levels=8,
-        item_seed=101,
         level_seed=102,
         sensor_seed=103,
         tie_seed=104,
@@ -381,7 +392,7 @@ def trained_model():
     )
     m = Model(classes=["walk", "run", "idle"], encoder=enc, eta=0.25)
     for i, c in enumerate(m.classes):
-        train_online(m, [(hv_accum(20 + i, i, 256), c)])
+        train_online(m, [(hv_accum(20 + i, i, dim), c)])
     return m
 
 
@@ -430,3 +441,82 @@ def test_save_is_atomic_no_temp_left(tmp_path):
     m = trained_model()
     save_model(m, tmp_path / "m.hdwm")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.hdwm"]
+
+
+def test_save_fsyncs_file_before_rename_and_directory_after(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_model(trained_model(), tmp_path / "m.hdwm")
+    assert events == ["fsync file", "replace", "fsync dir"]
+
+
+def with_crc(payload: bytes) -> bytes:
+    return payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def test_trailing_bytes_rejected():
+    with pytest.raises(ModelIOError):
+        model_from_bytes(model_to_bytes(trained_model()) + b"\0")
+
+
+def test_reserved_slots_ignored_on_read():
+    # u32 at offset 18 and u64 at offset 30 are the reserved slots
+    blob = bytearray(model_to_bytes(trained_model()))
+    blob[18:22] = struct.pack("<I", 7)
+    blob[30:38] = struct.pack("<Q", 2**64 - 1)
+    assert model_from_bytes(with_crc(bytes(blob[:-4]))) == trained_model()
+
+
+@pytest.mark.parametrize(
+    "old, new", [(b"walk", b"\xffalk"), (b"idle", b"walk")], ids=["bad-utf8", "duplicate"]
+)
+def test_bad_labels_with_valid_crc_rejected(old, new):
+    payload = model_to_bytes(trained_model())[:-4]
+    with pytest.raises(ModelIOError):
+        model_from_bytes(with_crc(payload.replace(old, new, 1)))
+
+
+def test_model_file_without_classes_rejected():
+    head = struct.pack("<4sHIIIId4QI", b"HDWM", 1, 8, 0, 16, 3, 0.5, 0, 1, 2, 3, 0)
+    with pytest.raises(ModelIOError):
+        model_from_bytes(with_crc(head))
+
+
+def test_non_str_labels_rejected():
+    with pytest.raises(InvalidArgumentError):
+        Model(classes=[0, 1], encoder=EncoderConfig(dim=64))
+
+
+@given(
+    st.sampled_from(["truncate", "flip", "append"]),
+    st.integers(0, 2**10),
+    st.binary(min_size=1, max_size=64),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_damaged_blob_loads_or_raises_model_io_error(op, where, data, fix_crc):
+    # D=8 keeps most of the blob in the header and labels
+    blob = bytearray(model_to_bytes(trained_model(dim=8)))
+    if op == "truncate":
+        del blob[where % len(blob):]
+    elif op == "flip":
+        blob[where % len(blob)] ^= data[0] or 0xFF
+    else:
+        blob += data
+    if fix_crc and len(blob) >= 4:
+        blob = bytearray(with_crc(bytes(blob[:-4])))
+    try:
+        model_from_bytes(bytes(blob))
+    except ModelIOError:
+        pass

@@ -117,6 +117,12 @@ def test_inject_rate_out_of_range():
             inject_bitflips(bm, bad, trial_seed=0)
 
 
+def test_inject_negative_trial_seed_rejected():
+    bm = quantize_model(trained_model(dim=256)[0])
+    with pytest.raises(InvalidArgumentError):
+        inject_bitflips(bm, 0.1, trial_seed=-1)
+
+
 def test_sweep_rate_zero_row_has_zero_loss():
     m, data = trained_model()
     rep = robustness_sweep(m, data, rates=[0.0], trials=3, seed=11)
