@@ -1,5 +1,7 @@
 """Core hypervector algebra: packed ops against the per-component reference."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,37 @@ def test_level_memory_monotone_hamming():
 def test_level_memory_q_too_small():
     with pytest.raises(InvalidArgumentError):
         make_level_memory(8, 64, 1)
+
+
+# -------------------------------------------------------------- item memory
+# The item memory is the seeded map symbol -> random_hv(seed, symbol, dim);
+# FeatureEncoder draws its feature signatures from it.
+
+
+def test_item_memory_deterministic_and_distinct():
+    assert random_hv(13, 5, 256) == random_hv(13, 5, 256)
+    assert random_hv(13, 5, 256) != random_hv(13, 6, 256)
+
+
+def test_item_memory_thread_shareable():
+    # each call keys its own generator, so concurrent draws match serial ones
+    out = [None] * 8
+
+    def work(i):
+        out[i] = random_hv(13, i % 4, 512)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for i in range(8):
+        assert out[i] == random_hv(13, i % 4, 512)
+
+
+def test_item_memory_negative_symbol():
+    with pytest.raises(InvalidArgumentError):
+        random_hv(13, -1, 64)
 
 
 # --------------------------------------------------- algebraic invariants
