@@ -1,18 +1,16 @@
 """hdwear: hyperdimensional-computing classification for wearable-style
-time-series data — bit-packed bipolar hypervectors, adaptive single-pass
-online training, iterative retraining, 1-bit model quantization, and a
-bit-flip robustness harness."""
+time-series data — hypervectors as numpy arrays (+-1 int8 bipolar vectors,
+integer or float bundles, (N, D) encoded batches), adaptive single-pass
+online training, iterative retraining, a 1-bit model packed into (K, W)
+uint64 words, and a bit-flip robustness harness."""
 
 from .hv import (
-    AccumHV,
-    BipolarHV,
-    LevelMemory,
     bind,
-    bundle,
     cosine,
     dot,
     hamming,
     make_level_memory,
+    pack,
     random_hv,
     sign_quantize,
 )
@@ -20,15 +18,12 @@ from .hv import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccumHV",
-    "BipolarHV",
-    "LevelMemory",
     "bind",
-    "bundle",
     "cosine",
     "dot",
     "hamming",
     "make_level_memory",
+    "pack",
     "random_hv",
     "sign_quantize",
     "__version__",

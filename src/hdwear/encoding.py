@@ -3,60 +3,55 @@ hypervector.
 
 Feature i is quantized against its own training-split bounds to a level
 L_q, bound with the feature's random signature S_i, and the F bound
-vectors are bundled:  H = sum_i S_i * L_{q_i}.
+vectors are bundled:  H = sum_i S_i * L_{q_i}.  A batch of N records
+encodes to one (N, D) integer matrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidSampleError
-from .hv import (
-    AccumHV,
-    BipolarHV,
-    LevelMemory,
-    bind,
-    bundle_all,
-    check_seed,
-    make_level_memory,
-    random_hv,
-)
+from .errors import InvalidArgumentError, InvalidDimensionError, InvalidSampleError
+from .hv import check_seed, make_level_memory, random_hv
 
 
-def quantize_scalar(x: float, v_min: float, v_max: float, q: int) -> int:
-    """Clamp x to [v_min, v_max] and map to a level index in [0, q-1].
+def quantize(X, bounds, q: int) -> np.ndarray:
+    """Clamp each column j of (N, F) values X to bounds[j] = (v_min, v_max)
+    and map it to a level index in [0, q-1]; a degenerate range
+    (v_min >= v_max) maps everything to level 0."""
+    X = np.asarray(X, dtype=np.float64)
+    bad = ~np.isfinite(X)
+    if bad.any():
+        raise InvalidSampleError(f"non-finite sample value: {float(X[bad][0])!r}")
+    lo, hi = np.asarray(bounds, dtype=np.float64).reshape(-1, 2).T
+    span = hi > lo
+    with np.errstate(over="ignore"):  # an overflow to +-inf clamps like the scalar form
+        t = np.clip((X - lo) / np.where(span, hi - lo, 1.0), 0.0, 1.0)
+    return np.where(span, np.minimum((t * q).astype(np.int64), q - 1), 0)
 
-    A degenerate range (v_min == v_max) maps everything to level 0.
+
+def encode_records(X, bounds, levels, signatures) -> np.ndarray:
+    """Encode (N, F) feature records against (Q, D) levels and (F, D)
+    signatures: H[n] = sum_f signatures[f] * levels[quantize(X)[n, f]].
+
+    The sum is held in the smallest signed integer type that holds +-F.
     """
-    if not math.isfinite(x):
-        raise InvalidSampleError(f"non-finite sample value: {x!r}")
-    if v_max <= v_min:
-        return 0
-    t = (x - v_min) / (v_max - v_min)
-    t = min(max(t, 0.0), 1.0)
-    return min(int(t * q), q - 1)
-
-
-def encode_feature_record(features, bounds, lm: LevelMemory, signatures: list[BipolarHV]) -> AccumHV:
-    """Encode a fixed-arity feature vector: each feature is quantized against
-    its own (v_min, v_max), looked up in the level memory, bound with the
-    feature's signature vector, and the results are bundled."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (len(signatures),):
-        raise InvalidArgumentError(
-            f"expected {len(signatures)} features, got shape {features.shape}"
-        )
-    if len(bounds) != len(signatures):
+    n_feat, dim = signatures.shape
+    X = np.asarray(X, dtype=np.float64)
+    if X.size == 0:
+        X = X.reshape(0, n_feat)
+    if X.ndim != 2 or X.shape[1] != n_feat:
+        raise InvalidArgumentError(f"expected (N, {n_feat}) features, got shape {X.shape}")
+    if len(bounds) != n_feat:
         raise InvalidArgumentError("one (v_min, v_max) pair per feature required")
-    bound = []
-    for i, x in enumerate(features):
-        lo, hi = bounds[i]
-        lv = quantize_scalar(float(x), lo, hi, lm.q)
-        bound.append(bind(signatures[i], lm[lv]))
-    return bundle_all(bound, lm.dim)
+    lv = quantize(X, bounds, len(levels))
+    # a signed type holds +F iff it holds -(F + 1)
+    H = np.zeros((len(X), dim), dtype=np.min_scalar_type(-n_feat - 1))
+    for f in range(n_feat):
+        H += (signatures[f] * levels)[lv[:, f]]
+    return H
 
 
 @dataclass
@@ -74,12 +69,23 @@ class EncoderConfig:
     feature_bounds: list = field(default_factory=list)  # [(v_min, v_max), ...]
 
     def __post_init__(self):
+        if not _in_range(self.dim):
+            raise InvalidDimensionError(f"dim must be an integer in [2, 2**32), got {self.dim!r}")
+        if not _in_range(self.q_levels):
+            raise InvalidArgumentError(
+                f"q_levels must be an integer in [2, 2**32), got {self.q_levels!r}"
+            )
         for name in ("level_seed", "sensor_seed", "tie_seed"):
             check_seed(getattr(self, name), name)
 
     @property
     def n_features(self) -> int:
         return len(self.feature_bounds)
+
+
+def _in_range(n) -> bool:
+    """n is an integer in [2, 2**32), the range of a u32 field of the model file."""
+    return isinstance(n, (int, np.integer)) and 2 <= n < 2**32
 
 
 class FeatureEncoder:
@@ -90,16 +96,10 @@ class FeatureEncoder:
         if config.n_features == 0:
             raise InvalidArgumentError("encoder config carries no feature bounds")
         self.config = config
-        self.level_memory = make_level_memory(config.level_seed, config.dim, config.q_levels)
-        self.signatures = [
-            random_hv(config.sensor_seed, i, config.dim) for i in range(config.n_features)
-        ]
-
-    def encode_record(self, features) -> AccumHV:
-        return encode_feature_record(
-            features, self.config.feature_bounds, self.level_memory, self.signatures
+        self.levels = make_level_memory(config.level_seed, config.dim, config.q_levels)
+        self.signatures = np.stack(
+            [random_hv(config.sensor_seed, i, config.dim) for i in range(config.n_features)]
         )
 
-    def encode_matrix(self, X) -> list:
-        X = np.asarray(X, dtype=np.float64)
-        return [self.encode_record(row) for row in X]
+    def encode_matrix(self, X) -> np.ndarray:
+        return encode_records(X, self.config.feature_bounds, self.levels, self.signatures)

@@ -39,17 +39,26 @@ from .errors import (
     UnknownClassError,
     UnsupportedVersionError,
 )
-from .hv import AccumHV, rng
+from .hv import rng
 
 MAGIC = b"HDWM"
 FORMAT_VERSION = 1
+
+
+def _utf8_encodable(label: str) -> bool:
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass(eq=False)
 class Model:
     """Per-class accumulators plus everything needed to reproduce encodings.
 
-    Class labels are ``str``, so they round-trip through the model file.
+    Class labels are UTF-8 encodable ``str``, so they round-trip through the
+    model file.
 
     ``trained_epochs`` counts retraining epochs (0 right after online
     training); it and ``retrain_curve`` are runtime metadata, not persisted.
@@ -65,8 +74,10 @@ class Model:
     def __post_init__(self):
         if not self.classes:
             raise UnknownClassError("model needs at least one class")
-        if not all(isinstance(c, str) for c in self.classes):
-            raise InvalidArgumentError(f"class labels must be str, got {self.classes!r}")
+        if not all(isinstance(c, str) and _utf8_encodable(c) for c in self.classes):
+            raise InvalidArgumentError(
+                f"class labels must be UTF-8 encodable str, got {self.classes!r}"
+            )
         if len(set(self.classes)) != len(self.classes):
             raise UnknownClassError("duplicate class labels")
         k = len(self.classes)
@@ -119,15 +130,9 @@ class Model:
         )
 
 
-def _as_components(H) -> np.ndarray:
-    if isinstance(H, AccumHV):
-        return np.asarray(H.comps, dtype=np.float64)
-    return H.to_array().astype(np.float64)
-
-
 def similarities(model: Model, H) -> np.ndarray:
     """Cosine of H against every class vector; zero-norm rows give 0."""
-    h = _as_components(H)
+    h = np.asarray(H, dtype=np.float64)
     if h.shape != (model.dim,):
         raise DimensionMismatchError(f"query dim {h.shape} != ({model.dim},)")
     hn = np.linalg.norm(h)
@@ -153,7 +158,7 @@ def online_update(model: Model, H, label) -> Model:
     li = model.class_index(label)
     delta = similarities(model, H)[li]
     if delta != 1.0:
-        inc = (model.eta * (1.0 - delta) * _as_components(H)).astype(np.float32)
+        inc = (model.eta * (1.0 - delta) * np.asarray(H, dtype=np.float64)).astype(np.float32)
         model.class_matrix[li] += inc
     return model
 
@@ -178,9 +183,8 @@ def retrain_epoch(model: Model, dataset) -> tuple[Model, int]:
         pi = int(np.argmax(sims))
         if pi != li:
             misses += 1
-            inc = (model.eta * (sims[pi] - sims[li]) * _as_components(H)).astype(
-                np.float32
-            )
+            h = np.asarray(H, dtype=np.float64)
+            inc = (model.eta * (sims[pi] - sims[li]) * h).astype(np.float32)
             model.class_matrix[li] += inc
             model.class_matrix[pi] -= inc
     model.trained_epochs += 1

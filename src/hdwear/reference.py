@@ -1,12 +1,15 @@
-"""Unpacked per-component reference implementations.
+"""Per-component reference implementations.
 
-These operate on plain lists of +-1 ints, one list slot per component,
-with explicit scalar loops.  They exist as the correctness oracle for the
-packed fast paths in :mod:`hdwear.hv` and as the baseline side of the
-packed-vs-unpacked throughput comparison; they share no code with the
-packed implementations.  Slow on purpose: obviously correct beats fast
-here.
+These operate on plain lists of +-1 ints, one list slot per component, and
+on single scalars, with explicit scalar loops.  They exist as the
+correctness oracle for the array fast paths in :mod:`hdwear.hv`,
+:mod:`hdwear.encoding` and :mod:`hdwear.robustness`, and share no code with
+them.  Slow on purpose: obviously correct beats fast here.
 """
+
+import math
+
+from .errors import InvalidSampleError
 
 
 def random_components(rng_bytes: bytes, dim: int) -> list[int]:
@@ -68,3 +71,17 @@ def sign_quantize(acc: list[float], coin: list[int]) -> list[int]:
         else:
             out.append(coin[i])
     return out
+
+
+def quantize_scalar(x: float, v_min: float, v_max: float, q: int) -> int:
+    """Clamp x to [v_min, v_max] and map to a level index in [0, q-1].
+
+    A degenerate range (v_min == v_max) maps everything to level 0.
+    """
+    if not math.isfinite(x):
+        raise InvalidSampleError(f"non-finite sample value: {x!r}")
+    if v_max <= v_min:
+        return 0
+    t = (x - v_min) / (v_max - v_min)
+    t = min(max(t, 0.0), 1.0)
+    return min(int(t * q), q - 1)

@@ -1,9 +1,11 @@
 """1-bit model quantization and bit-flip fault injection.
 
-The stored class vectors are sign-quantized to single bits; injections
-negate an exact number of uniformly chosen (class, component) positions,
-round(rate * K * D), sampled without replacement.  Queries are quantized
-with the model's tie seed, so ranking reduces to popcounts.
+The stored class vectors are sign-quantized to single bits and held as
+(K, W) uint64 words (:func:`hdwear.hv.pack`); queries are quantized with
+the model's tie seed and packed the same way, so ranking reduces to
+popcounts: dot = D - 2 * popcount(query XOR class).  Injections negate an
+exact number of uniformly chosen (class, component) positions,
+round(rate * K * D), sampled without replacement.
 """
 
 from __future__ import annotations
@@ -13,20 +15,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ModelNotTrainedError
-from .hv import AccumHV, BipolarHV, rng, sign_quantize
+from .errors import DimensionMismatchError, InvalidArgumentError, ModelNotTrainedError
+from .hv import pack, rng, sign_quantize
 from .learning import Model, model_to_bytes
 
 TABLE4_RATES = (0.01, 0.02, 0.04, 0.06, 0.10, 0.12)
 
 
+def _hamming_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Differing bits between packed vectors, summed over the last axis."""
+    return np.bitwise_count(a ^ b).sum(axis=-1, dtype=np.int64)
+
+
 @dataclass
 class BinaryModel:
-    """Sign-quantized model: one packed bit vector per class."""
+    """Sign-quantized model: one packed row of uint64 words per class."""
 
     dim: int
     classes: list
-    class_bits: list  # list[BipolarHV]
+    class_words: np.ndarray  # (K, W) uint64
     tie_seed: int
     source_hash: int  # CRC32 of the originating model's serialized bytes
 
@@ -35,12 +42,17 @@ class BinaryModel:
         return self.classes[int(np.argmax(sims))]
 
     def similarities(self, H) -> np.ndarray:
-        q = H if isinstance(H, BipolarHV) else sign_quantize(H, self.tie_seed)
-        # dot of two bipolar vectors: D - 2 * Hamming
-        return np.array(
-            [self.dim - 2 * (q.bits ^ c.bits).bit_count() for c in self.class_bits],
-            dtype=np.float64,
-        )
+        """Dot of the quantized query with every class: D - 2 * Hamming."""
+        q = _pack_query(self, H)
+        return (self.dim - 2 * _hamming_words(self.class_words, q)).astype(np.float64)
+
+
+def _pack_query(bm: BinaryModel, H) -> np.ndarray:
+    """Sign-quantize a (D,) query with the model's tie seed and pack it."""
+    q = sign_quantize(H, bm.tie_seed)
+    if q.shape != (bm.dim,):
+        raise DimensionMismatchError(f"query dim {q.shape} != ({bm.dim},)")
+    return pack(q)
 
 
 def quantize_model(model: Model, tie_seed: int | None = None) -> BinaryModel:
@@ -49,14 +61,10 @@ def quantize_model(model: Model, tie_seed: int | None = None) -> BinaryModel:
     if not model.is_trained:
         raise ModelNotTrainedError("cannot quantize an untrained model")
     seed = model.encoder.tie_seed if tie_seed is None else tie_seed
-    bits = [
-        sign_quantize(AccumHV(model.dim, row.astype(np.float64)), seed)
-        for row in model.class_matrix
-    ]
     return BinaryModel(
         dim=model.dim,
         classes=list(model.classes),
-        class_bits=bits,
+        class_words=pack(sign_quantize(model.class_matrix, seed)),
         tie_seed=seed,
         source_hash=zlib.crc32(model_to_bytes(model)),
     )
@@ -70,30 +78,19 @@ def inject_bitflips(bm: BinaryModel, rate: float, trial_seed: int) -> BinaryMode
     uniformly without replacement; returns a corrupted copy."""
     if not 0.0 <= rate <= 1.0:
         raise InvalidArgumentError(f"rate must be in [0, 1], got {rate}")
-    k = len(bm.class_bits)
+    k = len(bm.classes)
     total = k * bm.dim
     n_flips = round(rate * total)
     if n_flips == 0:
-        return replace(bm, class_bits=list(bm.class_bits))
+        return replace(bm, class_words=bm.class_words.copy())
     positions = rng(trial_seed, _FLIP_STREAM).choice(total, size=n_flips, replace=False)
-    new_bits = []
-    flip_bool = np.zeros(bm.dim, dtype=bool)
-    for ci in range(k):
-        comp = positions[positions // bm.dim == ci] % bm.dim
-        hv = bm.class_bits[ci]
-        if comp.size:
-            flip_bool[:] = False
-            flip_bool[comp] = True
-            mask = int.from_bytes(
-                np.packbits(flip_bool, bitorder="little").tobytes(), "little"
-            )
-            hv = BipolarHV(bm.dim, hv.bits ^ mask)
-        new_bits.append(hv)
-    return replace(bm, class_bits=new_bits)
+    flips = np.zeros(total, dtype=bool)
+    flips[positions] = True
+    return replace(bm, class_words=bm.class_words ^ pack(flips.reshape(k, bm.dim)))
 
 
 def count_differing_bits(a: BinaryModel, b: BinaryModel) -> int:
-    return sum((x.bits ^ y.bits).bit_count() for x, y in zip(a.class_bits, b.class_bits))
+    return int(_hamming_words(a.class_words, b.class_words).sum())
 
 
 @dataclass
@@ -120,9 +117,14 @@ class RobustnessReport:
         ]
 
 
-def _binary_accuracy(bm: BinaryModel, queries, labels) -> float:
-    correct = sum(bm.predict(q) == label for q, label in zip(queries, labels))
-    return correct / len(labels)
+def _binary_accuracy(bm: BinaryModel, queries: np.ndarray, truth: np.ndarray) -> float:
+    """Accuracy of packed (N, W) queries whose true class indices are
+    `truth` (-1 for a label the model lacks).  Scores one class at a time;
+    the nearest class in Hamming distance wins, ties to the lowest index."""
+    dist = np.empty((len(queries), len(bm.classes)), dtype=np.int64)
+    for ci, words in enumerate(bm.class_words):
+        dist[:, ci] = _hamming_words(queries, words)
+    return int(np.count_nonzero(dist.argmin(axis=1) == truth)) / len(truth)
 
 
 def _trial_seed(sweep_seed: int, rate_idx: int, trial: int) -> int:
@@ -146,19 +148,19 @@ def robustness_sweep(
     pairs = list(test_set)
     if not pairs:
         raise InvalidArgumentError("test set is empty")
-    # quantize queries once; they are shared by every trial
-    queries = [
-        H if isinstance(H, BipolarHV) else sign_quantize(H, bm.tie_seed)
-        for H, _ in pairs
-    ]
-    labels = [label for _, label in pairs]
-    acc_clean = _binary_accuracy(bm, queries, labels)
+    # quantize and pack each query once; the words are shared by every trial
+    queries = np.empty((len(pairs), bm.class_words.shape[1]), dtype=bm.class_words.dtype)
+    for i, (H, _) in enumerate(pairs):
+        queries[i] = _pack_query(bm, H)
+    index = {c: i for i, c in enumerate(bm.classes)}
+    truth = np.array([index.get(label, -1) for _, label in pairs])
+    acc_clean = _binary_accuracy(bm, queries, truth)
     mean_acc = np.zeros(len(rates))
     sd_acc = np.zeros(len(rates))
     for ri, rate in enumerate(rates):
         accs = [
             _binary_accuracy(
-                inject_bitflips(bm, rate, _trial_seed(seed, ri, t)), queries, labels
+                inject_bitflips(bm, rate, _trial_seed(seed, ri, t)), queries, truth
             )
             for t in range(trials)
         ]

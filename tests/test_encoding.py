@@ -5,22 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdwear import reference as ref
 from hdwear.datapipe import Recording, build_dataset
-from hdwear.encoding import (
-    EncoderConfig,
-    FeatureEncoder,
-    encode_feature_record,
-    quantize_scalar,
-)
-from hdwear.errors import InvalidArgumentError, InvalidSampleError
-from hdwear.hv import (
-    BipolarHV,
-    bind,
-    cosine,
-    make_level_memory,
-    random_hv,
-    sign_quantize,
-)
+from hdwear.encoding import EncoderConfig, FeatureEncoder, encode_records, quantize
+from hdwear.errors import InvalidArgumentError, InvalidDimensionError, InvalidSampleError
+from hdwear.hv import bind, cosine, make_level_memory, random_hv, sign_quantize
 
 D = 4096
 
@@ -30,70 +19,109 @@ def lm():
     return make_level_memory(21, D, 16)
 
 
-def signatures(seed, count):
-    return [random_hv(seed, i, D) for i in range(count)]
+def signatures(seed, count, dim=D):
+    return np.stack([random_hv(seed, i, dim) for i in range(count)])
+
+
+def encode_one(features, bounds, lm, sigs):
+    """Encode a single record through the batch path."""
+    return encode_records([features], bounds, lm, sigs)[0]
 
 
 def record_at_levels(levels, lm, sigs):
     """Encode a record whose feature i falls in level levels[i] of lm."""
-    q = lm.q
-    return encode_feature_record(
-        [lv + 0.5 for lv in levels], [(0.0, float(q))] * len(levels), lm, sigs
-    )
+    q = len(lm)
+    return encode_one([lv + 0.5 for lv in levels], [(0.0, float(q))] * len(levels), lm, sigs)
+
+
+def quantize_one(x, v_min, v_max, q):
+    return int(quantize([[x]], [(v_min, v_max)], q)[0, 0])
 
 
 # ---------------------------------------------------------------- quantize
 
 
 def test_quantize_bounds():
-    assert quantize_scalar(-2.0, -2.0, 3.0, 10) == 0
-    assert quantize_scalar(3.0, -2.0, 3.0, 10) == 9
+    assert quantize_one(-2.0, -2.0, 3.0, 10) == 0
+    assert quantize_one(3.0, -2.0, 3.0, 10) == 9
 
 
 def test_quantize_interior():
-    assert quantize_scalar(0.49, 0.0, 1.0, 4) == 1  # floor(0.49 * 4)
+    assert quantize_one(0.49, 0.0, 1.0, 4) == 1  # floor(0.49 * 4)
 
 
 def test_quantize_clamps():
-    assert quantize_scalar(-5.0, 0.0, 1.0, 4) == 0
-    assert quantize_scalar(7.0, 0.0, 1.0, 4) == 3
+    assert quantize_one(-5.0, 0.0, 1.0, 4) == 0
+    assert quantize_one(7.0, 0.0, 1.0, 4) == 3
 
 
 def test_quantize_degenerate_range():
-    assert quantize_scalar(0.7, 0.5, 0.5, 16) == 0
+    assert quantize_one(0.7, 0.5, 0.5, 16) == 0
 
 
 def test_quantize_rejects_non_finite():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidSampleError):
-            quantize_scalar(bad, 0.0, 1.0, 16)
+            quantize_one(bad, 0.0, 1.0, 16)
+        with pytest.raises(InvalidSampleError):
+            ref.quantize_scalar(bad, 0.0, 1.0, 16)
 
 
 @given(st.floats(-100, 100), st.integers(2, 64))
 @settings(max_examples=100, deadline=None)
 def test_quantize_in_range(x, q):
-    lv = quantize_scalar(x, -10.0, 10.0, q)
+    lv = quantize_one(x, -10.0, 10.0, q)
     assert 0 <= lv <= q - 1
 
 
-# ---------------------------------------------------- encode_feature_record
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(
+    st.lists(st.tuples(finite, finite), min_size=1, max_size=6),
+    st.integers(1, 5),
+    st.integers(2, 64),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_quantize_matches_reference(bounds, n, q, data):
+    # bounds may be degenerate (v_min == v_max) or reversed; values reach
+    # past both bounds, so clamping on either side is covered
+    bounds = [(lo, lo) if data.draw(st.booleans()) else (lo, hi) for lo, hi in bounds]
+    X = [[data.draw(st.floats(-2e6, 2e6)) for _ in bounds] for _ in range(n)]
+    got = quantize(X, bounds, q)
+    expect = [[ref.quantize_scalar(x, lo, hi, q) for x, (lo, hi) in zip(row, bounds)] for row in X]
+    assert got.tolist() == expect
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_quantize_rejects_non_finite_anywhere_in_batch(bad):
+    X = np.zeros((4, 3))
+    X[2, 1] = bad
+    with pytest.raises(InvalidSampleError):
+        quantize(X, [(0.0, 1.0)] * 3, 8)
+    with pytest.raises(InvalidSampleError):
+        encode_records(X, [(0.0, 1.0)] * 3, make_level_memory(1, 64, 8), signatures(2, 3, 64))
+
+
+# ----------------------------------------------------------- encode_records
 
 
 def test_feature_record_single(lm):
     sigs = signatures(32, 1)
     bounds = [(0.0, 1.0)]
-    acc = encode_feature_record([0.3], bounds, lm, sigs)
-    lv = quantize_scalar(0.3, 0.0, 1.0, 16)
-    assert sign_quantize(acc, 0) == bind(sigs[0], lm[lv])
+    acc = encode_one([0.3], bounds, lm, sigs)
+    lv = quantize_one(0.3, 0.0, 1.0, 16)
+    assert np.array_equal(sign_quantize(acc, 0), bind(sigs[0], lm[lv]))
 
 
 def test_feature_record_deterministic(lm):
     sigs = signatures(32, 7)
     bounds = [(0.0, 1.0)] * 7
     rec = [0.1, 0.9, 0.4, 0.2, 0.8, 0.55, 0.0]
-    a = encode_feature_record(rec, bounds, lm, sigs)
-    b = encode_feature_record(rec, bounds, lm, sigs)
-    assert np.array_equal(a.comps, b.comps)
+    a = encode_one(rec, bounds, lm, sigs)
+    b = encode_one(rec, bounds, lm, sigs)
+    assert np.array_equal(a, b)
 
 
 def test_feature_record_full_range_change(lm):
@@ -102,20 +130,57 @@ def test_feature_record_full_range_change(lm):
     rec = [0.1, 0.9, 0.4, 0.2, 0.8, 0.55, 0.0]
     moved = list(rec)
     moved[3] = 1.0  # full quantization range away
-    a = encode_feature_record(rec, bounds, lm, sigs)
-    b = encode_feature_record(moved, bounds, lm, sigs)
+    a = encode_one(rec, bounds, lm, sigs)
+    b = encode_one(moved, bounds, lm, sigs)
     assert cosine(a, b) < 0.9
 
 
 def test_feature_record_arity_mismatch(lm):
     with pytest.raises(InvalidArgumentError):
-        encode_feature_record([0.1, 0.2], [(0, 1)] * 3, lm, signatures(32, 3))
+        encode_one([0.1, 0.2], [(0, 1)] * 3, lm, signatures(32, 3))
+    with pytest.raises(InvalidArgumentError):
+        encode_one([0.1, 0.2, 0.3], [(0, 1)] * 2, lm, signatures(32, 3))
+
+
+@given(st.sampled_from([3, 77, 131]), st.integers(1, 9), st.integers(2, 9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_encode_records_rows_match_reference(d, n_feat, q, data):
+    lm = make_level_memory(5, d, q)
+    sigs = signatures(6, n_feat, d)
+    bounds = [(0.0, 1.0)] * n_feat
+    X = [[data.draw(st.floats(-0.5, 1.5)) for _ in range(n_feat)] for _ in range(3)]
+    H = encode_records(X, bounds, lm, sigs)
+    assert H.shape == (3, d)
+    for row, feats in zip(H, X):
+        expect = [0.0] * d
+        for f, x in enumerate(feats):
+            level = lm[ref.quantize_scalar(x, 0.0, 1.0, q)].tolist()
+            expect = ref.bundle(expect, ref.bind(sigs[f].tolist(), level), 1.0)
+        assert row.tolist() == expect
+
+
+@pytest.mark.parametrize("n_feat, dtype", [(127, np.int8), (128, np.int16)])
+def test_encode_records_saturated_sum_is_exact(n_feat, dtype):
+    # one signature repeated F times and every feature at level 0: each
+    # component sums F equal terms, the largest |H| the accumulator can see
+    d = 77
+    lm = make_level_memory(3, d, 4)
+    sigs = np.ones((n_feat, d), dtype=np.int8)
+    H = encode_records(np.zeros((2, n_feat)), [(0.0, 1.0)] * n_feat, lm, sigs)
+    assert H.dtype == dtype
+    assert np.array_equal(H, np.broadcast_to(n_feat * lm[0].astype(np.int64), (2, d)))
+    neg = encode_records(np.zeros((1, n_feat)), [(0.0, 1.0)] * n_feat, lm, -sigs)
+    assert np.array_equal(neg[0], -n_feat * lm[0].astype(np.int64))
+
+
+def test_encode_records_empty_batch(lm):
+    assert encode_records(np.empty((0,)), [(0.0, 1.0)] * 2, lm, signatures(1, 2)).shape == (0, D)
 
 
 def test_window_n1_is_level(lm):
     # a one-feature window bound with the identity signature is its level
-    acc = record_at_levels([5], lm, [BipolarHV.all_ones(D)])
-    assert sign_quantize(acc, 0) == lm[5]
+    acc = record_at_levels([5], lm, np.ones((1, D), dtype=np.int8))
+    assert np.array_equal(sign_quantize(acc, 0), lm[5])
 
 
 def test_window_changed_level_decorrelates(lm):
@@ -186,7 +251,7 @@ def test_timeseries_count_formula():
 def test_timeseries_constant_signal():
     _, enc = encode_series([0.4] * 6, window=3, stride=1)
     assert len(enc) == 4
-    assert all(np.array_equal(hv.comps, enc[0].comps) for hv in enc)
+    assert all(np.array_equal(hv, enc[0]) for hv in enc)
 
 
 def test_timeseries_exact_length():
@@ -200,9 +265,10 @@ def test_timeseries_exact_length():
 def test_feature_encoder_roundtrip_config():
     cfg = EncoderConfig(dim=512, q_levels=8, feature_bounds=[(0.0, 1.0)] * 4)
     enc = FeatureEncoder(cfg)
-    a = enc.encode_record([0.1, 0.2, 0.3, 0.4])
-    b = FeatureEncoder(cfg).encode_record([0.1, 0.2, 0.3, 0.4])
-    assert np.array_equal(a.comps, b.comps)
+    a = enc.encode_matrix([[0.1, 0.2, 0.3, 0.4]])
+    b = FeatureEncoder(cfg).encode_matrix([[0.1, 0.2, 0.3, 0.4]])
+    assert a.shape == (1, 512)
+    assert np.array_equal(a, b)
 
 
 def test_feature_encoder_requires_bounds():
@@ -214,7 +280,7 @@ def test_feature_encoder_signature_streams():
     # signature i is stream i of sensor_seed, so saved models keep encoding
     # the same way
     cfg = EncoderConfig(dim=256, sensor_seed=7, feature_bounds=[(0.0, 1.0)] * 3)
-    assert FeatureEncoder(cfg).signatures == [random_hv(7, i, 256) for i in range(3)]
+    assert np.array_equal(FeatureEncoder(cfg).signatures, signatures(7, 3, 256))
 
 
 @pytest.mark.parametrize("field", ["level_seed", "sensor_seed", "tie_seed"])
@@ -222,3 +288,27 @@ def test_feature_encoder_signature_streams():
 def test_encoder_config_rejects_bad_seed(field, seed):
     with pytest.raises(InvalidArgumentError):
         EncoderConfig(feature_bounds=[(0.0, 1.0)], **{field: seed})
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"dim": -5}, InvalidDimensionError),
+        ({"dim": 0}, InvalidDimensionError),
+        ({"dim": 1}, InvalidDimensionError),
+        ({"dim": 2**32}, InvalidDimensionError),
+        ({"dim": 64.0}, InvalidDimensionError),
+        ({"q_levels": -1}, InvalidArgumentError),
+        ({"q_levels": 1}, InvalidArgumentError),
+        ({"q_levels": 2**32}, InvalidArgumentError),
+        ({"q_levels": "16"}, InvalidArgumentError),
+    ],
+)
+def test_encoder_config_rejects_bad_geometry(kwargs, error):
+    with pytest.raises(error):
+        EncoderConfig(feature_bounds=[(0.0, 1.0)], **kwargs)
+
+
+def test_encoder_config_accepts_geometry_edges():
+    EncoderConfig(dim=2, q_levels=2)
+    EncoderConfig(dim=2**32 - 1, q_levels=2**32 - 1)

@@ -1,4 +1,5 @@
-"""Core hypervector algebra: packed ops against the per-component reference."""
+"""Core hypervector algebra: array ops and packed words against the
+per-component reference."""
 
 import threading
 
@@ -15,15 +16,12 @@ from hdwear.errors import (
     ZeroNormError,
 )
 from hdwear.hv import (
-    AccumHV,
-    BipolarHV,
     bind,
-    bundle,
-    bundle_all,
     cosine,
     dot,
     hamming,
     make_level_memory,
+    pack,
     random_hv,
     rng,
     sign_quantize,
@@ -42,7 +40,7 @@ def pairs_4096():
 
 
 def test_random_hv_deterministic():
-    assert random_hv(7, 0, 64) == random_hv(7, 0, 64)
+    assert np.array_equal(random_hv(7, 0, 64), random_hv(7, 0, 64))
 
 
 def test_random_hv_streams_near_orthogonal():
@@ -53,7 +51,8 @@ def test_random_hv_streams_near_orthogonal():
 
 def test_random_hv_dim_one():
     v = random_hv(7, 0, 1)
-    assert v.to_array()[0] in (-1, 1)
+    assert v.dtype == np.int8 and v.shape == (1,)
+    assert v[0] in (-1, 1)
 
 
 def test_random_hv_zero_dim_rejected():
@@ -83,8 +82,10 @@ def test_rng_rejects_bad_seed_and_stream(seed):
 def test_padding_canonical():
     for d in (1, 7, 63, 64, 65, 130):
         v = random_hv(9, 2, d)
-        assert v.bits >> d == 0
-        assert np.all(np.abs(v.to_array()) == 1)
+        words = pack(v)
+        assert words.shape == ((d + 63) // 64,)
+        assert int(words[-1]) >> (d - 64 * (len(words) - 1)) == 0
+        assert np.all(np.abs(v) == 1)
 
 
 # ---------------------------------------------------------------------- bind
@@ -92,12 +93,12 @@ def test_padding_canonical():
 
 def test_bind_self_gives_all_ones():
     v = random_hv(1, 0, 256)
-    assert bind(v, v) == BipolarHV.all_ones(256)
+    assert np.array_equal(bind(v, v), np.ones(256, dtype=np.int8))
 
 
 def test_bind_identity_element():
     v = random_hv(1, 1, 256)
-    assert bind(v, BipolarHV.all_ones(256)) == v
+    assert np.array_equal(bind(v, np.ones(256, dtype=np.int8)), v)
 
 
 def test_bind_output_near_orthogonal_to_inputs():
@@ -114,47 +115,26 @@ def test_bind_dim_mismatch():
 
 
 # -------------------------------------------------------------------- bundle
+# A bundle is plain array addition: integer or float components.
 
 
 def test_bundle_single_roundtrip():
     v = random_hv(4, 0, 256)
-    acc = bundle(AccumHV(256), v, 1)
-    assert sign_quantize(acc, tie_seed=99) == v
+    acc = np.zeros(256) + v
+    assert np.array_equal(sign_quantize(acc, tie_seed=99), v)
 
 
 def test_bundle_cancellation():
     v = random_hv(4, 1, 256)
-    acc = bundle(bundle(AccumHV(256), v, 1), v, -1)
-    assert np.all(acc.comps == 0)
+    acc = np.zeros(256) + v - v
+    assert np.all(acc == 0)
 
 
 def test_bundle_member_cosine():
     # Expected cosine of a member in a 3-bundle is ~ 1/sqrt(3) ~= 0.577.
     a, b, c = (random_hv(4, i, D) for i in (2, 3, 4))
-    acc = bundle(bundle(bundle(AccumHV(D), a, 1), b, 1), c, 1)
+    acc = a.astype(np.int64) + b + c
     assert cosine(acc, a) > 0.4
-
-
-def test_bundle_all_matches_fold():
-    hvs = [random_hv(4, 9 + i, 200) for i in range(5)]
-    folded = AccumHV(200)
-    for hv in hvs:
-        folded = bundle(folded, hv, 1)
-    batched = bundle_all(hvs, 200)
-    assert np.array_equal(batched.comps, folded.comps)
-
-
-def test_bundle_all_odd_dim():
-    hvs = [random_hv(4, 20 + i, 77) for i in range(3)]
-    folded = AccumHV(77)
-    for hv in hvs:
-        folded = bundle(folded, hv, 1)
-    assert np.array_equal(bundle_all(hvs, 77).comps, folded.comps)
-
-
-def test_bundle_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        bundle(AccumHV(64), random_hv(4, 0, 65), 1)
 
 
 # ----------------------------------------------------------------------- dot
@@ -167,18 +147,18 @@ def test_dot_self_is_dim():
 
 def test_dot_negation_is_minus_dim():
     v = random_hv(5, 1, 300)
-    assert dot(v, v.negate()) == -300
+    assert dot(v, -v) == -300
 
 
 def test_dot_packed_equals_reference_on_1000_pairs(pairs_4096):
     for a, b in pairs_4096[:1000]:
-        expected = ref.dot(a.to_array().tolist(), b.to_array().tolist())
+        expected = ref.dot(a.tolist(), b.tolist())
         assert dot(a, b) == expected
 
 
 def test_dot_mixed_accum_bipolar():
     v = random_hv(5, 2, 128)
-    acc = bundle(AccumHV(128), v, 2.0)
+    acc = np.zeros(128) + 2.0 * v
     assert dot(acc, v) == pytest.approx(2.0 * 128)
 
 
@@ -192,7 +172,7 @@ def test_cosine_self():
 
 def test_cosine_scale_invariant():
     v = random_hv(6, 1, 512)
-    acc = bundle(AccumHV(512), v, 3.0)
+    acc = np.zeros(512) + 3.0 * v
     assert cosine(acc, v) == pytest.approx(1.0)
 
 
@@ -204,33 +184,34 @@ def test_cosine_random_small(pairs_4096):
 def test_cosine_zero_norm_raises():
     v = random_hv(6, 2, 64)
     with pytest.raises(ZeroNormError):
-        cosine(AccumHV(64), v)
+        cosine(np.zeros(64), v)
 
 
 # ------------------------------------------------------------- sign_quantize
 
 
 def test_sign_quantize_plain_signs():
-    acc = AccumHV(3, np.array([5.0, -2.0, 1.0]))
-    assert np.array_equal(sign_quantize(acc, 0).to_array(), [1, -1, 1])
+    acc = np.array([5.0, -2.0, 1.0])
+    got = sign_quantize(acc, 0)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, [1, -1, 1])
 
 
 def test_sign_quantize_tie_deterministic():
-    acc = AccumHV(128)
+    acc = np.zeros(128)
     a = sign_quantize(acc, tie_seed=42)
     b = sign_quantize(acc, tie_seed=42)
-    assert a == b
+    assert np.array_equal(a, b)
     # a different tie seed resolves ties differently somewhere
-    assert a != sign_quantize(acc, tie_seed=43)
+    assert not np.array_equal(a, sign_quantize(acc, tie_seed=43))
 
 
 def test_sign_quantize_matches_reference():
     rng = np.random.default_rng(0)
     comps = rng.integers(-2, 3, size=257).astype(float)
-    acc = AccumHV(257, comps)
-    got = sign_quantize(acc, tie_seed=7)
-    coin = random_hv(7, 0, 257).to_array().tolist()
-    assert got.to_array().tolist() == ref.sign_quantize(comps.tolist(), coin)
+    got = sign_quantize(comps, tie_seed=7)
+    coin = random_hv(7, 0, 257).tolist()
+    assert got.tolist() == ref.sign_quantize(comps.tolist(), coin)
 
 
 # ------------------------------------------------------------- level memory
@@ -259,6 +240,12 @@ def test_level_memory_monotone_hamming():
         assert dists == sorted(dists)
 
 
+def test_level_memory_is_q_by_d_bipolar():
+    lm = make_level_memory(8, 77, 6)
+    assert lm.shape == (6, 77) and lm.dtype == np.int8
+    assert np.all(np.abs(lm) == 1)
+
+
 def test_level_memory_q_too_small():
     with pytest.raises(InvalidArgumentError):
         make_level_memory(8, 64, 1)
@@ -270,8 +257,8 @@ def test_level_memory_q_too_small():
 
 
 def test_item_memory_deterministic_and_distinct():
-    assert random_hv(13, 5, 256) == random_hv(13, 5, 256)
-    assert random_hv(13, 5, 256) != random_hv(13, 6, 256)
+    assert np.array_equal(random_hv(13, 5, 256), random_hv(13, 5, 256))
+    assert not np.array_equal(random_hv(13, 5, 256), random_hv(13, 6, 256))
 
 
 def test_item_memory_thread_shareable():
@@ -287,7 +274,7 @@ def test_item_memory_thread_shareable():
     for t in threads:
         t.join()
     for i in range(8):
-        assert out[i] == random_hv(13, i % 4, 512)
+        assert np.array_equal(out[i], random_hv(13, i % 4, 512))
 
 
 def test_item_memory_negative_symbol():
@@ -326,8 +313,8 @@ def dim_and_seed(draw):
 def test_bind_matches_reference(ds):
     d, s = ds
     a, b = random_hv(s, 0, d), random_hv(s, 1, d)
-    expect = ref.bind(a.to_array().tolist(), b.to_array().tolist())
-    assert bind(a, b).to_array().tolist() == expect
+    expect = ref.bind(a.tolist(), b.tolist())
+    assert bind(a, b).tolist() == expect
 
 
 @given(dim_and_seed())
@@ -335,7 +322,7 @@ def test_bind_matches_reference(ds):
 def test_dot_and_hamming_match_reference(ds):
     d, s = ds
     a, b = random_hv(s, 2, d), random_hv(s, 3, d)
-    al, bl = a.to_array().tolist(), b.to_array().tolist()
+    al, bl = a.tolist(), b.tolist()
     assert dot(a, b) == ref.dot(al, bl)
     assert hamming(a, b) == ref.hamming(al, bl)
 
@@ -345,10 +332,9 @@ def test_dot_and_hamming_match_reference(ds):
 def test_bundle_matches_reference(ds, w):
     d, s = ds
     v = random_hv(s, 2, d)
-    acc = AccumHV(d)
-    got = bundle(acc, v, w)
-    expect = ref.bundle([0.0] * d, v.to_array().tolist(), w)
-    assert np.allclose(got.comps, expect)
+    got = np.zeros(d) + w * v
+    expect = ref.bundle([0.0] * d, v.tolist(), w)
+    assert np.allclose(got, expect)
 
 
 @given(dim_and_seed())
@@ -356,5 +342,31 @@ def test_bundle_matches_reference(ds, w):
 def test_random_hv_bits_match_reference_unpacking(ds):
     d, s = ds
     v = random_hv(s, 3, d)
-    raw = v.bits.to_bytes((d + 7) // 8, "little")
-    assert v.to_array().tolist() == ref.random_components(raw, d)
+    raw = rng(s, 3).bytes((d + 7) // 8)
+    assert v.tolist() == ref.random_components(raw, d)
+
+
+# ---------------------------------------------------------- packed words
+
+
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 77, 130])
+def test_pack_bit_i_is_component_i_and_padding_is_zero(d):
+    hvs = np.stack([random_hv(21, i, d) for i in range(3)])
+    words = pack(hvs)
+    assert words.shape == (3, (d + 63) // 64) and words.dtype == np.uint64
+    for v, row in zip(hvs, words):
+        raw = row.tobytes()
+        assert ref.random_components(raw, d) == v.tolist()
+        padding = [(raw[i // 8] >> (i % 8)) & 1 for i in range(d, 8 * len(raw))]
+        assert not any(padding)
+    # an all-(+1) batch sets every valid bit and nothing else
+    ones = pack(np.ones((2, d), dtype=np.int8))
+    assert int(np.bitwise_count(ones).sum()) == 2 * d
+
+
+@given(dim_and_seed())
+@settings(max_examples=40, deadline=None)
+def test_packed_hamming_matches_reference(ds):
+    d, s = ds
+    a, b = random_hv(s, 4, d), random_hv(s, 5, d)
+    assert int(np.bitwise_count(pack(a) ^ pack(b)).sum()) == ref.hamming(a.tolist(), b.tolist())

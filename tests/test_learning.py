@@ -22,7 +22,7 @@ from hdwear.errors import (
     UnknownClassError,
     UnsupportedVersionError,
 )
-from hdwear.hv import AccumHV, bundle, random_hv
+from hdwear.hv import random_hv
 from hdwear.learning import (
     Model,
     evaluate,
@@ -53,7 +53,7 @@ def make_model(n_classes=2, dim=D, eta=0.5, n_features=4):
 
 
 def hv_accum(seed, stream, dim=D):
-    return AccumHV(dim, random_hv(seed, stream, dim).to_array().astype(np.float64))
+    return random_hv(seed, stream, dim).astype(np.float64)
 
 
 # ------------------------------------------------------------- similarities
@@ -130,7 +130,7 @@ def test_online_empty_class_absorbs_h():
     m = make_model(eta=1.0)
     H = hv_accum(6, 1)
     online_update(m, H, "c0")
-    assert np.array_equal(m.class_matrix[0], H.comps.astype(np.float32))
+    assert np.array_equal(m.class_matrix[0], H.astype(np.float32))
 
 
 def test_online_update_only_touches_own_class():
@@ -184,7 +184,7 @@ def exact_misprediction_model():
     m = Model(classes=["l", "lp"], encoder=enc, eta=0.5)
     m.class_matrix[0] = np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=np.float32)
     m.class_matrix[1] = np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=np.float32)
-    H = AccumHV(8, np.array([2.0, 0, 0, 0, 0, 0, 0, 0]))
+    H = np.array([2.0, 0, 0, 0, 0, 0, 0, 0])
     return m, H
 
 
@@ -227,7 +227,7 @@ def test_retrain_equal_similarity_miss_is_zero_magnitude():
     m = Model(classes=["a", "b"], encoder=enc, eta=0.5)
     m.class_matrix[0] = np.array([0, 1, 0, 0], dtype=np.float32)
     m.class_matrix[1] = np.array([0, 1, 0, 0], dtype=np.float32)
-    H = AccumHV(4, np.array([0.0, 2.0, 0, 0]))
+    H = np.array([0.0, 2.0, 0, 0])
     before = m.class_matrix.copy()
     # both classes have similarity 1; argmax tie-break picks index 0 = "a",
     # so label "b" is a (marginal) misprediction
@@ -283,7 +283,7 @@ def linearly_separable(seed, n=40, dim=512):
     for i in range(n):
         c = i % 2
         noise = rng.normal(0, 0.3, dim)
-        data.append((AccumHV(dim, protos[c].comps + noise), f"c{c}"))
+        data.append((protos[c] + noise, f"c{c}"))
     return data
 
 
@@ -496,6 +496,29 @@ def test_model_file_without_classes_rejected():
 def test_non_str_labels_rejected():
     with pytest.raises(InvalidArgumentError):
         Model(classes=[0, 1], encoder=EncoderConfig(dim=64))
+
+
+def test_labels_utf8_cannot_encode_rejected():
+    # a lone surrogate is a str that has no UTF-8 encoding, so it could
+    # never be saved
+    with pytest.raises(InvalidArgumentError):
+        Model(classes=["\udc80"], encoder=EncoderConfig(dim=64))
+    with pytest.raises(InvalidArgumentError):
+        Model(classes=["walk", "r\ud800n"], encoder=EncoderConfig(dim=64))
+
+
+def one_class_blob(dim, q):
+    """A model file with one feature and one class "a", CRC recomputed."""
+    head = struct.pack("<4sHIIIId4QI", b"HDWM", 1, dim, 1, q, 3, 0.5, 0, 1, 2, 3, 1)
+    body = struct.pack("<dd", 0.0, 1.0) + struct.pack("<I", 1) + b"a"
+    return with_crc(head + body + np.ones(dim, dtype="<f4").tobytes())
+
+
+@pytest.mark.parametrize("dim, q", [(0, 16), (1, 16), (8, 0), (8, 1)])
+def test_model_file_with_bad_geometry_rejected(dim, q):
+    assert model_from_bytes(one_class_blob(8, 16)).dim == 8
+    with pytest.raises(ModelIOError):
+        model_from_bytes(one_class_blob(dim, q))
 
 
 @given(

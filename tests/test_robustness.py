@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from hdwear import reference as ref
 from hdwear.encoding import EncoderConfig
-from hdwear.errors import InvalidArgumentError, ModelNotTrainedError
-from hdwear.hv import AccumHV, random_hv
+from hdwear.errors import DimensionMismatchError, InvalidArgumentError, ModelNotTrainedError
+from hdwear.hv import pack, random_hv, sign_quantize
 from hdwear.learning import Model, train_online
 from hdwear.robustness import (
     TABLE4_RATES,
@@ -23,7 +24,7 @@ def trained_model(n_classes=4, dim=D, seed=60):
     m = Model(classes=[f"c{i}" for i in range(n_classes)], encoder=enc)
     data = []
     for i in range(n_classes):
-        H = AccumHV(dim, random_hv(seed, i, dim).to_array().astype(np.float64))
+        H = random_hv(seed, i, dim).astype(np.float64)
         data.append((H, f"c{i}"))
     train_online(m, data)
     return m, data
@@ -33,15 +34,14 @@ def test_quantize_identity_on_sign_valued_model():
     m, _ = trained_model(dim=256)
     m.class_matrix = np.sign(m.class_matrix) + (m.class_matrix == 0)
     bm = quantize_model(m)
-    for row, hv in zip(m.class_matrix, bm.class_bits):
-        assert np.array_equal(hv.to_array(), row.astype(np.int8))
+    assert np.array_equal(bm.class_words, pack(m.class_matrix))
 
 
 def test_quantize_idempotent():
     m, _ = trained_model(dim=256)
     a = quantize_model(m)
     b = quantize_model(m)
-    assert [h.bits for h in a.class_bits] == [h.bits for h in b.class_bits]
+    assert np.array_equal(a.class_words, b.class_words)
     assert a.source_hash == b.source_hash
 
 
@@ -56,6 +56,47 @@ def test_binary_predict_matches_prototypes():
     bm = quantize_model(m)
     for H, label in data:
         assert bm.predict(H) == label
+
+
+# ------------------------------------------------- packed words at odd D
+
+
+@pytest.mark.parametrize("dim", [77, 130])
+def test_similarities_match_reference_hamming_at_odd_dim(dim):
+    m, data = trained_model(n_classes=3, dim=dim)
+    bm = quantize_model(m)
+    assert bm.class_words.shape == (3, (dim + 63) // 64)
+    coin = random_hv(777, 0, dim).tolist()  # the tie coin of tie seed 777
+    classes = [ref.sign_quantize(row.tolist(), coin) for row in m.class_matrix]
+    for stream in range(5):
+        H = random_hv(61, stream, dim) + random_hv(62, stream, dim)  # has ties
+        q = ref.sign_quantize(H.tolist(), coin)
+        expect = [dim - 2 * ref.hamming(q, c) for c in classes]
+        assert bm.similarities(H).tolist() == expect
+
+
+@pytest.mark.parametrize("dim", [77, 130])
+def test_inject_rate_one_flips_every_bit_and_no_padding_at_odd_dim(dim):
+    m, _ = trained_model(n_classes=3, dim=dim)
+    bm = quantize_model(m)
+    corrupted = inject_bitflips(bm, 1.0, trial_seed=4)
+    assert count_differing_bits(bm, corrupted) == 3 * dim
+    assert np.array_equal(corrupted.class_words, pack(-sign_quantize(m.class_matrix, 777)))
+    # each valid bit is set in exactly one of the two models, so any set
+    # padding bit would push the total past K * D
+    ones = np.bitwise_count(corrupted.class_words).sum() + np.bitwise_count(bm.class_words).sum()
+    assert ones == 3 * dim
+
+
+def test_query_dim_mismatch_rejected():
+    m, data = trained_model(n_classes=2, dim=130)
+    bm = quantize_model(m)
+    # 129 and 130 components pack to the same number of words
+    short = random_hv(1, 0, 129)
+    with pytest.raises(DimensionMismatchError):
+        bm.similarities(short)
+    with pytest.raises(DimensionMismatchError):
+        robustness_sweep(m, data + [(short, "c0")], rates=[0.1], trials=1)
 
 
 def test_inject_rate_zero_identical():
@@ -96,17 +137,20 @@ def test_inject_deterministic():
     bm = quantize_model(m)
     a = inject_bitflips(bm, 0.2, trial_seed=42)
     b = inject_bitflips(bm, 0.2, trial_seed=42)
-    assert [h.bits for h in a.class_bits] == [h.bits for h in b.class_bits]
+    assert np.array_equal(a.class_words, b.class_words)
     c = inject_bitflips(bm, 0.2, trial_seed=43)
-    assert [h.bits for h in a.class_bits] != [h.bits for h in c.class_bits]
+    assert not np.array_equal(a.class_words, c.class_words)
 
 
 def test_inject_leaves_original_untouched():
     m, _ = trained_model(dim=512)
     bm = quantize_model(m)
-    before = [h.bits for h in bm.class_bits]
+    before = bm.class_words.copy()
     inject_bitflips(bm, 0.5, trial_seed=3)
-    assert [h.bits for h in bm.class_bits] == before
+    assert np.array_equal(bm.class_words, before)
+    clean = inject_bitflips(bm, 0.0, trial_seed=3)
+    clean.class_words[0, 0] ^= np.uint64(1)
+    assert np.array_equal(bm.class_words, before)
 
 
 def test_inject_rate_out_of_range():
