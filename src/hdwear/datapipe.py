@@ -1,11 +1,16 @@
-"""CSV ingestion, preprocessing, sliding-window segmentation, feature
-extraction, and train/test splitting.
+"""CSV ingestion, preprocessing, sliding-window features, and train/test
+splitting.
 
-The feature set is seven generic window statistics per channel (mean, std,
-min, max, RMS, mean absolute first difference, zero crossings of the
-mean-removed window), concatenated across channels in schema order.
-Quantization bounds are fit on the training split only and frozen into the
-model; test-time values outside the bounds are clamped, never rejected.
+A dataset is columnar: one (N, F) float64 feature matrix X plus (N,)
+arrays of window labels y and subject ids, one row per window, recordings
+stacked in order.  Each channel is windowed with one sliding_window_view;
+its seven statistics per window (mean, std, min, max, RMS, mean absolute
+first difference, zero crossings of the mean-removed window) are
+concatenated across channels in schema order.  A window's label is the
+majority of its per-sample labels, ties going to the lowest label in
+sorted order.  Quantization bounds are fit on the training split only and
+frozen into the model; test-time values outside the bounds are clamped,
+never rejected.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CsvParseError,
@@ -53,19 +59,19 @@ class Recording:
     channels: dict  # channel name -> np.ndarray
     labels: np.ndarray | None = None  # per-sample, parallel to the channels
 
+    def __post_init__(self):
+        # every window row pairs features and a label taken at the same samples
+        lengths = {len(x) for x in self.channels.values()}
+        lengths |= set() if self.labels is None else {len(self.labels)}
+        if len(lengths) != 1:
+            raise SchemaError(
+                f"recording {self.subject_id!r}: channels and labels need one common "
+                f"length, got {sorted(lengths)}"
+            )
+
     @property
     def n_samples(self) -> int:
         return len(next(iter(self.channels.values())))
-
-
-@dataclass
-class Window:
-    """One segmented window: raw per-channel arrays before feature
-    extraction, a flat feature vector afterwards."""
-
-    data: object
-    label: str | None
-    subject_id: str
 
 
 @dataclass
@@ -79,31 +85,24 @@ class FeatureStats:
 
 @dataclass
 class WindowedDataset:
-    windows: list
+    """One row per window: X is (N, F) float64, y and subjects are (N,)."""
+
+    X: np.ndarray
+    y: np.ndarray
+    subjects: np.ndarray
     feature_names: list = field(default_factory=list)
     skipped_recordings: int = 0
 
     def __len__(self):
-        return len(self.windows)
-
-    @property
-    def X(self) -> np.ndarray:
-        return np.array([w.data for w in self.windows], dtype=np.float64)
-
-    @property
-    def y(self) -> list:
-        return [w.label for w in self.windows]
-
-    @property
-    def subjects(self) -> list:
-        return [w.subject_id for w in self.windows]
+        return len(self.X)
 
     def subject_ids(self) -> list:
-        seen = dict.fromkeys(w.subject_id for w in self.windows)
-        return list(seen)
+        """Distinct subjects in order of first appearance."""
+        return list(dict.fromkeys(self.subjects.tolist()))
 
     def select(self, indices) -> "WindowedDataset":
-        return replace(self, windows=[self.windows[i] for i in indices])
+        """The given rows, in the given order, as a copy."""
+        return replace(self, X=self.X[indices], y=self.y[indices], subjects=self.subjects[indices])
 
 
 def load_csv(path, schema: CsvSchema) -> list:
@@ -119,15 +118,12 @@ def load_csv(path, schema: CsvSchema) -> list:
         except StopIteration:
             raise EmptyInputError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        wanted = list(schema.channels)
-        if schema.label:
-            wanted.append(schema.label)
-        if schema.subject:
-            wanted.append(schema.subject)
+        wanted = [*schema.channels, *(c for c in (schema.label, schema.subject) if c)]
         missing = [c for c in wanted if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}; header {header}")
         col = {name: header.index(name) for name in wanted}
+        n_cells = max(col.values()) + 1
 
         per_subject: dict[str, dict] = {}
         n_rows = 0
@@ -135,6 +131,10 @@ def load_csv(path, schema: CsvSchema) -> list:
             if not row or all(not cell.strip() for cell in row):
                 continue
             n_rows += 1
+            if len(row) < n_cells:
+                raise CsvParseError(
+                    f"{path}: row {row_no}: {len(row)} cells, the schema needs {n_cells}"
+                )
             subject = row[col[schema.subject]].strip() if schema.subject else "default"
             bucket = per_subject.setdefault(
                 subject,
@@ -144,7 +144,7 @@ def load_csv(path, schema: CsvSchema) -> list:
                 cell = row[col[ch]].strip()
                 try:
                     value = float(cell)
-                except (ValueError, IndexError):
+                except ValueError:
                     raise CsvParseError(
                         f"{path}: row {row_no}, column {ch!r}: "
                         f"cannot parse {cell!r} as a number"
@@ -192,68 +192,47 @@ def moving_average(signal, window_len: int) -> np.ndarray:
     return (csum[ends] - csum[starts]) / (ends - starts)
 
 
-def _window_label(labels, policy: str) -> str:
-    if policy == "last":
-        return labels[-1]
-    if policy == "majority":
-        uniq, counts = np.unique(np.asarray(labels), return_counts=True)
-        # ties resolve to the earliest label in sorted order (np.unique sorts)
-        return str(uniq[np.argmax(counts)])
-    raise InvalidArgumentError(f"unknown label policy {policy!r}")
-
-
-def segment(
-    rec: Recording,
-    window_samples: int,
-    stride: int,
-    label_policy: str = "majority",
-) -> list:
-    """Slide a window across all channels in lockstep; one Window per
-    position.  A recording shorter than the window yields no windows."""
+def _check_window(window_samples: int, stride: int) -> None:
     if window_samples < 1 or stride < 1:
         raise InvalidArgumentError("window_samples and stride must be >= 1")
-    n = rec.n_samples
-    out = []
-    for start in range(0, n - window_samples + 1, stride):
-        stop = start + window_samples
-        data = {ch: arr[start:stop] for ch, arr in rec.channels.items()}
-        label = None
-        if rec.labels is not None:
-            label = _window_label(list(rec.labels[start:stop]), label_policy)
-        out.append(Window(data=data, label=label, subject_id=rec.subject_id))
-    return out
 
 
-def channel_features(x) -> np.ndarray:
-    """The seven per-channel window statistics, in FEATURE_STATS order."""
+def window_features(x, window_samples: int, stride: int) -> np.ndarray:
+    """The seven FEATURE_STATS of every window of one channel, (n_windows, 7);
+    row i covers x[i * stride : i * stride + window_samples]."""
+    _check_window(window_samples, stride)
     x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise InvalidArgumentError("cannot extract features from an empty window")
-    mean = float(np.mean(x))
-    centered = x - mean
-    diffs = np.abs(np.diff(x))
-    signs = np.sign(centered)
-    zcross = int(np.sum(signs[:-1] * signs[1:] < 0))
-    return np.array(
+    if len(x) < window_samples:
+        return np.empty((0, len(FEATURE_STATS)))
+    V = sliding_window_view(x, window_samples)[::stride]
+    mean = V.mean(axis=-1)
+    signs = np.sign(V - mean[:, None])
+    return np.column_stack(
         [
             mean,
-            float(np.std(x)),
-            float(np.min(x)),
-            float(np.max(x)),
-            float(np.sqrt(np.mean(x * x))),
-            float(np.mean(diffs)) if diffs.size else 0.0,
-            float(zcross),
+            V.std(axis=-1),
+            V.min(axis=-1),
+            V.max(axis=-1),
+            np.sqrt((V * V).mean(axis=-1)),
+            np.abs(np.diff(V)).mean(axis=-1) if window_samples > 1 else np.zeros(len(V)),
+            np.count_nonzero(signs[:, :-1] * signs[:, 1:] < 0, axis=-1),
         ]
     )
 
 
-def extract_features(window_channels, channel_order) -> np.ndarray:
-    """Concatenate channel_features across channels in the given order."""
-    return np.concatenate([channel_features(window_channels[ch]) for ch in channel_order])
-
-
-def feature_names(channel_order) -> list:
-    return [f"{ch}_{stat}" for ch in channel_order for stat in FEATURE_STATS]
+def window_labels(labels, window_samples: int, stride: int) -> np.ndarray:
+    """Each window's majority label, windows placed as in window_features;
+    ties go to the lowest label in sorted order."""
+    _check_window(window_samples, stride)
+    uniq, codes = np.unique(np.asarray(labels), return_inverse=True)
+    if len(codes) < window_samples:
+        return uniq[:0]
+    starts = np.arange(0, len(codes) - window_samples + 1, stride)
+    counts = np.empty((len(starts), len(uniq)), dtype=np.int64)
+    for k in range(len(uniq)):
+        csum = np.concatenate(([0], np.cumsum(codes == k)))
+        counts[:, k] = csum[starts + window_samples] - csum[starts]
+    return uniq[np.argmax(counts, axis=1)]  # argmax picks the first, lowest, label
 
 
 def build_dataset(
@@ -261,43 +240,41 @@ def build_dataset(
     channel_order,
     window_samples: int,
     stride: int,
-    label_policy: str = "majority",
     smooth: int = 1,
 ) -> WindowedDataset:
-    """recordings -> (optional moving average) -> windows -> feature vectors."""
-    windows = []
-    skipped = 0
+    """recordings -> moving average over `smooth` samples (1: none) ->
+    per-channel window features, concatenated in channel_order,
+    recordings stacked in order."""
+    _check_window(window_samples, stride)
+    X = [np.empty((0, len(FEATURE_STATS) * len(channel_order)))]
+    y, subjects, skipped = [np.empty(0, dtype=str)], [np.empty(0, dtype=str)], 0
     for rec in recordings:
-        if smooth > 1:
-            rec = Recording(
-                subject_id=rec.subject_id,
-                channels={ch: moving_average(arr, smooth) for ch, arr in rec.channels.items()},
-                labels=rec.labels,
-            )
-        segs = segment(rec, window_samples, stride, label_policy)
-        if not segs:
+        missing = [ch for ch in channel_order if ch not in rec.channels]
+        if missing:
+            raise SchemaError(f"recording {rec.subject_id!r} has no channels {missing}")
+        if rec.n_samples < window_samples:
             skipped += 1
-        for w in segs:
-            windows.append(
-                Window(
-                    data=extract_features(w.data, channel_order),
-                    label=w.label,
-                    subject_id=w.subject_id,
-                )
-            )
+            continue
+        channels = [moving_average(rec.channels[ch], smooth) for ch in channel_order]
+        X.append(np.hstack([window_features(x, window_samples, stride) for x in channels]))
+        n = len(X[-1])
+        labeled = rec.labels is not None
+        y.append(window_labels(rec.labels, window_samples, stride) if labeled else np.full(n, None))
+        subjects.append(np.full(n, rec.subject_id))
     return WindowedDataset(
-        windows=windows,
-        feature_names=feature_names(channel_order),
+        X=np.concatenate(X),
+        y=np.concatenate(y),
+        subjects=np.concatenate(subjects),
+        feature_names=[f"{ch}_{stat}" for ch in channel_order for stat in FEATURE_STATS],
         skipped_recordings=skipped,
     )
 
 
 def fit_stats(ds: WindowedDataset) -> FeatureStats:
     """Per-feature min/max over (training) windows only."""
-    if not ds.windows:
+    if len(ds) == 0:
         raise EmptyInputError("cannot fit statistics on an empty split")
-    X = ds.X
-    return FeatureStats(mins=X.min(axis=0), maxs=X.max(axis=0))
+    return FeatureStats(mins=ds.X.min(axis=0), maxs=ds.X.max(axis=0))
 
 
 _SPLIT_STREAM = 2**32
@@ -316,13 +293,11 @@ def split_random(ds: WindowedDataset, seed: int, fraction: float = 0.5):
 def split_subject_half(ds: WindowedDataset):
     """First half of each subject's windows (temporal order preserved) to
     train, the rest to test."""
-    train_idx, test_idx = [], []
+    in_train = np.zeros(len(ds), dtype=bool)
     for subject in ds.subject_ids():
-        idx = [i for i, w in enumerate(ds.windows) if w.subject_id == subject]
-        half = len(idx) // 2
-        train_idx.extend(idx[:half])
-        test_idx.extend(idx[half:])
-    return ds.select(sorted(train_idx)), ds.select(sorted(test_idx))
+        idx = np.flatnonzero(ds.subjects == subject)
+        in_train[idx[: len(idx) // 2]] = True
+    return ds.select(np.flatnonzero(in_train)), ds.select(np.flatnonzero(~in_train))
 
 
 def split_leave_one_subject_out(ds: WindowedDataset, subject: str, seed: int):
@@ -333,11 +308,10 @@ def split_leave_one_subject_out(ds: WindowedDataset, subject: str, seed: int):
         raise UnknownSubjectError(f"unknown subject {subject!r}")
     if len(subjects) < 2:
         raise InvalidArgumentError("leave-one-subject-out needs at least 2 subjects")
-    train_idx = [i for i, w in enumerate(ds.windows) if w.subject_id != subject]
-    held = [i for i, w in enumerate(ds.windows) if w.subject_id == subject]
+    held = np.flatnonzero(ds.subjects == subject)
     order = rng(seed, _SPLIT_STREAM).permutation(len(held))
-    picked = sorted(held[i] for i in order[: len(held) // 2])
-    return ds.select(train_idx), ds.select(picked)
+    picked = np.sort(held[order[: len(held) // 2]])
+    return ds.select(np.flatnonzero(ds.subjects != subject)), ds.select(picked)
 
 
 def split(ds: WindowedDataset, strategy: str, seed: int = 0, fraction: float = 0.5, subject: str | None = None):

@@ -9,6 +9,8 @@ encodes to one (N, D) integer matrix.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +79,13 @@ class EncoderConfig:
             )
         for name in ("level_seed", "sensor_seed", "tie_seed"):
             check_seed(getattr(self, name), name)
+        for bound in self.feature_bounds:
+            if not (
+                isinstance(bound, (tuple, list))
+                and len(bound) == 2
+                and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in bound)
+            ):
+                raise InvalidArgumentError(f"bound {bound!r} is not a finite (v_min, v_max) pair")
 
     @property
     def n_features(self) -> int:

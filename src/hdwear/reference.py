@@ -1,15 +1,21 @@
-"""Per-component reference implementations.
+"""Per-component and per-window reference implementations.
 
 These operate on plain lists of +-1 ints, one list slot per component, and
-on single scalars, with explicit scalar loops.  They exist as the
-correctness oracle for the array fast paths in :mod:`hdwear.hv`,
-:mod:`hdwear.encoding` and :mod:`hdwear.robustness`, and share no code with
-them.  Slow on purpose: obviously correct beats fast here.
+on single scalars, with explicit scalar loops, or on one window at a time.
+They exist as the correctness oracle for the array fast paths in
+:mod:`hdwear.hv`, :mod:`hdwear.encoding`, :mod:`hdwear.robustness` and
+:mod:`hdwear.datapipe`, and share no code with them.  Slow on purpose:
+obviously correct beats fast here.  The window statistics use numpy's 1-D
+reductions, because the batched features must match their summation order
+bit for bit.
 """
 
 import math
+from collections import Counter
 
-from .errors import InvalidSampleError
+import numpy as np
+
+from .errors import InvalidArgumentError, InvalidSampleError
 
 
 def random_components(rng_bytes: bytes, dim: int) -> list[int]:
@@ -85,3 +91,24 @@ def quantize_scalar(x: float, v_min: float, v_max: float, q: int) -> int:
     t = (x - v_min) / (v_max - v_min)
     t = min(max(t, 0.0), 1.0)
     return min(int(t * q), q - 1)
+
+
+def channel_features(x) -> np.ndarray:
+    """The seven statistics of one window of one channel, in
+    datapipe.FEATURE_STATS order, with numpy's own 1-D reductions."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise InvalidArgumentError("cannot extract features from an empty window")
+    signs = np.sign(x - float(np.mean(x)))
+    mad = np.mean(np.abs(np.diff(x))) if x.size > 1 else 0.0
+    zcross = np.sum(signs[:-1] * signs[1:] < 0)
+    rms = np.sqrt(np.mean(x * x))
+    return np.array([np.mean(x), np.std(x), np.min(x), np.max(x), rms, mad, zcross])
+
+
+def window_majority(labels) -> str:
+    """The most frequent label of one window; a tie goes to the lowest
+    label in sorted order."""
+    counts = Counter(labels)
+    best = max(counts.values())
+    return min(label for label, c in counts.items() if c == best)

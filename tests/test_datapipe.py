@@ -1,27 +1,27 @@
-"""CSV loading, filtering, segmentation, features, and splits."""
+"""CSV loading, filtering, window features and labels, and splits."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdwear import reference as ref
 from hdwear.datapipe import (
     CsvSchema,
     Recording,
     WindowedDataset,
-    Window,
     build_dataset,
-    channel_features,
-    extract_features,
     fit_stats,
     load_csv,
     moving_average,
-    segment,
     split,
     split_leave_one_subject_out,
     split_random,
     split_subject_half,
+    window_features,
+    window_labels,
 )
+from hdwear.encoding import EncoderConfig
 from hdwear.errors import (
     CsvParseError,
     EmptyInputError,
@@ -29,6 +29,7 @@ from hdwear.errors import (
     SchemaError,
     UnknownSubjectError,
 )
+from hdwear.learning import Model, model_from_bytes, model_to_bytes
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -94,6 +95,12 @@ def test_load_header_only(tmp_path):
         load_csv(p, CsvSchema(channels=["v"]))
 
 
+def test_load_rejects_short_row_with_row_number(tmp_path):
+    p = write(tmp_path, "v,act,subj\n1.0,walk,s1\n2.0\n")
+    with pytest.raises(CsvParseError, match="row 2"):
+        load_csv(p, CsvSchema(channels=["v"], label="act", subject="subj"))
+
+
 def test_load_custom_delimiter(tmp_path):
     p = write(tmp_path, "v;w\n1;2\n")
     recs = load_csv(p, CsvSchema(channels=["v", "w"], delimiter=";"))
@@ -137,7 +144,9 @@ def test_moving_average_matches_naive(xs, w):
         assert got[i] == pytest.approx(np.mean(xs[lo:hi]), rel=1e-9, abs=1e-9)
 
 
-# ------------------------------------------------------------------- segment
+
+
+# ---------------------------------------------------------------- windowing
 
 
 def rec(labels=None, n=10):
@@ -148,66 +157,139 @@ def rec(labels=None, n=10):
     )
 
 
+@pytest.mark.parametrize(
+    "channels, labels",
+    [
+        ({"a": np.arange(10.0)}, ["x"] * 6),
+        ({"a": np.arange(10.0)}, ["x"] * 11),
+        ({"a": np.arange(10.0), "b": np.arange(7.0)}, None),
+        ({}, None),
+    ],
+    ids=["labels-short", "labels-long", "ragged-channels", "no-channels"],
+)
+def test_recording_rejects_mismatched_lengths(channels, labels):
+    # a mismatch would pair a window's features with another window's label
+    with pytest.raises(SchemaError):
+        Recording(subject_id="s", channels=channels, labels=labels)
+
+
+def windows_of(seq, window, stride):
+    return [seq[i : i + window] for i in range(0, len(seq) - window + 1, stride)]
+
+
 def test_segment_count():
-    out = segment(rec(n=10), window_samples=5, stride=5)
-    assert len(out) == 2
+    assert len(build_dataset([rec(n=10)], ["a", "b"], window_samples=5, stride=5)) == 2
 
 
 def test_segment_uniform_labels():
-    out = segment(rec(labels=["x"] * 10), 4, 2)
-    assert all(w.label == "x" for w in out)
+    assert window_labels(["x"] * 10, 4, 2).tolist() == ["x"] * 4
 
 
 def test_segment_majority_policy():
-    out = segment(rec(labels=["A", "A", "B"], n=3), 3, 1)
-    assert out[0].label == "A"
+    assert window_labels(["A", "A", "B"], 3, 1).tolist() == ["A"]
 
 
 def test_segment_majority_tie_lowest():
-    out = segment(rec(labels=["B", "A"], n=2), 2, 1)
-    assert out[0].label == "A"
-
-
-def test_segment_last_policy():
-    out = segment(rec(labels=["A", "A", "B"], n=3), 3, 1, label_policy="last")
-    assert out[0].label == "B"
+    assert window_labels(["B", "A"], 2, 1).tolist() == ["A"]
+    assert ref.window_majority(["B", "A"]) == "A"
 
 
 def test_segment_window_longer_than_recording():
-    assert segment(rec(n=3), 5, 1) == []
+    assert window_features(np.arange(3.0), 5, 1).shape == (0, 7)
+    assert window_labels(["x"] * 3, 5, 1).shape == (0,)
+    assert len(build_dataset([rec(n=3)], ["a"], 5, 1)) == 0
 
 
 @given(st.integers(1, 40), st.integers(1, 10), st.integers(1, 5))
 @settings(max_examples=80, deadline=None)
 def test_segment_count_closed_form(n, window, stride):
-    out = segment(rec(labels=["x"] * n, n=n), window, stride)
     expected = 0 if n < window else (n - window) // stride + 1
-    assert len(out) == expected
+    assert window_features(np.arange(n, dtype=float), window, stride).shape == (expected, 7)
+    assert window_labels(["x"] * n, window, stride).shape == (expected,)
+    assert len(build_dataset([rec(labels=["x"] * n, n=n)], ["a", "b"], window, stride)) == expected
+
+
+@pytest.mark.parametrize("window, stride", [(0, 1), (1, 0), (-1, 1)])
+def test_window_geometry_rejected(window, stride):
+    with pytest.raises(InvalidArgumentError):
+        window_features(np.arange(5.0), window, stride)
+    with pytest.raises(InvalidArgumentError):
+        window_labels(["x"] * 5, window, stride)
+
+
+@given(
+    st.lists(st.sampled_from(["A", "B", "C", "idle", "walk"]), min_size=1, max_size=60),
+    st.integers(1, 12),
+    st.integers(1, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_window_labels_match_reference(labels, window, stride):
+    got = window_labels(labels, window, stride).tolist()
+    assert got == [ref.window_majority(w) for w in windows_of(labels, window, stride)]
 
 
 # ------------------------------------------------------------------ features
 
 
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def reference_features(x, window, stride):
+    rows = [ref.channel_features(w) for w in windows_of(x, window, stride)]
+    return np.array(rows).reshape(-1, 7)
+
+
 def test_features_constant_window():
     c = 3.5
-    got = channel_features([c] * 8)
-    assert np.allclose(got, [c, 0.0, c, c, abs(c), 0.0, 0.0])
+    got = window_features([c] * 8, 8, 1)
+    assert np.allclose(got, [[c, 0.0, c, c, abs(c), 0.0, 0.0]])
 
 
 def test_features_alternating_window():
-    got = channel_features([1.0, -1.0, 1.0, -1.0])
+    got = window_features([1.0, -1.0, 1.0, -1.0], 4, 1)[0]
     assert got[0] == 0.0  # mean
     assert got[6] == 3.0  # zero crossings of the mean-removed window
 
 
 def test_features_arity():
-    w = {"a": np.arange(5.0), "b": np.ones(5), "c": np.zeros(5)}
-    assert extract_features(w, ["a", "b", "c"]).shape == (21,)
+    r = Recording(subject_id="s", channels={"a": np.arange(5.0), "b": np.ones(5), "c": np.zeros(5)})
+    assert build_dataset([r], ["a", "b", "c"], 5, 5).X.shape == (1, 21)
 
 
 def test_features_empty_window():
+    assert window_features([], 1, 1).shape == (0, 7)
     with pytest.raises(InvalidArgumentError):
-        channel_features([])
+        window_features([1.0, 2.0], 0, 1)
+    with pytest.raises(InvalidArgumentError):
+        ref.channel_features([])
+
+
+@given(
+    st.sampled_from([1, 2, 8, 9, 128, 129]),
+    st.sampled_from(["1", "3", "w"]),
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+    st.integers(-3, 6),
+    st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_window_features_match_reference(window, stride, extra, seed, scale, constant):
+    stride = window if stride == "w" else int(stride)
+    g = np.random.default_rng(seed)
+    n = window + extra
+    x = np.full(n, g.normal() * 10.0**scale) if constant else g.normal(size=n) * 10.0**scale
+    assert_bits_equal(window_features(x, window, stride), reference_features(x, window, stride))
+
+
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40), st.integers(1, 9), st.integers(1, 4)
+)
+@settings(max_examples=150, deadline=None)
+def test_window_features_match_reference_on_any_floats(xs, window, stride):
+    x = np.array(xs)
+    assert_bits_equal(window_features(x, window, stride), reference_features(x, window, stride))
 
 
 # ----------------------------------------------------------------- fit_stats
@@ -215,13 +297,10 @@ def test_features_empty_window():
 
 def make_ds(vectors, subjects=None, labels=None):
     n = len(vectors)
-    subjects = subjects or ["s1"] * n
-    labels = labels or ["x"] * n
     return WindowedDataset(
-        windows=[
-            Window(data=np.asarray(v, dtype=float), label=l, subject_id=s)
-            for v, l, s in zip(vectors, labels, subjects)
-        ],
+        X=np.array(vectors, dtype=float),
+        y=np.array(labels or ["x"] * n),
+        subjects=np.array(subjects or ["s1"] * n),
         feature_names=[f"f{i}" for i in range(len(vectors[0]))],
     )
 
@@ -241,19 +320,20 @@ def test_fit_stats_elementwise_extremes():
 
 def test_fit_stats_empty():
     with pytest.raises(EmptyInputError):
-        fit_stats(make_ds([])) if False else fit_stats(WindowedDataset(windows=[]))
+        fit_stats(make_ds([[1.0, 2.0]]).select([]))
 
 
 def test_fit_stats_ignores_test_split():
     ds = make_ds([[float(i)] for i in range(10)])
     train, test = split_random(ds, seed=5, fraction=0.5)
     stats1 = fit_stats(train)
-    # mutating the test split cannot affect training statistics
-    for w in test.windows:
-        w.data = w.data * 1e9
+    # each split owns a copy: mutating the test split in place cannot
+    # affect training statistics or the dataset it came from
+    test.X *= 1e9
     stats2 = fit_stats(train)
     assert np.array_equal(stats1.mins, stats2.mins)
     assert np.array_equal(stats1.maxs, stats2.maxs)
+    assert ds.X.max() == 9.0
 
 
 # -------------------------------------------------------------------- splits
@@ -271,17 +351,28 @@ def subject_ds():
 def test_subject_half_split():
     train, test = split_subject_half(subject_ds())
     assert len(train) == 8 and len(test) == 8
-    s1_train = [w.data[0] for w in train.windows if w.subject_id == "s1"]
-    s1_test = [w.data[0] for w in test.windows if w.subject_id == "s1"]
+    s1_train = train.X[train.subjects == "s1", 0]
+    s1_test = test.X[test.subjects == "s1", 0]
     assert len(s1_train) == 5
     assert max(s1_train) < min(s1_test)  # train strictly precedes test
 
 
+def test_subject_half_split_keeps_row_order():
+    # interleaved subjects: each split keeps the dataset's row order
+    subjects = ["s2", "s1", "s1", "s2", "s3", "s1", "s2", "s2", "s1"]
+    ds = make_ds([[float(i)] for i in range(len(subjects))], subjects=subjects)
+    train, test = split_subject_half(ds)
+    assert train.X[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert test.X[:, 0].tolist() == [4.0, 5.0, 6.0, 7.0, 8.0]
+    assert ds.subject_ids() == ["s2", "s1", "s3"]
+
+
 def test_loso_excludes_subject():
     train, test = split_leave_one_subject_out(subject_ds(), "s1", seed=3)
-    assert all(w.subject_id != "s1" for w in train.windows)
-    assert all(w.subject_id == "s1" for w in test.windows)
+    assert (train.subjects != "s1").all()
+    assert (test.subjects == "s1").all()
     assert len(test) == 5  # half of the held-out subject's 10 windows
+    assert np.all(np.diff(test.X[:, 0]) > 0)  # picked rows keep their order
 
 
 def test_loso_unknown_subject():
@@ -299,9 +390,9 @@ def test_random_split_reproducible():
     ds = make_ds([[float(i)] for i in range(20)])
     a_train, a_test = split_random(ds, seed=9, fraction=0.7)
     b_train, b_test = split_random(ds, seed=9, fraction=0.7)
-    assert [w.data[0] for w in a_train.windows] == [w.data[0] for w in b_train.windows]
+    assert a_train.X.tolist() == b_train.X.tolist()
     assert len(a_train) == 14
-    got = sorted([w.data[0] for w in a_train.windows] + [w.data[0] for w in a_test.windows])
+    got = sorted(a_train.X[:, 0].tolist() + a_test.X[:, 0].tolist())
     assert got == [float(i) for i in range(20)]  # disjoint and complete
 
 
@@ -335,13 +426,16 @@ def test_build_dataset_end_to_end(tmp_path):
     assert len(ds) == 5  # (12 - 4) // 2 + 1
     assert ds.feature_names[0] == "ax_mean"
     assert len(ds.feature_names) == 14
-    assert ds.windows[0].data.shape == (14,)
+    assert ds.X.shape == (5, 14) and ds.X.dtype == np.float64
+    assert ds.y.tolist() == ["walk"] * 5
+    assert ds.subjects.tolist() == ["s1"] * 5
 
 
 def test_build_dataset_flags_short_recordings():
     short = Recording(subject_id="s", channels={"a": np.arange(3.0)}, labels=np.array(["x"] * 3))
     ds = build_dataset([short], ["a"], window_samples=5, stride=1)
     assert len(ds) == 0
+    assert ds.X.shape == (0, 7)
     assert ds.skipped_recordings == 1
 
 
@@ -350,3 +444,59 @@ def test_build_dataset_smoothing_changes_features():
     raw = build_dataset([r], ["a", "b"], 5, 5)
     smooth = build_dataset([r], ["a", "b"], 5, 5, smooth=3)
     assert not np.allclose(raw.X, smooth.X)
+
+
+@pytest.mark.parametrize("smooth", [1, 4])
+def test_build_dataset_matches_reference(smooth):
+    g = np.random.default_rng(7)
+    recs = [
+        Recording(
+            subject_id=s,
+            channels={"a": g.normal(size=n), "b": g.normal(size=n) * 100, "unused": np.zeros(n)},
+            labels=g.choice(["run", "idle", "walk"], size=n),
+        )
+        for s, n in (("s1", 50), ("s2", 7), ("s3", 33))
+    ]
+    ds = build_dataset(recs, ["b", "a"], 9, 4, smooth=smooth)
+    rows, labels, subjects = [], [], []
+    for r in recs:
+        b, a = (moving_average(r.channels[ch], smooth) for ch in ("b", "a"))
+        for start in range(0, len(a) - 9 + 1, 4):
+            stop = start + 9
+            rows.append(np.concatenate([ref.channel_features(x[start:stop]) for x in (b, a)]))
+            labels.append(ref.window_majority(r.labels[start:stop].tolist()))
+            subjects.append(r.subject_id)
+    assert_bits_equal(ds.X, np.array(rows))
+    assert ds.y.tolist() == labels
+    assert ds.subjects.tolist() == subjects
+    assert ds.skipped_recordings == 1
+
+
+def test_build_dataset_without_labels():
+    ds = build_dataset([rec(n=10)], ["a"], 5, 5)
+    assert ds.y.tolist() == [None, None]
+
+
+def test_build_dataset_missing_channel():
+    with pytest.raises(SchemaError, match="nope"):
+        build_dataset([rec(n=10)], ["a", "nope"], 5, 5)
+
+
+@pytest.mark.parametrize("window, stride", [(0, 1), (1, 0)])
+def test_build_dataset_bad_geometry(window, stride):
+    with pytest.raises(InvalidArgumentError):
+        build_dataset([], ["a"], window, stride)
+    with pytest.raises(InvalidArgumentError):
+        build_dataset([rec(n=10)], ["a"], window, stride)
+
+
+def test_build_dataset_labels_feed_model_round_trip():
+    ds = build_dataset([rec(labels=["walk"] * 5 + ["run"] * 5)], ["a", "b"], 4, 2)
+    model = Model(classes=sorted(set(ds.y)), encoder=EncoderConfig(dim=64))
+    assert model.classes == ["run", "walk"]
+    assert model_from_bytes(model_to_bytes(model)) == model
+
+
+def test_build_dataset_rejects_bad_smooth():
+    with pytest.raises(InvalidArgumentError):
+        build_dataset([rec(n=10)], ["a"], 5, 5, smooth=0)

@@ -1,5 +1,7 @@
 """Feature-record encoding: quantization, record encoding, FeatureEncoder."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,3 +314,31 @@ def test_encoder_config_rejects_bad_geometry(kwargs, error):
 def test_encoder_config_accepts_geometry_edges():
     EncoderConfig(dim=2, q_levels=2)
     EncoderConfig(dim=2**32 - 1, q_levels=2**32 - 1)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        [(-math.inf, math.inf)],
+        [(0.0, math.nan)],
+        [(0.0, 1.0), (math.inf, 1.0)],
+        [(1.0,)],
+        [(0.0, 1.0, 2.0)],
+        [("a", "b")],
+        ["ab"],
+        [None],
+        [1.0],
+    ],
+)
+def test_encoder_config_rejects_bad_bounds(bounds):
+    with pytest.raises(InvalidArgumentError):
+        EncoderConfig(dim=64, feature_bounds=bounds)
+
+
+def test_encoder_config_keeps_bounds_as_given():
+    # reversed and degenerate ranges are valid (they quantize to level 0)
+    bounds = [(0.0, 1.0), (np.float64(2.0), np.int64(-3)), [5, 5]]
+    cfg = EncoderConfig(dim=64, feature_bounds=bounds)
+    assert cfg.feature_bounds is bounds
+    assert cfg.feature_bounds == [(0.0, 1.0), (2.0, -3), [5, 5]]
+    assert FeatureEncoder(cfg).encode_matrix([[0.5, 0.0, 5.0]]).shape == (1, 64)

@@ -1,5 +1,6 @@
 """Training rules, prediction, evaluation, and model serialization."""
 
+import math
 import os
 import stat
 import struct
@@ -507,10 +508,10 @@ def test_labels_utf8_cannot_encode_rejected():
         Model(classes=["walk", "r\ud800n"], encoder=EncoderConfig(dim=64))
 
 
-def one_class_blob(dim, q):
+def one_class_blob(dim, q, bound=(0.0, 1.0)):
     """A model file with one feature and one class "a", CRC recomputed."""
     head = struct.pack("<4sHIIIId4QI", b"HDWM", 1, dim, 1, q, 3, 0.5, 0, 1, 2, 3, 1)
-    body = struct.pack("<dd", 0.0, 1.0) + struct.pack("<I", 1) + b"a"
+    body = struct.pack("<dd", *bound) + struct.pack("<I", 1) + b"a"
     return with_crc(head + body + np.ones(dim, dtype="<f4").tobytes())
 
 
@@ -519,6 +520,14 @@ def test_model_file_with_bad_geometry_rejected(dim, q):
     assert model_from_bytes(one_class_blob(8, 16)).dim == 8
     with pytest.raises(ModelIOError):
         model_from_bytes(one_class_blob(dim, q))
+
+
+@pytest.mark.parametrize(
+    "bound", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)]
+)
+def test_model_file_with_non_finite_bound_rejected(bound):
+    with pytest.raises(ModelIOError):
+        model_from_bytes(one_class_blob(8, 16, bound))
 
 
 @given(
