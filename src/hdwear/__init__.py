@@ -4,24 +4,11 @@ integer or float bundles, (N, D) encoded batches), adaptive single-pass
 online training, iterative retraining, a 1-bit model packed into (K, W)
 uint64 words, and a bit-flip robustness harness."""
 
-from .hv import (
-    bind,
-    cosine,
-    dot,
-    hamming,
-    make_level_memory,
-    pack,
-    random_hv,
-    sign_quantize,
-)
+from .hv import make_level_memory, pack, random_hv, sign_quantize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "bind",
-    "cosine",
-    "dot",
-    "hamming",
     "make_level_memory",
     "pack",
     "random_hv",

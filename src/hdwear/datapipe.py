@@ -246,6 +246,8 @@ def build_dataset(
     per-channel window features, concatenated in channel_order,
     recordings stacked in order."""
     _check_window(window_samples, stride)
+    if len(channel_order) == 0:
+        raise SchemaError("channel_order names no channels")
     X = [np.empty((0, len(FEATURE_STATS) * len(channel_order)))]
     y, subjects, skipped = [np.empty(0, dtype=str)], [np.empty(0, dtype=str)], 0
     for rec in recordings:

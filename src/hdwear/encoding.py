@@ -79,6 +79,10 @@ class EncoderConfig:
             )
         for name in ("level_seed", "sensor_seed", "tie_seed"):
             check_seed(getattr(self, name), name)
+        if not isinstance(self.feature_bounds, (list, tuple)):
+            raise InvalidArgumentError(
+                f"feature_bounds must be a list or tuple, got {self.feature_bounds!r}"
+            )
         for bound in self.feature_bounds:
             if not (
                 isinstance(bound, (tuple, list))

@@ -22,10 +22,6 @@ class InvalidArgumentError(HDWearError, ValueError):
     """An argument violates an operation's precondition."""
 
 
-class ZeroNormError(HDWearError, ArithmeticError):
-    """Cosine similarity requested against an all-zero vector."""
-
-
 class UnknownClassError(HDWearError, KeyError):
     """Label not in the model's class list."""
 

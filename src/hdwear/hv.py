@@ -1,16 +1,18 @@
-"""Hypervectors as numpy arrays, the HDC algebra the feature-record pipeline
-uses, the level memory, the bit layout of the 1-bit model, and the
-package's one random generator.
+"""Hypervectors as numpy arrays: random and level hypervectors, sign
+quantization, the bit layout of the 1-bit model, and the package's one
+random generator.
 
 A bipolar hypervector is a +-1 ``int8`` array of shape (D,), or (N, D) for
-a batch of N.  Bundling (addition) leaves the bipolar domain, so a bundle is
-a plain integer or float array of the same shape:
+a batch of N.  The HDC algebra is plain numpy arithmetic on these arrays;
+bundling leaves the bipolar domain, so a bundle is a plain integer or float
+array of the same shape:
 
-    bind(a, b)     component-wise product  a * b
-    dot(a, b)      sum of products
-    bundle         a + b
+    bind      component-wise product  a * b
+    dot       sum of products         np.dot (cast int8 operands up first)
+    bundle    a + b
 
-The 1-bit model stores bipolar vectors packed by :func:`pack`, 64 components
+:mod:`hdwear.reference` holds per-component oracles for each of these.  The
+1-bit model stores bipolar vectors packed by :func:`pack`, 64 components
 per uint64 word, so that for packed operands
 
     dot(a, b) = D - 2 * popcount(pack(a) XOR pack(b)).
@@ -24,12 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidArgumentError,
-    InvalidDimensionError,
-    ZeroNormError,
-)
+from .errors import InvalidArgumentError, InvalidDimensionError
 
 
 def check_seed(seed, what: str = "seed") -> int:
@@ -73,38 +70,6 @@ def pack(hvs) -> np.ndarray:
     bits = np.zeros(hvs.shape[:-1] + (64 * ((dim + 63) // 64),), dtype=bool)
     bits[..., :dim] = hvs > 0
     return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
-
-
-def _check_dims(a, b) -> None:
-    if np.shape(a)[-1:] != np.shape(b)[-1:]:
-        raise DimensionMismatchError(f"dim {np.shape(a)[-1:]} != {np.shape(b)[-1:]}")
-
-
-def bind(a, b) -> np.ndarray:
-    """Component-wise product."""
-    _check_dims(a, b)
-    return np.multiply(a, b)
-
-
-def hamming(a, b) -> int:
-    """Number of components where a and b differ."""
-    _check_dims(a, b)
-    return int(np.count_nonzero(np.not_equal(a, b)))
-
-
-def dot(a, b) -> float:
-    """Inner product, in float64."""
-    _check_dims(a, b)
-    return float(np.dot(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
-
-
-def cosine(a, b) -> float:
-    """dot(a, b) / (|a| |b|); raises ZeroNormError on an all-zero operand."""
-    na = np.linalg.norm(np.asarray(a, dtype=np.float64))
-    nb = np.linalg.norm(np.asarray(b, dtype=np.float64))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormError("cosine undefined for a zero-norm vector")
-    return dot(a, b) / float(na * nb)
 
 
 _TIE_STREAM = 0

@@ -1,30 +1,27 @@
 """1-bit model quantization and bit-flip fault injection.
 
 The stored class vectors are sign-quantized to single bits and held as
-(K, W) uint64 words (:func:`hdwear.hv.pack`); queries are quantized with
-the model's tie seed and packed the same way, so ranking reduces to
-popcounts: dot = D - 2 * popcount(query XOR class).  Injections negate an
-exact number of uniformly chosen (class, component) positions,
-round(rate * K * D), sampled without replacement.
+(K, W) uint64 words (:func:`hdwear.hv.pack`).  :func:`robustness_sweep`
+quantizes the test queries with the model's tie seed and packs them the
+same way once, in stacked blocks from :func:`hdwear.learning.query_blocks`,
+into one (N, W) array that every trial shares.  Ranking then reduces to
+popcounts, dot = D - 2 * popcount(query XOR class), so the nearest class
+in Hamming distance wins.  Injections negate an exact number of uniformly
+chosen (class, component) positions, round(rate * K * D), sampled without
+replacement.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidArgumentError, ModelNotTrainedError
+from .errors import InvalidArgumentError, ModelNotTrainedError
 from .hv import pack, rng, sign_quantize
-from .learning import Model, model_to_bytes
+from .learning import Model, query_blocks
 
 TABLE4_RATES = (0.01, 0.02, 0.04, 0.06, 0.10, 0.12)
-
-
-def _hamming_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Differing bits between packed vectors, summed over the last axis."""
-    return np.bitwise_count(a ^ b).sum(axis=-1, dtype=np.int64)
 
 
 @dataclass
@@ -35,38 +32,19 @@ class BinaryModel:
     classes: list
     class_words: np.ndarray  # (K, W) uint64
     tie_seed: int
-    source_hash: int  # CRC32 of the originating model's serialized bytes
-
-    def predict(self, H):
-        sims = self.similarities(H)
-        return self.classes[int(np.argmax(sims))]
-
-    def similarities(self, H) -> np.ndarray:
-        """Dot of the quantized query with every class: D - 2 * Hamming."""
-        q = _pack_query(self, H)
-        return (self.dim - 2 * _hamming_words(self.class_words, q)).astype(np.float64)
 
 
-def _pack_query(bm: BinaryModel, H) -> np.ndarray:
-    """Sign-quantize a (D,) query with the model's tie seed and pack it."""
-    q = sign_quantize(H, bm.tie_seed)
-    if q.shape != (bm.dim,):
-        raise DimensionMismatchError(f"query dim {q.shape} != ({bm.dim},)")
-    return pack(q)
-
-
-def quantize_model(model: Model, tie_seed: int | None = None) -> BinaryModel:
-    """Sign-quantize every class vector; ties resolve via the tie seed
-    (the model's own unless overridden)."""
+def quantize_model(model: Model) -> BinaryModel:
+    """Sign-quantize every class vector; ties resolve via the model's tie
+    seed."""
     if not model.is_trained:
         raise ModelNotTrainedError("cannot quantize an untrained model")
-    seed = model.encoder.tie_seed if tie_seed is None else tie_seed
+    seed = model.encoder.tie_seed
     return BinaryModel(
         dim=model.dim,
         classes=list(model.classes),
         class_words=pack(sign_quantize(model.class_matrix, seed)),
         tie_seed=seed,
-        source_hash=zlib.crc32(model_to_bytes(model)),
     )
 
 
@@ -87,10 +65,6 @@ def inject_bitflips(bm: BinaryModel, rate: float, trial_seed: int) -> BinaryMode
     flips = np.zeros(total, dtype=bool)
     flips[positions] = True
     return replace(bm, class_words=bm.class_words ^ pack(flips.reshape(k, bm.dim)))
-
-
-def count_differing_bits(a: BinaryModel, b: BinaryModel) -> int:
-    return int(_hamming_words(a.class_words, b.class_words).sum())
 
 
 @dataclass
@@ -123,7 +97,7 @@ def _binary_accuracy(bm: BinaryModel, queries: np.ndarray, truth: np.ndarray) ->
     the nearest class in Hamming distance wins, ties to the lowest index."""
     dist = np.empty((len(queries), len(bm.classes)), dtype=np.int64)
     for ci, words in enumerate(bm.class_words):
-        dist[:, ci] = _hamming_words(queries, words)
+        dist[:, ci] = np.bitwise_count(queries ^ words).sum(axis=1, dtype=np.int64)
     return int(np.count_nonzero(dist.argmin(axis=1) == truth)) / len(truth)
 
 
@@ -148,10 +122,9 @@ def robustness_sweep(
     pairs = list(test_set)
     if not pairs:
         raise InvalidArgumentError("test set is empty")
-    # quantize and pack each query once; the words are shared by every trial
-    queries = np.empty((len(pairs), bm.class_words.shape[1]), dtype=bm.class_words.dtype)
-    for i, (H, _) in enumerate(pairs):
-        queries[i] = _pack_query(bm, H)
+    queries = np.concatenate(
+        [pack(sign_quantize(H, bm.tie_seed)) for H in query_blocks(pairs, bm.dim)]
+    )
     index = {c: i for i, c in enumerate(bm.classes)}
     truth = np.array([index.get(label, -1) for _, label in pairs])
     acc_clean = _binary_accuracy(bm, queries, truth)

@@ -482,6 +482,13 @@ def test_build_dataset_missing_channel():
         build_dataset([rec(n=10)], ["a", "nope"], 5, 5)
 
 
+def test_build_dataset_rejects_empty_channel_order():
+    with pytest.raises(SchemaError):
+        build_dataset([Recording("s", {"a": np.arange(10.0)})], [], 4, 2)
+    with pytest.raises(SchemaError):
+        build_dataset([], [], 4, 2)
+
+
 @pytest.mark.parametrize("window, stride", [(0, 1), (1, 0)])
 def test_build_dataset_bad_geometry(window, stride):
     with pytest.raises(InvalidArgumentError):

@@ -11,9 +11,13 @@ from hdwear import reference as ref
 from hdwear.datapipe import Recording, build_dataset
 from hdwear.encoding import EncoderConfig, FeatureEncoder, encode_records, quantize
 from hdwear.errors import InvalidArgumentError, InvalidDimensionError, InvalidSampleError
-from hdwear.hv import bind, cosine, make_level_memory, random_hv, sign_quantize
+from hdwear.hv import make_level_memory, random_hv, sign_quantize
 
 D = 4096
+
+
+def cosine(a, b) -> float:
+    return ref.cosine(a.tolist(), b.tolist())
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +118,7 @@ def test_feature_record_single(lm):
     bounds = [(0.0, 1.0)]
     acc = encode_one([0.3], bounds, lm, sigs)
     lv = quantize_one(0.3, 0.0, 1.0, 16)
-    assert np.array_equal(sign_quantize(acc, 0), bind(sigs[0], lm[lv]))
+    assert np.array_equal(sign_quantize(acc, 0), sigs[0] * lm[lv])
 
 
 def test_feature_record_deterministic(lm):
@@ -209,8 +213,8 @@ def test_multisensor_member_cosine(lm):
     # each bound member of a 2-feature bundle has cosine ~ 1/sqrt(2)
     sigs = signatures(31, 2)
     acc = record_at_levels([2, 11], lm, sigs)
-    assert cosine(acc, bind(sigs[0], lm[2])) > 0.4
-    assert cosine(acc, bind(sigs[1], lm[11])) > 0.4
+    assert cosine(acc, sigs[0] * lm[2]) > 0.4
+    assert cosine(acc, sigs[1] * lm[11]) > 0.4
 
 
 def test_multisensor_position_sensitive(lm):
@@ -333,6 +337,13 @@ def test_encoder_config_accepts_geometry_edges():
 def test_encoder_config_rejects_bad_bounds(bounds):
     with pytest.raises(InvalidArgumentError):
         EncoderConfig(dim=64, feature_bounds=bounds)
+
+
+@pytest.mark.parametrize("bounds", [None, 3, "ab", {(0.0, 1.0)}])
+def test_encoder_config_requires_list_or_tuple_of_bounds(bounds):
+    with pytest.raises(InvalidArgumentError):
+        EncoderConfig(dim=64, feature_bounds=bounds)
+    assert EncoderConfig(dim=64, feature_bounds=((0.0, 1.0),)).n_features == 1
 
 
 def test_encoder_config_keeps_bounds_as_given():

@@ -15,6 +15,7 @@ from hdwear.encoding import EncoderConfig
 from hdwear.errors import (
     BadMagicError,
     ChecksumError,
+    DimensionMismatchError,
     EmptyDatasetError,
     InvalidArgumentError,
     ModelIOError,
@@ -30,8 +31,8 @@ from hdwear.learning import (
     load_model,
     model_from_bytes,
     model_to_bytes,
-    online_update,
     predict,
+    query_blocks,
     retrain_epoch,
     save_model,
     similarities,
@@ -55,6 +56,11 @@ def make_model(n_classes=2, dim=D, eta=0.5, n_features=4):
 
 def hv_accum(seed, stream, dim=D):
     return random_hv(seed, stream, dim).astype(np.float64)
+
+
+def predict_one(model, H):
+    """The predicted label of one query."""
+    return model.classes[predict(model, H[None])[0]]
 
 
 # ------------------------------------------------------------- similarities
@@ -88,29 +94,28 @@ def test_predict_single_class_model():
     enc = EncoderConfig(dim=128, feature_bounds=[(0, 1)])
     m = Model(classes=["only"], encoder=enc)
     train_online(m, [(hv_accum(3, 0, 128), "only")])
-    assert predict(m, hv_accum(3, 1, 128)) == "only"
+    assert predict_one(m, hv_accum(3, 1, 128)) == "only"
 
 
 def test_predict_recovers_training_sample():
     m = make_model()
     h0, h1 = hv_accum(4, 0), hv_accum(4, 1)
     train_online(m, [(h0, "c0"), (h1, "c1")])
-    assert predict(m, h0) == "c0"
-    assert predict(m, h1) == "c1"
+    assert predict(m, np.stack([h0, h1, h0])).tolist() == [0, 1, 0]
 
 
 def test_predict_untrained_raises():
     with pytest.raises(ModelNotTrainedError):
-        predict(make_model(), hv_accum(4, 2))
+        predict(make_model(), hv_accum(4, 2)[None])
 
 
 def test_predict_scale_invariant():
     m = make_model()
     train_online(m, [(hv_accum(5, 0), "c0"), (hv_accum(5, 1), "c1")])
     q = hv_accum(5, 0)
-    before = predict(m, q)
+    before = predict_one(m, q)
     m.class_matrix *= 7.0
-    assert predict(m, q) == before
+    assert predict_one(m, q) == before
 
 
 # -------------------------------------------------------------- Eq.1 online
@@ -120,24 +125,24 @@ def test_online_saturated_sample_is_noop():
     # after absorbing H from zero, C is exactly parallel: delta == 1.0
     m = make_model(dim=64, eta=0.5)
     H = hv_accum(6, 0, 64)
-    online_update(m, H, "c0")
+    train_online(m, [(H, "c0")])
     assert similarities(m, H)[0] == 1.0
     before = m.class_matrix.copy()
-    online_update(m, H, "c0")
+    train_online(m, [(H, "c0")])
     assert np.array_equal(m.class_matrix, before)
 
 
 def test_online_empty_class_absorbs_h():
     m = make_model(eta=1.0)
     H = hv_accum(6, 1)
-    online_update(m, H, "c0")
+    train_online(m, [(H, "c0")])
     assert np.array_equal(m.class_matrix[0], H.astype(np.float32))
 
 
 def test_online_update_only_touches_own_class():
     m = make_model(n_classes=3)
     before = m.class_matrix.copy()
-    online_update(m, hv_accum(6, 2), "c1")
+    train_online(m, [(hv_accum(6, 2), "c1")])
     changed = [i for i in range(3) if not np.array_equal(m.class_matrix[i], before[i])]
     assert changed == [1]
 
@@ -149,7 +154,7 @@ def test_online_repeated_update_magnitude_decreases():
     norms = []
     for _ in range(5):
         before = m.class_matrix[0].copy()
-        online_update(m, H, "c0")
+        train_online(m, [(H, "c0")])
         norms.append(float(np.linalg.norm(m.class_matrix[0] - before)))
     for a, b in zip(norms, norms[1:]):
         assert b < a
@@ -157,7 +162,7 @@ def test_online_repeated_update_magnitude_decreases():
 
 def test_online_unknown_label():
     with pytest.raises(UnknownClassError):
-        online_update(make_model(), hv_accum(7, 2), "mystery")
+        train_online(make_model(), [(hv_accum(7, 2), "mystery")])
 
 
 def test_train_online_empty_stream_noop():
@@ -165,7 +170,7 @@ def test_train_online_empty_stream_noop():
     before = m.class_matrix.copy()
     train_online(m, [])
     assert np.array_equal(m.class_matrix, before)
-    assert m.trained_epochs == 0
+    assert m.retrain_curve == []
 
 
 def test_train_online_order_dependent():
@@ -293,7 +298,7 @@ def test_iterative_single_epoch():
     data = linearly_separable(12)
     train_online(m, data)
     out = train_iterative(m.copy(), data, max_epochs=1, patience=0)
-    assert out.trained_epochs == 1
+    assert len(out.retrain_curve) == 1
 
 
 def test_iterative_reaches_zero_misses():
@@ -302,7 +307,7 @@ def test_iterative_reaches_zero_misses():
     train_online(m, data)
     out = train_iterative(m, data, max_epochs=20, patience=5)
     assert min(out.retrain_curve) == 0
-    assert out.trained_epochs <= 20
+    assert len(out.retrain_curve) <= 20
 
 
 def test_iterative_patience_zero_stops_at_first_non_improvement():
@@ -372,6 +377,53 @@ def test_evaluate_confusion_row_sums():
     assert [int(x) for x in rep.confusion.sum(axis=1)] == [counts[c] for c in m.classes]
 
 
+def block_edge_model():
+    """Four classes at D=256, one of them never trained (a zero-norm row)."""
+    m = make_model(n_classes=4, dim=256)
+    train_online(m, [(hv_accum(21, i, 256), f"c{i}") for i in range(3)])
+    assert not m.class_matrix[3].any()
+    return m
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
+def test_predict_matches_per_row_similarities_at_block_edges(n):
+    m = block_edge_model()
+    H = np.array([hv_accum(22, i, 256) + hv_accum(23, i, 256) for i in range(n)]).reshape(n, 256)
+    if n:
+        H[n // 2] = 0.0  # an all-zero query scores 0 against every class
+    got = predict(m, H)
+    assert got.dtype == np.int64 and got.shape == (n,)
+    assert got.tolist() == [int(np.argmax(similarities(m, h))) for h in H]
+    if n:
+        labels = [f"c{i % 4}" for i in range(n)]
+        expect = np.zeros((4, 4), dtype=np.int64)
+        for h, label in zip(H, labels):
+            expect[m.class_index(label), int(np.argmax(similarities(m, h)))] += 1
+        assert np.array_equal(evaluate(m, list(zip(H, labels))).confusion, expect)
+
+
+def test_query_blocks_stack_at_most_16_rows_in_order():
+    H = [np.full(8, i, dtype=np.int8) for i in range(33)]
+    blocks = list(query_blocks([(h, "c0") for h in H], 8))
+    assert [len(b) for b in blocks] == [16, 16, 1]
+    assert np.array_equal(np.concatenate(blocks), np.stack(H))
+
+
+@pytest.mark.parametrize(
+    "dims", [[255] * 18, [256] * 17 + [257, 256]], ids=["wrong-length", "ragged"]
+)
+def test_evaluate_rejects_wrong_query_dim(dims):
+    m = block_edge_model()
+    with pytest.raises(DimensionMismatchError):
+        evaluate(m, [(np.ones(d), "c0") for d in dims])
+
+
+@pytest.mark.parametrize("shape", [(2, 255), (256,)])
+def test_predict_rejects_wrong_batch_shape(shape):
+    with pytest.raises(DimensionMismatchError):
+        predict(block_edge_model(), np.ones(shape))
+
+
 def test_evaluate_empty_dataset():
     m = make_model()
     train_online(m, [(hv_accum(19, 0), "c0")])
@@ -403,8 +455,8 @@ def test_save_load_roundtrip(tmp_path):
     save_model(m, path)
     loaded = load_model(path)
     assert loaded == m
-    q = hv_accum(30, 0, 256)
-    assert predict(loaded, q) == predict(m, q)
+    q = np.stack([hv_accum(30, i, 256) for i in range(5)])
+    assert np.array_equal(predict(loaded, q), predict(m, q))
     # byte-level: serialize(load(x)) == x
     assert model_to_bytes(loaded) == path.read_bytes()
 
@@ -508,9 +560,9 @@ def test_labels_utf8_cannot_encode_rejected():
         Model(classes=["walk", "r\ud800n"], encoder=EncoderConfig(dim=64))
 
 
-def one_class_blob(dim, q, bound=(0.0, 1.0)):
+def one_class_blob(dim, q, bound=(0.0, 1.0), eta=0.5):
     """A model file with one feature and one class "a", CRC recomputed."""
-    head = struct.pack("<4sHIIIId4QI", b"HDWM", 1, dim, 1, q, 3, 0.5, 0, 1, 2, 3, 1)
+    head = struct.pack("<4sHIIIId4QI", b"HDWM", 1, dim, 1, q, 3, eta, 0, 1, 2, 3, 1)
     body = struct.pack("<dd", *bound) + struct.pack("<I", 1) + b"a"
     return with_crc(head + body + np.ones(dim, dtype="<f4").tobytes())
 
@@ -552,3 +604,16 @@ def test_damaged_blob_loads_or_raises_model_io_error(op, where, data, fix_crc):
         model_from_bytes(bytes(blob))
     except ModelIOError:
         pass
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.5, math.nan, math.inf, "x", None])
+def test_model_rejects_bad_eta(eta):
+    with pytest.raises(InvalidArgumentError):
+        make_model(eta=eta)
+
+
+@pytest.mark.parametrize("eta", [math.nan, 0.0])
+def test_model_file_with_bad_eta_rejected(eta):
+    assert model_from_bytes(one_class_blob(8, 16, eta=0.25)).eta == 0.25
+    with pytest.raises(ModelIOError):
+        model_from_bytes(one_class_blob(8, 16, eta=eta))

@@ -1,4 +1,5 @@
-"""Packaging metadata: every declared console script resolves."""
+"""Packaging metadata: every declared console script and every exported
+name resolves."""
 
 import importlib
 from pathlib import Path
@@ -18,3 +19,9 @@ def test_console_scripts_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"console script {name!r} -> {target!r} is not callable"
+
+
+def test_all_exports_resolve():
+    pkg = importlib.import_module("hdwear")
+    missing = [name for name in pkg.__all__ if not hasattr(pkg, name)]
+    assert not missing, f"hdwear.__all__ names missing attributes: {missing}"

@@ -8,15 +8,14 @@ from hdwear.encoding import EncoderConfig
 from hdwear.errors import DimensionMismatchError, InvalidArgumentError, ModelNotTrainedError
 from hdwear.hv import pack, random_hv, sign_quantize
 from hdwear.learning import Model, train_online
-from hdwear.robustness import (
-    TABLE4_RATES,
-    count_differing_bits,
-    inject_bitflips,
-    quantize_model,
-    robustness_sweep,
-)
+from hdwear.robustness import TABLE4_RATES, inject_bitflips, quantize_model, robustness_sweep
 
 D = 4096
+
+
+def differing_bits(a, b) -> int:
+    """Stored bits that differ between two binary models."""
+    return int(np.bitwise_count(a.class_words ^ b.class_words).sum())
 
 
 def trained_model(n_classes=4, dim=D, seed=60):
@@ -42,7 +41,6 @@ def test_quantize_idempotent():
     a = quantize_model(m)
     b = quantize_model(m)
     assert np.array_equal(a.class_words, b.class_words)
-    assert a.source_hash == b.source_hash
 
 
 def test_quantize_untrained_rejected():
@@ -53,26 +51,51 @@ def test_quantize_untrained_rejected():
 
 def test_binary_predict_matches_prototypes():
     m, data = trained_model()
-    bm = quantize_model(m)
-    for H, label in data:
-        assert bm.predict(H) == label
+    assert robustness_sweep(m, data, rates=[0.0], trials=1).acc_clean == 1.0
 
 
 # ------------------------------------------------- packed words at odd D
 
 
+def reference_nearest(m, queries):
+    """Label of the nearest class of the 1-bit model of m for each query,
+    from per-component sign quantization and Hamming distance; ties go to
+    the lowest class index."""
+    coin = random_hv(m.encoder.tie_seed, 0, m.dim).tolist()
+    classes = [ref.sign_quantize(row.tolist(), coin) for row in m.class_matrix]
+    out = []
+    for H in queries:
+        q = ref.sign_quantize(H.tolist(), coin)
+        dists = [ref.hamming(q, c) for c in classes]
+        out.append(m.classes[dists.index(min(dists))])
+    return out
+
+
+def check_clean_accuracy_against_reference(m, n):
+    """n queries with exact-zero components (ties for the coin): labelled
+    with the reference's nearest class every query is a hit; labelled
+    cyclically, acc_clean is the reference's hit fraction."""
+    queries = [random_hv(61, i, m.dim) + random_hv(62, i, m.dim) for i in range(n)]
+    nearest = reference_nearest(m, queries)
+
+    def acc_clean(labels):
+        return robustness_sweep(m, list(zip(queries, labels)), rates=[0.0], trials=1).acc_clean
+
+    assert acc_clean(nearest) == 1.0
+    cyclic = [m.classes[i % len(m.classes)] for i in range(n)]
+    assert acc_clean(cyclic) == sum(a == b for a, b in zip(nearest, cyclic)) / n
+
+
 @pytest.mark.parametrize("dim", [77, 130])
 def test_similarities_match_reference_hamming_at_odd_dim(dim):
-    m, data = trained_model(n_classes=3, dim=dim)
-    bm = quantize_model(m)
-    assert bm.class_words.shape == (3, (dim + 63) // 64)
-    coin = random_hv(777, 0, dim).tolist()  # the tie coin of tie seed 777
-    classes = [ref.sign_quantize(row.tolist(), coin) for row in m.class_matrix]
-    for stream in range(5):
-        H = random_hv(61, stream, dim) + random_hv(62, stream, dim)  # has ties
-        q = ref.sign_quantize(H.tolist(), coin)
-        expect = [dim - 2 * ref.hamming(q, c) for c in classes]
-        assert bm.similarities(H).tolist() == expect
+    m, _ = trained_model(n_classes=3, dim=dim)
+    assert quantize_model(m).class_words.shape == (3, (dim + 63) // 64)
+    check_clean_accuracy_against_reference(m, 17)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+def test_sweep_acc_clean_matches_reference_at_block_edges(n):
+    check_clean_accuracy_against_reference(trained_model(n_classes=3, dim=77)[0], n)
 
 
 @pytest.mark.parametrize("dim", [77, 130])
@@ -80,7 +103,7 @@ def test_inject_rate_one_flips_every_bit_and_no_padding_at_odd_dim(dim):
     m, _ = trained_model(n_classes=3, dim=dim)
     bm = quantize_model(m)
     corrupted = inject_bitflips(bm, 1.0, trial_seed=4)
-    assert count_differing_bits(bm, corrupted) == 3 * dim
+    assert differing_bits(bm, corrupted) == 3 * dim
     assert np.array_equal(corrupted.class_words, pack(-sign_quantize(m.class_matrix, 777)))
     # each valid bit is set in exactly one of the two models, so any set
     # padding bit would push the total past K * D
@@ -90,37 +113,38 @@ def test_inject_rate_one_flips_every_bit_and_no_padding_at_odd_dim(dim):
 
 def test_query_dim_mismatch_rejected():
     m, data = trained_model(n_classes=2, dim=130)
-    bm = quantize_model(m)
     # 129 and 130 components pack to the same number of words
     short = random_hv(1, 0, 129)
     with pytest.raises(DimensionMismatchError):
-        bm.similarities(short)
+        robustness_sweep(m, [(short, "c0")] * 3, rates=[0.1], trials=1)
+    # a ragged list, with the odd query past the first block of rows
+    ragged = data * 9 + [(random_hv(1, 0, 131), "c0")]
     with pytest.raises(DimensionMismatchError):
-        robustness_sweep(m, data + [(short, "c0")], rates=[0.1], trials=1)
+        robustness_sweep(m, ragged, rates=[0.1], trials=1)
 
 
 def test_inject_rate_zero_identical():
     m, _ = trained_model(dim=256)
     bm = quantize_model(m)
     corrupted = inject_bitflips(bm, 0.0, trial_seed=1)
-    assert count_differing_bits(bm, corrupted) == 0
+    assert differing_bits(bm, corrupted) == 0
 
 
 def test_inject_rate_one_negates_everything():
     m, data = trained_model()
     bm = quantize_model(m)
     corrupted = inject_bitflips(bm, 1.0, trial_seed=1)
-    assert count_differing_bits(bm, corrupted) == len(bm.classes) * D
-    # fully negated model ranks classes in reverse: argmax becomes argmin
-    H = data[0][0]
-    assert np.array_equal(corrupted.similarities(H), -bm.similarities(H))
+    assert differing_bits(bm, corrupted) == len(bm.classes) * D
+    # fully negated model ranks classes in reverse: each prototype's own
+    # class becomes its farthest, so none is recognised
+    assert robustness_sweep(m, data, rates=[1.0], trials=1).mean_acc[0] == 0.0
 
 
 def test_inject_exact_flip_count():
     m, _ = trained_model(n_classes=4)
     bm = quantize_model(m)
     corrupted = inject_bitflips(bm, 0.1, trial_seed=5)
-    assert count_differing_bits(bm, corrupted) == 1638  # round(0.1 * 4 * 4096)
+    assert differing_bits(bm, corrupted) == 1638  # round(0.1 * 4 * 4096)
 
 
 def test_inject_exact_count_across_rates():
@@ -129,7 +153,7 @@ def test_inject_exact_count_across_rates():
     total = 3 * 512
     for rate in (0.01, 0.07, 0.33, 0.5, 0.999):
         corrupted = inject_bitflips(bm, rate, trial_seed=9)
-        assert count_differing_bits(bm, corrupted) == round(rate * total)
+        assert differing_bits(bm, corrupted) == round(rate * total)
 
 
 def test_inject_deterministic():
