@@ -2,13 +2,16 @@
 
 The stored class vectors are sign-quantized to single bits and held as
 (K, W) uint64 words (:func:`hdwear.hv.pack`).  :func:`robustness_sweep`
-quantizes the test queries with the model's tie seed and packs them the
-same way once, in stacked blocks from :func:`hdwear.learning.query_blocks`,
-into one (N, W) array that every trial shares.  Ranking then reduces to
-popcounts, dot = D - 2 * popcount(query XOR class), so the nearest class
-in Hamming distance wins.  Injections negate an exact number of uniformly
-chosen (class, component) positions, round(rate * K * D), sampled without
-replacement.
+checks its (H, label) pairs with :func:`hdwear.learning.labelled_blocks`,
+the boundary :func:`hdwear.learning.evaluate` uses too: an empty test set
+raises ``EmptyDatasetError`` and a label the model lacks raises
+``UnknownClassError`` (it is never scored as a silent miss).  It quantizes
+the queries with the model's tie seed and packs them the same way once,
+block by block, into one (N, W) array that every trial shares.  Ranking
+then reduces to popcounts, dot = D - 2 * popcount(query XOR class), so the
+nearest class in Hamming distance wins.  Injections negate an exact
+number of uniformly chosen (class, component) positions,
+round(rate * K * D), sampled without replacement.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ModelNotTrainedError
 from .hv import pack, rng, sign_quantize
-from .learning import Model, query_blocks
+from .learning import Model, labelled_blocks
 
 TABLE4_RATES = (0.01, 0.02, 0.04, 0.06, 0.10, 0.12)
 
@@ -29,9 +32,7 @@ class BinaryModel:
     """Sign-quantized model: one packed row of uint64 words per class."""
 
     dim: int
-    classes: list
     class_words: np.ndarray  # (K, W) uint64
-    tie_seed: int
 
 
 def quantize_model(model: Model) -> BinaryModel:
@@ -39,12 +40,9 @@ def quantize_model(model: Model) -> BinaryModel:
     seed."""
     if not model.is_trained:
         raise ModelNotTrainedError("cannot quantize an untrained model")
-    seed = model.encoder.tie_seed
     return BinaryModel(
         dim=model.dim,
-        classes=list(model.classes),
-        class_words=pack(sign_quantize(model.class_matrix, seed)),
-        tie_seed=seed,
+        class_words=pack(sign_quantize(model.class_matrix, model.encoder.tie_seed)),
     )
 
 
@@ -56,7 +54,7 @@ def inject_bitflips(bm: BinaryModel, rate: float, trial_seed: int) -> BinaryMode
     uniformly without replacement; returns a corrupted copy."""
     if not 0.0 <= rate <= 1.0:
         raise InvalidArgumentError(f"rate must be in [0, 1], got {rate}")
-    k = len(bm.classes)
+    k = len(bm.class_words)
     total = k * bm.dim
     n_flips = round(rate * total)
     if n_flips == 0:
@@ -93,9 +91,9 @@ class RobustnessReport:
 
 def _binary_accuracy(bm: BinaryModel, queries: np.ndarray, truth: np.ndarray) -> float:
     """Accuracy of packed (N, W) queries whose true class indices are
-    `truth` (-1 for a label the model lacks).  Scores one class at a time;
-    the nearest class in Hamming distance wins, ties to the lowest index."""
-    dist = np.empty((len(queries), len(bm.classes)), dtype=np.int64)
+    `truth`.  Scores one class at a time; the nearest class in Hamming
+    distance wins, ties to the lowest index."""
+    dist = np.empty((len(queries), len(bm.class_words)), dtype=np.int64)
     for ci, words in enumerate(bm.class_words):
         dist[:, ci] = np.bitwise_count(queries ^ words).sum(axis=1, dtype=np.int64)
     return int(np.count_nonzero(dist.argmin(axis=1) == truth)) / len(truth)
@@ -119,14 +117,8 @@ def robustness_sweep(
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     rates = list(rates)
     bm = quantize_model(model)
-    pairs = list(test_set)
-    if not pairs:
-        raise InvalidArgumentError("test set is empty")
-    queries = np.concatenate(
-        [pack(sign_quantize(H, bm.tie_seed)) for H in query_blocks(pairs, bm.dim)]
-    )
-    index = {c: i for i, c in enumerate(bm.classes)}
-    truth = np.array([index.get(label, -1) for _, label in pairs])
+    truth, blocks = labelled_blocks(model, test_set)
+    queries = np.concatenate([pack(sign_quantize(H, model.encoder.tie_seed)) for H in blocks])
     acc_clean = _binary_accuracy(bm, queries, truth)
     mean_acc = np.zeros(len(rates))
     sd_acc = np.zeros(len(rates))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdwear import reference as ref
 from hdwear.encoding import EncoderConfig
 from hdwear.errors import (
     BadMagicError,
@@ -27,15 +28,16 @@ from hdwear.errors import (
 from hdwear.hv import random_hv
 from hdwear.learning import (
     Model,
+    _add,
+    _class_rows,
     evaluate,
+    labelled_blocks,
     load_model,
     model_from_bytes,
     model_to_bytes,
     predict,
-    query_blocks,
     retrain_epoch,
     save_model,
-    similarities,
     train_iterative,
     train_online,
 )
@@ -61,6 +63,18 @@ def hv_accum(seed, stream, dim=D):
 def predict_one(model, H):
     """The predicted label of one query."""
     return model.classes[predict(model, H[None])[0]]
+
+
+def similarities(model, H):
+    """Cosine of H against every class row by reference.cosine; a zero-norm
+    row or query scores 0."""
+    h = np.asarray(H, dtype=np.float64).tolist()
+    return np.array(
+        [
+            ref.cosine(h, row) if any(row) and any(h) else 0.0
+            for row in model.class_matrix.astype(np.float64).tolist()
+        ]
+    )
 
 
 # ------------------------------------------------------------- similarities
@@ -274,6 +288,66 @@ def test_retrain_monotone_local_correction(seed):
     assert sims_after[pi] - sims_after[li] < margin_before
 
 
+def naive_training(model, data):
+    """train_online then retrain_epoch, re-casting the whole float32 class
+    matrix and re-taking every norm per sample; returns the retrain misses."""
+
+    def sims(h):
+        M = model.class_matrix.astype(np.float64)
+        norms = np.linalg.norm(M, axis=1)
+        hn = np.linalg.norm(h)
+        out = np.zeros(len(M))
+        ok = (norms > 0) & (hn > 0)
+        out[ok] = (M @ h)[ok] / (norms[ok] * hn)
+        return out
+
+    for H, label in data:
+        li, h = model.class_index(label), H.astype(np.float64)
+        delta = sims(h)[li]
+        if delta != 1.0:
+            model.class_matrix[li] += (model.eta * (1.0 - delta) * h).astype(np.float32)
+    misses = 0
+    for H, label in data:
+        li, h = model.class_index(label), H.astype(np.float64)
+        s = sims(h)
+        pi = int(np.argmax(s))
+        if pi != li:
+            misses += 1
+            inc = (model.eta * (s[pi] - s[li]) * h).astype(np.float32)
+            model.class_matrix[li] += inc
+            model.class_matrix[pi] -= inc
+    return misses
+
+
+def test_cached_class_rows_match_per_sample_recompute_bit_for_bit():
+    # overlapping classes, so retraining misses often and moves two rows
+    # per miss; int16 queries, as the encoder gives
+    rng = np.random.default_rng(5)
+    protos = rng.integers(-1, 2, (5, 257))
+    labels = rng.integers(0, 5, 300)
+    H = (protos[labels] + rng.integers(-30, 31, (300, 257))).astype(np.int16)
+    data = [(h, f"c{c}") for h, c in zip(H, labels)]
+    expect = make_model(n_classes=5, dim=257, eta=0.25)
+    expect_misses = naive_training(expect, data)
+    got, misses = retrain_epoch(train_online(make_model(n_classes=5, dim=257, eta=0.25), data), data)
+    assert misses == expect_misses > 20
+    assert np.array_equal(got.class_matrix.view(np.uint32), expect.class_matrix.view(np.uint32))
+
+
+def test_row_refresh_equals_a_fresh_cast_bit_for_bit():
+    # the invariant the training cache rests on: after each update the
+    # float64 rows and norms equal a fresh cast of the float32 matrix
+    m = make_model(n_classes=3, dim=1000)
+    rng = np.random.default_rng(6)
+    m.class_matrix[:] = rng.normal(0, 100, (3, 1000)).astype(np.float32)
+    M, norms = _class_rows(m)
+    for row in [0, 2, 0, 1, 2, 1]:
+        _add(m, M, norms, row, rng.normal(0, 1, 1000).astype(np.float32))
+        fresh_M, fresh_norms = _class_rows(m)
+        assert np.array_equal(M, fresh_M)
+        assert np.array_equal(norms.view(np.uint64), fresh_norms.view(np.uint64))
+
+
 def test_retrain_untrained_model_rejected():
     with pytest.raises(ModelNotTrainedError):
         retrain_epoch(make_model(), [(hv_accum(11, 0), "c0")])
@@ -328,20 +402,6 @@ def test_iterative_keeps_best_epoch():
     out = train_iterative(m, data, max_epochs=10, patience=9)
     _, misses_now = retrain_epoch(out.copy(), data)
     assert misses_now <= max(out.retrain_curve)
-
-
-def test_iterative_shuffle_is_deterministic():
-    data = linearly_separable(16)
-    m1 = train_iterative(train_online(make_model(dim=512), data), data, 5, 2, shuffle_seed=3)
-    m2 = train_iterative(train_online(make_model(dim=512), data), data, 5, 2, shuffle_seed=3)
-    assert np.array_equal(m1.class_matrix, m2.class_matrix)
-
-
-def test_iterative_negative_shuffle_seed_rejected():
-    data = linearly_separable(16)
-    m = train_online(make_model(dim=512), data)
-    with pytest.raises(InvalidArgumentError):
-        train_iterative(m, data, 5, 2, shuffle_seed=-1)
 
 
 # ------------------------------------------------------------------ evaluate
@@ -402,9 +462,12 @@ def test_predict_matches_per_row_similarities_at_block_edges(n):
         assert np.array_equal(evaluate(m, list(zip(H, labels))).confusion, expect)
 
 
-def test_query_blocks_stack_at_most_16_rows_in_order():
+def test_labelled_blocks_stack_at_most_16_rows_in_order():
+    m = make_model(n_classes=3, dim=8)
     H = [np.full(8, i, dtype=np.int8) for i in range(33)]
-    blocks = list(query_blocks([(h, "c0") for h in H], 8))
+    truth, blocks = labelled_blocks(m, iter([(h, f"c{i % 3}") for i, h in enumerate(H)]))
+    assert truth.tolist() == [i % 3 for i in range(33)]
+    blocks = list(blocks)
     assert [len(b) for b in blocks] == [16, 16, 1]
     assert np.array_equal(np.concatenate(blocks), np.stack(H))
 
@@ -610,6 +673,24 @@ def test_damaged_blob_loads_or_raises_model_io_error(op, where, data, fix_crc):
 def test_model_rejects_bad_eta(eta):
     with pytest.raises(InvalidArgumentError):
         make_model(eta=eta)
+
+
+@pytest.mark.parametrize("call", ["train_online", "retrain_epoch", "model_to_bytes"])
+@pytest.mark.parametrize("eta", [math.nan, 0.0, -1.0])
+def test_eta_set_after_construction_rejected(eta, call):
+    m = trained_model()
+    before = m.class_matrix.copy()
+    m.eta = eta
+    # the "walk" prototype labelled "run": a miss for retrain_epoch
+    data = [(hv_accum(20, 0, 256), "run")]
+    run = {
+        "train_online": lambda: train_online(m, data),
+        "retrain_epoch": lambda: retrain_epoch(m, data),
+        "model_to_bytes": lambda: model_to_bytes(m),
+    }[call]
+    with pytest.raises(InvalidArgumentError):
+        run()
+    assert np.array_equal(m.class_matrix.view(np.uint32), before.view(np.uint32))
 
 
 @pytest.mark.parametrize("eta", [math.nan, 0.0])

@@ -5,9 +5,15 @@ import pytest
 
 from hdwear import reference as ref
 from hdwear.encoding import EncoderConfig
-from hdwear.errors import DimensionMismatchError, InvalidArgumentError, ModelNotTrainedError
+from hdwear.errors import (
+    DimensionMismatchError,
+    EmptyDatasetError,
+    InvalidArgumentError,
+    ModelNotTrainedError,
+    UnknownClassError,
+)
 from hdwear.hv import pack, random_hv, sign_quantize
-from hdwear.learning import Model, train_online
+from hdwear.learning import Model, evaluate, train_online
 from hdwear.robustness import TABLE4_RATES, inject_bitflips, quantize_model, robustness_sweep
 
 D = 4096
@@ -123,6 +129,19 @@ def test_query_dim_mismatch_rejected():
         robustness_sweep(m, ragged, rates=[0.1], trials=1)
 
 
+@pytest.mark.parametrize(
+    "score",
+    [evaluate, lambda m, pairs: robustness_sweep(m, pairs, rates=[0.0], trials=1)],
+    ids=["evaluate", "robustness_sweep"],
+)
+def test_unknown_label_and_empty_set_rejected_alike(score):
+    m, data = trained_model(n_classes=2, dim=130)
+    with pytest.raises(UnknownClassError):
+        score(m, data + [(data[0][0], "zzz")])
+    with pytest.raises(EmptyDatasetError):
+        score(m, [])
+
+
 def test_inject_rate_zero_identical():
     m, _ = trained_model(dim=256)
     bm = quantize_model(m)
@@ -134,7 +153,7 @@ def test_inject_rate_one_negates_everything():
     m, data = trained_model()
     bm = quantize_model(m)
     corrupted = inject_bitflips(bm, 1.0, trial_seed=1)
-    assert differing_bits(bm, corrupted) == len(bm.classes) * D
+    assert differing_bits(bm, corrupted) == len(bm.class_words) * D
     # fully negated model ranks classes in reverse: each prototype's own
     # class becomes its farthest, so none is recognised
     assert robustness_sweep(m, data, rates=[1.0], trials=1).mean_acc[0] == 0.0
