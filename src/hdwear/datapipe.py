@@ -49,6 +49,8 @@ class CsvSchema:
             raise SchemaError("schema needs at least one channel column")
         if len(set(self.channels)) != len(self.channels):
             raise SchemaError("duplicate channel columns")
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise SchemaError(f"delimiter must be one character, got {self.delimiter!r}")
 
 
 @dataclass

@@ -56,12 +56,12 @@ def encode_records(X, bounds, levels, signatures) -> np.ndarray:
     return H
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     """Everything needed to re-create bit-identical encodings: geometry,
     the three seeds (level memory, feature signatures, sign-quantization
     ties), and the per-feature quantization bounds frozen from the training
-    split."""
+    split.  The fields are checked once, here, and cannot be rebound."""
 
     dim: int = 4096
     q_levels: int = 16

@@ -47,7 +47,8 @@ class EmptyInputError(DataError):
 
 
 class EmptyDatasetError(DataError):
-    """Evaluation or training invoked on an empty dataset."""
+    """Evaluation or a robustness sweep invoked on an empty test set (an
+    empty training stream is a no-op)."""
 
 
 class UnknownSubjectError(DataError, KeyError):

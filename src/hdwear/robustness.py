@@ -3,15 +3,17 @@
 The stored class vectors are sign-quantized to single bits and held as
 (K, W) uint64 words (:func:`hdwear.hv.pack`).  :func:`robustness_sweep`
 checks its (H, label) pairs with :func:`hdwear.learning.labelled_blocks`,
-the boundary :func:`hdwear.learning.evaluate` uses too: an empty test set
-raises ``EmptyDatasetError`` and a label the model lacks raises
-``UnknownClassError`` (it is never scored as a silent miss).  It quantizes
-the queries with the model's tie seed and packs them the same way once,
-block by block, into one (N, W) array that every trial shares.  Ranking
-then reduces to popcounts, dot = D - 2 * popcount(query XOR class), so the
-nearest class in Hamming distance wins.  Injections negate an exact
-number of uniformly chosen (class, component) positions,
-round(rate * K * D), sampled without replacement.
+the boundary training and :func:`hdwear.learning.evaluate` use too: a
+label the model lacks raises ``UnknownClassError`` and a non-finite query
+``InvalidSampleError`` (neither is ever scored), and, as in ``evaluate``,
+an empty test set raises ``EmptyDatasetError``.  It quantizes the queries
+in their own dtype with the model's tie seed and packs them the same way
+once, block by block, into one (N, W) array that every trial shares.
+Ranking then reduces to popcounts, dot = D - 2 * popcount(query XOR
+class), so the nearest class in Hamming distance wins.  Injections negate
+an exact number of uniformly chosen (class, component) positions,
+round(rate * K * D), sampled without replacement; rate 0 draws none but
+checks the trial seed all the same.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ModelNotTrainedError
+from .errors import EmptyDatasetError, InvalidArgumentError, ModelNotTrainedError
 from .hv import pack, rng, sign_quantize
 from .learning import Model, labelled_blocks
 
@@ -57,8 +59,6 @@ def inject_bitflips(bm: BinaryModel, rate: float, trial_seed: int) -> BinaryMode
     k = len(bm.class_words)
     total = k * bm.dim
     n_flips = round(rate * total)
-    if n_flips == 0:
-        return replace(bm, class_words=bm.class_words.copy())
     positions = rng(trial_seed, _FLIP_STREAM).choice(total, size=n_flips, replace=False)
     flips = np.zeros(total, dtype=bool)
     flips[positions] = True
@@ -113,11 +113,13 @@ def robustness_sweep(
 ) -> RobustnessReport:
     """Quantize once, then for each rate run `trials` independent injections
     and evaluate each corrupted model on the test set."""
-    if trials < 1:
-        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise InvalidArgumentError(f"trials must be an integer >= 1, got {trials!r}")
     rates = list(rates)
     bm = quantize_model(model)
     truth, blocks = labelled_blocks(model, test_set)
+    if not len(truth):
+        raise EmptyDatasetError("no (H, label) pairs to score")
     queries = np.concatenate([pack(sign_quantize(H, model.encoder.tie_seed)) for H in blocks])
     acc_clean = _binary_accuracy(bm, queries, truth)
     mean_acc = np.zeros(len(rates))

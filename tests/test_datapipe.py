@@ -107,6 +107,12 @@ def test_load_custom_delimiter(tmp_path):
     assert recs[0].channels["w"][0] == 2.0
 
 
+@pytest.mark.parametrize("delimiter", [";;", "", None, 44])
+def test_schema_rejects_delimiter_not_one_character(delimiter):
+    with pytest.raises(SchemaError, match="delimiter"):
+        CsvSchema(channels=["v"], delimiter=delimiter)
+
+
 # ------------------------------------------------------------ moving_average
 
 

@@ -5,6 +5,7 @@ import os
 import stat
 import struct
 import zlib
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hdwear.errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     InvalidArgumentError,
+    InvalidSampleError,
     ModelIOError,
     ModelNotTrainedError,
     TruncatedModelError,
@@ -128,7 +130,7 @@ def test_predict_scale_invariant():
     train_online(m, [(hv_accum(5, 0), "c0"), (hv_accum(5, 1), "c1")])
     q = hv_accum(5, 0)
     before = predict_one(m, q)
-    m.class_matrix *= 7.0
+    m.class_matrix[:] *= 7.0
     assert predict_one(m, q) == before
 
 
@@ -197,11 +199,11 @@ def test_train_online_order_dependent():
 # ------------------------------------------------------------- Eq.2 retrain
 
 
-def exact_misprediction_model():
-    """Dyadic construction: cosines are exactly 0 and 1, eta=0.5, so every
-    float operation in the update is exact."""
+def exact_misprediction_model(eta=0.5):
+    """Dyadic construction: cosines are exactly 0 and 1 and eta is a power
+    of two, so every float operation in the update is exact."""
     enc = EncoderConfig(dim=8, feature_bounds=[(0, 1)])
-    m = Model(classes=["l", "lp"], encoder=enc, eta=0.5)
+    m = Model(classes=["l", "lp"], encoder=enc, eta=eta)
     m.class_matrix[0] = np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=np.float32)
     m.class_matrix[1] = np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=np.float32)
     H = np.array([2.0, 0, 0, 0, 0, 0, 0, 0])
@@ -221,8 +223,7 @@ def test_retrain_exact_equal_and_opposite_increments():
 
 
 def test_retrain_margin_moves_both_ways():
-    m, H = exact_misprediction_model()
-    m.eta = 1.0
+    m, H = exact_misprediction_model(eta=1.0)
     s_before = similarities(m, H)
     retrain_epoch(m, [(H, "l")])
     s_after = similarities(m, H)
@@ -678,17 +679,72 @@ def test_model_rejects_bad_eta(eta):
 @pytest.mark.parametrize("call", ["train_online", "retrain_epoch", "model_to_bytes"])
 @pytest.mark.parametrize("eta", [math.nan, 0.0, -1.0])
 def test_eta_set_after_construction_rejected(eta, call):
-    m = trained_model()
+    m, untouched = trained_model(), trained_model()
     before = m.class_matrix.copy()
-    m.eta = eta
-    # the "walk" prototype labelled "run": a miss for retrain_epoch
+    with pytest.raises(FrozenInstanceError):
+        m.eta = eta
+    assert m.eta == 0.25
+    assert np.array_equal(m.class_matrix.view(np.uint32), before.view(np.uint32))
+    # the rejected value reaches neither training nor the model file; the
+    # "walk" prototype labelled "run" is a miss for retrain_epoch
     data = [(hv_accum(20, 0, 256), "run")]
     run = {
-        "train_online": lambda: train_online(m, data),
-        "retrain_epoch": lambda: retrain_epoch(m, data),
-        "model_to_bytes": lambda: model_to_bytes(m),
+        "train_online": lambda m: train_online(m, data).class_matrix.tobytes(),
+        "retrain_epoch": lambda m: retrain_epoch(m, data)[0].class_matrix.tobytes(),
+        "model_to_bytes": model_to_bytes,
     }[call]
-    with pytest.raises(InvalidArgumentError):
+    assert run(m) == run(untouched) != before.tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("class_matrix", np.zeros((3, 257))), ("classes", ["a", "b", "c"]), ("retrain_curve", [1])],
+)
+def test_model_fields_cannot_be_rebound(field, value):
+    m = trained_model()
+    before = m.class_matrix
+    with pytest.raises(FrozenInstanceError):
+        setattr(m, field, value)
+    assert m.class_matrix is before and m.classes == ["walk", "run", "idle"]
+    assert m.retrain_curve == []
+
+
+def test_encoder_config_fields_cannot_be_rebound():
+    enc = EncoderConfig(dim=64, feature_bounds=[(0.0, 1.0)])
+    with pytest.raises(FrozenInstanceError):
+        enc.dim = 0
+    with pytest.raises(FrozenInstanceError):
+        enc.feature_bounds = [(math.nan, 1.0)]
+    assert enc.dim == 64 and enc.feature_bounds == [(0.0, 1.0)]
+
+
+# one pair the labelled-pairs boundary rejects at D = 256, and its error
+BAD_PAIRS = {
+    "nan": ((np.full(256, np.nan), "walk"), InvalidSampleError),
+    "inf": ((np.r_[np.ones(255), np.inf], "walk"), InvalidSampleError),
+    "object": ((np.array([None] * 256), "walk"), InvalidSampleError),
+    "label": ((np.ones(256), "swim"), UnknownClassError),
+    "shape": ((np.ones(257), "walk"), DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("call", ["train_online", "retrain_epoch", "train_iterative"])
+@pytest.mark.parametrize("kind", list(BAD_PAIRS))
+@pytest.mark.parametrize("at", [0, 17, 40])
+def test_bad_pair_in_training_stream_leaves_model_unchanged(call, kind, at):
+    m = trained_model()
+    before = m.class_matrix.copy()
+    # every good pair is a miss that retraining would act on: the "walk"
+    # prototype labelled "run"
+    pair, error = BAD_PAIRS[kind]
+    data = [(hv_accum(20, 0, 256), "run")] * 40
+    data.insert(at, pair)
+    run = {
+        "train_online": lambda: train_online(m, iter(data)),
+        "retrain_epoch": lambda: retrain_epoch(m, data),
+        "train_iterative": lambda: train_iterative(m, data, max_epochs=3),
+    }[call]
+    with pytest.raises(error):
         run()
     assert np.array_equal(m.class_matrix.view(np.uint32), before.view(np.uint32))
 

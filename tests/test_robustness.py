@@ -9,11 +9,12 @@ from hdwear.errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     InvalidArgumentError,
+    InvalidSampleError,
     ModelNotTrainedError,
     UnknownClassError,
 )
 from hdwear.hv import pack, random_hv, sign_quantize
-from hdwear.learning import Model, evaluate, train_online
+from hdwear.learning import Model, evaluate, train_iterative, train_online
 from hdwear.robustness import TABLE4_RATES, inject_bitflips, quantize_model, robustness_sweep
 
 D = 4096
@@ -37,7 +38,7 @@ def trained_model(n_classes=4, dim=D, seed=60):
 
 def test_quantize_identity_on_sign_valued_model():
     m, _ = trained_model(dim=256)
-    m.class_matrix = np.sign(m.class_matrix) + (m.class_matrix == 0)
+    m.class_matrix[:] = np.sign(m.class_matrix) + (m.class_matrix == 0)
     bm = quantize_model(m)
     assert np.array_equal(bm.class_words, pack(m.class_matrix))
 
@@ -142,6 +143,37 @@ def test_unknown_label_and_empty_set_rejected_alike(score):
         score(m, [])
 
 
+@pytest.mark.parametrize(
+    "score",
+    [evaluate, lambda m, pairs: robustness_sweep(m, pairs, rates=[0.0], trials=1)],
+    ids=["evaluate", "robustness_sweep"],
+)
+def test_non_finite_or_non_real_query_rejected_alike(score):
+    m, data = trained_model(n_classes=2, dim=130)
+    for bad in (np.full(130, np.nan), np.r_[np.zeros(129), -np.inf], np.array([None] * 130)):
+        with pytest.raises(InvalidSampleError):
+            score(m, data * 9 + [(bad, "c0")])
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        ("trials", 2.5), ("trials", 0), ("trials", None), ("trials", "2"),
+        ("max_epochs", -1), ("max_epochs", 2.5), ("max_epochs", None),
+        ("patience", -1), ("patience", 1.0), ("patience", "3"),
+    ],
+)
+def test_count_arguments_rejected(call, value):
+    m, data = trained_model(n_classes=2, dim=130)
+    before = m.class_matrix.copy()
+    with pytest.raises(InvalidArgumentError):
+        if call == "trials":
+            robustness_sweep(m, data, rates=[0.1], trials=value)
+        else:
+            train_iterative(m, data, **{call: value})
+    assert np.array_equal(m.class_matrix, before)
+
+
 def test_inject_rate_zero_identical():
     m, _ = trained_model(dim=256)
     bm = quantize_model(m)
@@ -206,8 +238,10 @@ def test_inject_rate_out_of_range():
 
 def test_inject_negative_trial_seed_rejected():
     bm = quantize_model(trained_model(dim=256)[0])
-    with pytest.raises(InvalidArgumentError):
-        inject_bitflips(bm, 0.1, trial_seed=-1)
+    # rate 0.0 flips nothing but checks its seed all the same
+    for rate in (0.0, 0.1):
+        with pytest.raises(InvalidArgumentError):
+            inject_bitflips(bm, rate, trial_seed=-1)
 
 
 def test_sweep_rate_zero_row_has_zero_loss():
