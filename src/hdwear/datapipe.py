@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -108,13 +110,32 @@ class WindowedDataset:
 
 
 def load_csv(path, schema: CsvSchema) -> list:
-    """Parse one CSV into per-subject Recordings (subjects keep file order).
+    """Parse one CSV into per-subject Recordings (subjects keep the order of
+    their first row, even when their rows interleave).
 
-    Header must contain every schema column; any non-numeric or non-finite
-    channel cell fails with its data-row number (1-based, excluding header).
+    The file is UTF-8 text in the csv module's default dialect with the
+    schema's delimiter: a cell that starts with '"' is quoted up to the next
+    lone '"' (a doubled '""' inside is one literal quote), and may hold the
+    delimiter or a line break; a '"' anywhere else and a '#' are plain
+    characters.  Every cell is stripped of surrounding whitespace.  The
+    header must contain every schema column.  Empty rows and rows whose
+    cells are all whitespace are skipped; any other row needs every schema
+    column, and a channel cell that float() cannot parse or that is not
+    finite fails with its data-row number (1-based, excluding the header).
+    Labels are str arrays, one per subject.
+
+    The data rows are read by numpy's C reader (np.loadtxt) first.  It may
+    only decline, never reject: a ValueError from numpy, a non-finite value
+    or no data rows at all hand the file to the per-cell csv.reader + float()
+    loop, which raises CsvParseError (row and column named), SchemaError or
+    EmptyInputError, or accepts what float() accepts and numpy does not
+    (such as "1_0" or non-ASCII digits).  Both read the same text from the
+    same open file, and numpy's float parser gives float()'s values, so the
+    result does not depend on which of them read the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+        # readline keeps fh.tell() usable, so both readers start after the header
+        reader = csv.reader(iter(fh.readline, ""), delimiter=schema.delimiter)
         try:
             header = next(reader)
         except StopIteration:
@@ -125,40 +146,101 @@ def load_csv(path, schema: CsvSchema) -> list:
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}; header {header}")
         col = {name: header.index(name) for name in wanted}
-        n_cells = max(col.values()) + 1
+        first_row = fh.tell()
+        recordings = _read_columns(fh, schema, col)
+        if recordings is None:
+            fh.seek(first_row)
+            recordings = _read_cells(fh, path, schema, col)
+    return recordings
 
-        per_subject: dict[str, dict] = {}
-        n_rows = 0
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            n_rows += 1
-            if len(row) < n_cells:
+
+def _read_columns(fh, schema: CsvSchema, col: dict) -> list | None:
+    """load_csv's fast path: the Recordings of the rows from fh's position
+    on, read with np.loadtxt, or None to leave the file to _read_cells."""
+    if schema.delimiter in '"\r\n':  # delimiters numpy's reader does not take
+        return None
+    start = fh.tell()
+    read = partial(
+        np.loadtxt, fh, delimiter=schema.delimiter, comments=None, quotechar='"', ndmin=2
+    )
+    text_cols = [col[c] for c in (schema.label, schema.subject) if c]
+    text = []  # the label and subject columns, in that order
+    try:
+        with warnings.catch_warnings():
+            # no data rows is declined below; _read_cells raises EmptyInputError
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = read(usecols=[col[ch] for ch in schema.channels])
+            if text_cols:
+                fh.seek(start)
+                text = read(usecols=text_cols, dtype=object).T
+    except ValueError:
+        return None
+    if not len(values) or not np.isfinite(values).all():
+        return None
+    text = [np.array([s.strip() for s in cells], dtype=object) for cells in text]
+    labels = text[0] if schema.label else None
+
+    if schema.subject:
+        names, first, codes = np.unique(text[-1], return_index=True, return_inverse=True)
+        by_first = np.argsort(first)  # unique subjects in order of their first row
+        codes = np.argsort(by_first)[codes]  # each row's subject, numbered in that order
+        order = np.argsort(codes, kind="stable")
+        names, counts = names[by_first], np.bincount(codes)
+        values = values[order]
+        labels = None if labels is None else labels[order]
+    else:
+        names, counts = ["default"], [len(values)]
+    # one contiguous float64 array per channel, like np.array(list of floats)
+    series = np.ascontiguousarray(values.T)
+    recordings = []
+    for name, end, n in zip(names, np.cumsum(counts), counts):
+        span = slice(end - n, end)
+        recordings.append(
+            Recording(
+                subject_id=name,
+                channels={ch: series[j, span] for j, ch in enumerate(schema.channels)},
+                labels=None if labels is None else labels[span].astype(str),
+            )
+        )
+    return recordings
+
+
+def _read_cells(fh, path, schema: CsvSchema, col: dict) -> list:
+    """load_csv's per-cell loop and its only error path: the Recordings of
+    the rows from fh's position on, or the error that names the bad row."""
+    n_cells = max(col.values()) + 1
+    per_subject: dict[str, dict] = {}
+    n_rows = 0
+    for row_no, row in enumerate(csv.reader(fh, delimiter=schema.delimiter), start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        n_rows += 1
+        if len(row) < n_cells:
+            raise CsvParseError(
+                f"{path}: row {row_no}: {len(row)} cells, the schema needs {n_cells}"
+            )
+        subject = row[col[schema.subject]].strip() if schema.subject else "default"
+        bucket = per_subject.setdefault(
+            subject,
+            {ch: [] for ch in schema.channels} | {"labels": []},
+        )
+        for ch in schema.channels:
+            cell = row[col[ch]].strip()
+            try:
+                value = float(cell)
+            except ValueError:
                 raise CsvParseError(
-                    f"{path}: row {row_no}: {len(row)} cells, the schema needs {n_cells}"
+                    f"{path}: row {row_no}, column {ch!r}: "
+                    f"cannot parse {cell!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise CsvParseError(
+                    f"{path}: row {row_no}, column {ch!r}: non-finite value {cell!r}"
                 )
-            subject = row[col[schema.subject]].strip() if schema.subject else "default"
-            bucket = per_subject.setdefault(
-                subject,
-                {ch: [] for ch in schema.channels} | {"labels": []},
-            )
-            for ch in schema.channels:
-                cell = row[col[ch]].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: row {row_no}, column {ch!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise CsvParseError(
-                        f"{path}: row {row_no}, column {ch!r}: non-finite value {cell!r}"
-                    )
-                bucket[ch].append(value)
-            bucket["labels"].append(
-                row[col[schema.label]].strip() if schema.label else None
-            )
+            bucket[ch].append(value)
+        bucket["labels"].append(
+            row[col[schema.label]].strip() if schema.label else None
+        )
 
     if n_rows == 0:
         raise EmptyInputError(f"{path}: no data rows")

@@ -84,20 +84,23 @@ class Model:
     """Per-class accumulators plus everything needed to reproduce encodings.
 
     Class labels are UTF-8 encodable ``str``, so they round-trip through the
-    model file; ``eta`` is a finite real > 0.  The fields are frozen once
+    model file, and are kept as a tuple; ``eta`` is a finite real > 0; the
+    class matrix is finite once cast to float32.  The fields are frozen once
     checked; training updates ``class_matrix`` in place.
 
     ``retrain_curve`` (misses per retraining epoch) is runtime metadata, not
     persisted.
     """
 
-    classes: list
+    classes: tuple
     encoder: EncoderConfig
     eta: float = 0.5
     class_matrix: np.ndarray = None  # type: ignore[assignment]
     retrain_curve: list = field(default_factory=list)
 
     def __post_init__(self):
+        # a tuple, so that the class count the model file records cannot change
+        object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise UnknownClassError("model needs at least one class")
         if not all(isinstance(c, str) and _utf8_encodable(c) for c in self.classes):
@@ -109,13 +112,16 @@ class Model:
         if not (isinstance(self.eta, numbers.Real) and math.isfinite(self.eta) and self.eta > 0):
             raise InvalidArgumentError(f"eta must be a finite real > 0, got {self.eta!r}")
         shape = (len(self.classes), self.encoder.dim)
-        matrix = (
-            np.zeros(shape, dtype=np.float32)
-            if self.class_matrix is None
-            else np.asarray(self.class_matrix, dtype=np.float32)
-        )
+        with np.errstate(over="ignore"):  # a component float32 cannot hold turns inf
+            matrix = (
+                np.zeros(shape, dtype=np.float32)
+                if self.class_matrix is None
+                else np.asarray(self.class_matrix, dtype=np.float32)
+            )
         if matrix.shape != shape:
             raise DimensionMismatchError(f"class matrix shape {matrix.shape} != {shape}")
+        if not np.isfinite(matrix).all():
+            raise InvalidArgumentError("class matrix has a non-finite component")
         object.__setattr__(self, "class_matrix", matrix)
         object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.classes)})
 
@@ -258,6 +264,15 @@ def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int =
 _BLOCK_ROWS = 16
 
 
+def _check_real(h: np.ndarray) -> None:
+    """Raise InvalidSampleError unless every query in h is real and finite.
+    Integer rows (what the encoder emits) are finite by type and skip the
+    scan."""
+    kind = h.dtype.kind
+    if kind not in "biuf" or (kind == "f" and not np.isfinite(h).all()):
+        raise InvalidSampleError(f"query is not a finite real vector (dtype {h.dtype})")
+
+
 def labelled_blocks(model: Model, pairs) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Check every (H, label) pair against model, then return (truth,
     blocks): truth holds the class index of every label, and blocks yields
@@ -275,10 +290,7 @@ def labelled_blocks(model: Model, pairs) -> tuple[np.ndarray, Iterator[np.ndarra
         h = np.asarray(H)
         if h.shape != (model.dim,):
             raise DimensionMismatchError(f"query dim {h.shape} != ({model.dim},)")
-        # integer rows (what the encoder emits) are finite by type
-        kind = h.dtype.kind
-        if kind not in "biuf" or (kind == "f" and not np.isfinite(h).all()):
-            raise InvalidSampleError(f"query is not a finite real vector (dtype {h.dtype})")
+        _check_real(h)
     blocks = (
         np.array([H for H, _ in pairs[start : start + _BLOCK_ROWS]])
         for start in range(0, len(pairs), _BLOCK_ROWS)
@@ -289,13 +301,15 @@ def labelled_blocks(model: Model, pairs) -> tuple[np.ndarray, Iterator[np.ndarra
 def predict(model: Model, H) -> np.ndarray:
     """Index into model.classes of the most similar class for each row of an
     (N, D) batch, as (N,) int64; ties resolve to the lowest class index and
-    a zero-norm class or query scores 0."""
+    a zero-norm class or query scores 0.  A row that is not real or has a
+    non-finite component raises InvalidSampleError, as in labelled_blocks."""
     if not model.is_trained:
         raise ModelNotTrainedError("model has not been trained")
-    h = np.asarray(H, dtype=np.float64)
+    h = np.asarray(H)
     if h.ndim != 2 or h.shape[1] != model.dim:
         raise DimensionMismatchError(f"query batch shape {h.shape} != (N, {model.dim})")
-    return _cosines(*_class_rows(model), h).argmax(axis=0)
+    _check_real(h)
+    return _cosines(*_class_rows(model), h.astype(np.float64, copy=False)).argmax(axis=0)
 
 
 @dataclass

@@ -18,6 +18,7 @@ checks the trial seed all the same.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,8 +55,8 @@ _FLIP_STREAM = 2**33
 def inject_bitflips(bm: BinaryModel, rate: float, trial_seed: int) -> BinaryModel:
     """Flip exactly round(rate * K * D) distinct stored bits, chosen
     uniformly without replacement; returns a corrupted copy."""
-    if not 0.0 <= rate <= 1.0:
-        raise InvalidArgumentError(f"rate must be in [0, 1], got {rate}")
+    if not (isinstance(rate, numbers.Real) and 0.0 <= rate <= 1.0):
+        raise InvalidArgumentError(f"rate must be a real in [0, 1], got {rate!r}")
     k = len(bm.class_words)
     total = k * bm.dim
     n_flips = round(rate * total)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdwear import datapipe
 from hdwear import reference as ref
 from hdwear.datapipe import (
     CsvSchema,
@@ -111,6 +112,148 @@ def test_load_custom_delimiter(tmp_path):
 def test_schema_rejects_delimiter_not_one_character(delimiter):
     with pytest.raises(SchemaError, match="delimiter"):
         CsvSchema(channels=["v"], delimiter=delimiter)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "v\n", "v", "v\r\n\r\n\n", "v\n,\n  \n"])
+def test_load_without_data_rows_raises_no_warning(tmp_path, text):
+    # numpy's "input contained no data" warning would fail the test as an error
+    with pytest.raises(EmptyInputError):
+        load_csv(write(tmp_path, text), CsvSchema(channels=["v"]))
+
+
+def test_load_reads_clean_rows_without_the_cell_loop(tmp_path, monkeypatch):
+    # quoted delimiters and line breaks, '#', padding and CRLF stay on numpy's reader
+    def cell_loop(*args):
+        raise AssertionError("the per-cell loop ran")
+
+    monkeypatch.setattr(datapipe, "_read_cells", cell_loop)
+    text = (
+        'v,act,subj\r\n 1.5 ,"walk, fast",s2\r\n2, #x ,s1\r\n'
+        '3,"two\r\nlines",s2\r\n4,"say ""hi""",s1\r\n\r\n'
+    )
+    recs = load_csv(write(tmp_path, text), CsvSchema(channels=["v"], label="act", subject="subj"))
+    assert [r.subject_id for r in recs] == ["s2", "s1"]
+    assert recs[0].channels["v"].tolist() == [1.5, 3.0]
+    assert recs[0].labels.tolist() == ["walk, fast", "two\r\nlines"]
+    assert recs[1].labels.tolist() == ["#x", 'say "hi"']
+
+
+def test_load_interleaved_subjects_keep_row_order(tmp_path):
+    # long enough that an unstable sort would reorder rows within a subject
+    subjects = [f"s{(i * i) % 5}" for i in range(60)]
+    p = write(tmp_path, "v,subj\n" + "".join(f"{i},{s}\n" for i, s in enumerate(subjects)))
+    schema = CsvSchema(channels=["v"], subject="subj")
+    for load in (load_csv, per_cell_loop):
+        recs = load(p, schema)
+        assert [r.subject_id for r in recs] == list(dict.fromkeys(subjects))
+        for r in recs:
+            rows = [i for i, s in enumerate(subjects) if s == r.subject_id]
+            assert r.channels["v"].tolist() == rows
+
+
+def per_cell_loop(path, schema):
+    """load_csv with numpy's reader declining every file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datapipe, "_read_columns", lambda *args: None)
+        return load_csv(path, schema)
+
+
+def outcome(load, path, schema):
+    try:
+        return load(path, schema)
+    except Exception as exc:  # compared by type and message below
+        return exc
+
+
+def quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+# cells numpy's reader takes as float() does, and cells it declines
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["0", "-0.0", ".5", "5.", "+1e-3", " 2.5 ", "\t7", "1 ", '"4"']),
+)
+NOT_NUMBERS = st.sampled_from(
+    ["1_0", "١", "nan", "-inf", "1e999", "0x10", "#3", "", " ", "oops", "1,5", ' "4"']
+)
+TEXTS = st.one_of(
+    st.sampled_from(
+        ["s1", "s2", " s1 ", "walk", "walk, fast", "#a", "", " ", 'a"b', "x\ny", "x\r\ny"]
+    ),
+    st.text(alphabet='ab ,;"#\t\r\n', max_size=5),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """A schema and CSV text; half the files hold only rows numpy's reader
+    takes, the rest any quirk load_csv handles."""
+    clean = draw(st.booleans())
+    n_ch = draw(st.integers(1, 3))
+    channels = [f"c{j}" for j in range(n_ch)]
+    label = draw(st.sampled_from([None, "act"]))
+    subject = draw(st.sampled_from([None, "subj"]))
+    delimiter = draw(st.sampled_from([",", ",", ";", "\t", " ", "|", "#", '"']))
+    columns = channels + [c for c in (label, subject) if c] + draw(st.sampled_from([[], ["extra"]]))
+    columns = draw(st.permutations(columns))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    numbers = NUMBERS if clean else st.one_of(NUMBERS, NOT_NUMBERS)
+
+    def cell(name):
+        text = draw(numbers if name in channels else TEXTS)
+        # a cell holding a delimiter, quote or line break is now and then left bare
+        special = any(c in text for c in (delimiter, '"', "\n", "\r"))
+        return quoted(text) if draw(st.integers(0, 9)) < (9 if special else 3) else text
+
+    kinds = ["row"] * 6 + ["extra", "blank"] + ([] if clean else ["short", "spaces", "delims"])
+    lines = [delimiter.join(columns)]
+    # clean files run long enough for the subject grouping to sort more than a few rows
+    for _ in range(draw(st.integers(0, 24 if clean else 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(" \t ")
+        elif kind == "delims":
+            lines.append(delimiter * draw(st.integers(1, 4)))
+        else:
+            row = [cell(name) for name in columns]
+            if kind == "short":
+                row = row[: draw(st.integers(0, len(row) - 1))]
+            elif kind == "extra":
+                row += ["9", "z"]
+            lines.append(delimiter.join(row))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    schema = CsvSchema(channels=channels, label=label, subject=subject, delimiter=delimiter)
+    return schema, text
+
+
+@given(csv_files())
+@settings(max_examples=250, deadline=None)
+def test_load_csv_equals_per_cell_loop(tmp_path_factory, case):
+    schema, text = case
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = outcome(load_csv, path, schema), outcome(per_cell_loop, path, schema)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert isinstance(got, list), got
+    assert [r.subject_id for r in got] == [r.subject_id for r in want]
+    assert all(type(r.subject_id) is str for r in got)
+    for g, w in zip(got, want):
+        assert list(g.channels) == list(w.channels)
+        for ch in w.channels:
+            assert g.channels[ch].dtype == w.channels[ch].dtype == np.float64
+            assert np.array_equal(g.channels[ch].view(np.uint64), w.channels[ch].view(np.uint64))
+        if w.labels is None:
+            assert g.labels is None
+        else:
+            assert g.labels.dtype == w.labels.dtype
+            assert np.array_equal(g.labels, w.labels)
 
 
 # ------------------------------------------------------------ moving_average
@@ -506,7 +649,7 @@ def test_build_dataset_bad_geometry(window, stride):
 def test_build_dataset_labels_feed_model_round_trip():
     ds = build_dataset([rec(labels=["walk"] * 5 + ["run"] * 5)], ["a", "b"], 4, 2)
     model = Model(classes=sorted(set(ds.y)), encoder=EncoderConfig(dim=64))
-    assert model.classes == ["run", "walk"]
+    assert model.classes == ("run", "walk")
     assert model_from_bytes(model_to_bytes(model)) == model
 
 

@@ -624,11 +624,12 @@ def test_labels_utf8_cannot_encode_rejected():
         Model(classes=["walk", "r\ud800n"], encoder=EncoderConfig(dim=64))
 
 
-def one_class_blob(dim, q, bound=(0.0, 1.0), eta=0.5):
-    """A model file with one feature and one class "a", CRC recomputed."""
+def one_class_blob(dim, q, bound=(0.0, 1.0), eta=0.5, component=1.0):
+    """A model file with one feature and one class "a" whose components all
+    equal `component`, CRC recomputed."""
     head = struct.pack("<4sHIIIId4QI", b"HDWM", 1, dim, 1, q, 3, eta, 0, 1, 2, 3, 1)
     body = struct.pack("<dd", *bound) + struct.pack("<I", 1) + b"a"
-    return with_crc(head + body + np.ones(dim, dtype="<f4").tobytes())
+    return with_crc(head + body + np.full(dim, component, dtype="<f4").tobytes())
 
 
 @pytest.mark.parametrize("dim, q", [(0, 16), (1, 16), (8, 0), (8, 1)])
@@ -670,6 +671,25 @@ def test_damaged_blob_loads_or_raises_model_io_error(op, where, data, fix_crc):
         pass
 
 
+@pytest.mark.parametrize("component", [math.nan, -math.inf])
+def test_model_rejects_non_finite_class_matrix(component):
+    # 1e300 is finite as float64 but overflows the float32 the model stores
+    for bad in (component, 1e300):
+        with pytest.raises(InvalidArgumentError):
+            Model(classes=["a"], encoder=EncoderConfig(dim=64), class_matrix=np.full((1, 64), bad))
+    assert model_from_bytes(one_class_blob(8, 16, component=-2.5)).class_matrix[0, 0] == -2.5
+    with pytest.raises(ModelIOError):
+        model_from_bytes(one_class_blob(8, 16, component=component))
+
+
+def test_model_classes_cannot_change_in_place():
+    m = Model(classes=["a", "b"], encoder=EncoderConfig(dim=64), class_matrix=np.ones((2, 64)))
+    assert m.classes == ("a", "b")
+    with pytest.raises(AttributeError):
+        m.classes.append("c")
+    assert model_from_bytes(model_to_bytes(m)) == m
+
+
 @pytest.mark.parametrize("eta", [0.0, -0.5, math.nan, math.inf, "x", None])
 def test_model_rejects_bad_eta(eta):
     with pytest.raises(InvalidArgumentError):
@@ -705,7 +725,7 @@ def test_model_fields_cannot_be_rebound(field, value):
     before = m.class_matrix
     with pytest.raises(FrozenInstanceError):
         setattr(m, field, value)
-    assert m.class_matrix is before and m.classes == ["walk", "run", "idle"]
+    assert m.class_matrix is before and m.classes == ("walk", "run", "idle")
     assert m.retrain_curve == []
 
 

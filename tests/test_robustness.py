@@ -14,7 +14,7 @@ from hdwear.errors import (
     UnknownClassError,
 )
 from hdwear.hv import pack, random_hv, sign_quantize
-from hdwear.learning import Model, evaluate, train_iterative, train_online
+from hdwear.learning import Model, evaluate, predict, train_iterative, train_online
 from hdwear.robustness import TABLE4_RATES, inject_bitflips, quantize_model, robustness_sweep
 
 D = 4096
@@ -145,8 +145,12 @@ def test_unknown_label_and_empty_set_rejected_alike(score):
 
 @pytest.mark.parametrize(
     "score",
-    [evaluate, lambda m, pairs: robustness_sweep(m, pairs, rates=[0.0], trials=1)],
-    ids=["evaluate", "robustness_sweep"],
+    [
+        evaluate,
+        lambda m, pairs: robustness_sweep(m, pairs, rates=[0.0], trials=1),
+        lambda m, pairs: predict(m, np.array([h for h, _ in pairs])),
+    ],
+    ids=["evaluate", "robustness_sweep", "predict"],
 )
 def test_non_finite_or_non_real_query_rejected_alike(score):
     m, data = trained_model(n_classes=2, dim=130)
@@ -231,9 +235,11 @@ def test_inject_leaves_original_untouched():
 def test_inject_rate_out_of_range():
     m, _ = trained_model(dim=256)
     bm = quantize_model(m)
-    for bad in (-0.1, 1.1):
+    for bad in (-0.1, 1.1, float("nan"), "0.1", None):
         with pytest.raises(InvalidArgumentError):
             inject_bitflips(bm, bad, trial_seed=0)
+    with pytest.raises(InvalidArgumentError):
+        robustness_sweep(m, trained_model(dim=256)[1], rates=[0.1, "x"], trials=1)
 
 
 def test_inject_negative_trial_seed_rejected():
