@@ -122,7 +122,8 @@ def load_csv(path, schema: CsvSchema) -> list:
     cells are all whitespace are skipped; any other row needs every schema
     column, and a channel cell that float() cannot parse or that is not
     finite fails with its data-row number (1-based, excluding the header).
-    Labels are str arrays, one per subject.
+    Labels are str arrays, one per subject.  A file that is not UTF-8, or a
+    cell longer than csv.field_size_limit(), raises CsvParseError.
 
     The data rows are read by numpy's C reader (np.loadtxt) first.  It may
     only decline, never reject: a ValueError from numpy, a non-finite value
@@ -133,24 +134,35 @@ def load_csv(path, schema: CsvSchema) -> list:
     same open file, and numpy's float parser gives float()'s values, so the
     result does not depend on which of them read the file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        # readline keeps fh.tell() usable, so both readers start after the header
-        reader = csv.reader(iter(fh.readline, ""), delimiter=schema.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        wanted = [*schema.channels, *(c for c in (schema.label, schema.subject) if c)]
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {missing}; header {header}")
-        col = {name: header.index(name) for name in wanted}
-        first_row = fh.tell()
-        recordings = _read_columns(fh, schema, col)
-        if recordings is None:
-            fh.seek(first_row)
-            recordings = _read_cells(fh, path, schema, col)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return _read(fh, path, schema)
+    except UnicodeDecodeError as exc:
+        # decoding runs ahead of the rows in chunks, so no row can be named
+        raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read(fh, path, schema: CsvSchema) -> list:
+    """load_csv on its open file."""
+    # readline keeps fh.tell() usable, so both readers start after the header
+    reader = csv.reader(iter(fh.readline, ""), delimiter=schema.delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInputError(f"{path}: file is empty") from None
+    except csv.Error as exc:
+        raise CsvParseError(f"{path}: header: {exc}") from None
+    header = [h.strip() for h in header]
+    wanted = [*schema.channels, *(c for c in (schema.label, schema.subject) if c)]
+    missing = [c for c in wanted if c not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing columns {missing}; header {header}")
+    col = {name: header.index(name) for name in wanted}
+    first_row = fh.tell()
+    recordings = _read_columns(fh, schema, col)
+    if recordings is None:
+        fh.seek(first_row)
+        recordings = _read_cells(fh, path, schema, col)
     return recordings
 
 
@@ -176,6 +188,9 @@ def _read_columns(fh, schema: CsvSchema, col: dict) -> list | None:
     except ValueError:
         return None
     if not len(values) or not np.isfinite(values).all():
+        return None
+    # csv.reader refuses a longer cell; the per-cell loop reports it
+    if any(max(map(len, cells), default=0) > csv.field_size_limit() for cells in text):
         return None
     text = [np.array([s.strip() for s in cells], dtype=object) for cells in text]
     labels = text[0] if schema.label else None
@@ -211,7 +226,7 @@ def _read_cells(fh, path, schema: CsvSchema, col: dict) -> list:
     n_cells = max(col.values()) + 1
     per_subject: dict[str, dict] = {}
     n_rows = 0
-    for row_no, row in enumerate(csv.reader(fh, delimiter=schema.delimiter), start=1):
+    for row_no, row in _numbered_rows(fh, path, schema.delimiter):
         if not row or all(not cell.strip() for cell in row):
             continue
         n_rows += 1
@@ -255,6 +270,18 @@ def _read_cells(fh, path, schema: CsvSchema, col: dict) -> list:
             )
         )
     return recordings
+
+
+def _numbered_rows(fh, path, delimiter: str):
+    """csv.reader's records from fh's position on, numbered from 1; a record
+    the reader refuses (a cell longer than csv.field_size_limit()) raises
+    CsvParseError naming it."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+            yield row_no, row
+    except csv.Error as exc:
+        raise CsvParseError(f"{path}: row {row_no + 1}: {exc}") from None
 
 
 def moving_average(signal, window_len: int) -> np.ndarray:

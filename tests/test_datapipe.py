@@ -1,5 +1,7 @@
 """CSV loading, filtering, window features and labels, and splits."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,50 @@ def test_load_csv_equals_per_cell_loop(tmp_path_factory, case):
         else:
             assert g.labels.dtype == w.labels.dtype
             assert np.array_equal(g.labels, w.labels)
+
+
+LONG = "a" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (f"v,act\n1,{LONG}\n", "row 1"),
+        (f"v,act\n1,walk\n1,{LONG}\n2,oops\n", "row 2"),
+        (f"v,act\n1,{LONG}\n2,oops\n", "row 1"),
+        (f'v,act\n1,"{LONG}"\n', "row 1"),
+        (f"v,{LONG}\n1,walk\n", "header"),
+    ],
+    ids=["label", "label-after-good-row", "label-before-bad-row", "quoted-label", "header"],
+)
+def test_load_rejects_cell_over_csv_field_limit(tmp_path, text, where):
+    # both readers agree: numpy's declines, and the loop names the row
+    schema = CsvSchema(channels=["v"], label="act")
+    p = write(tmp_path, text)
+    got, want = outcome(load_csv, p, schema), outcome(per_cell_loop, p, schema)
+    assert isinstance(got, CsvParseError) and f"{where}: field larger than field limit" in str(got)
+    assert (type(got), str(got)) == (type(want), str(want))
+
+
+def test_load_takes_cell_at_csv_field_limit(tmp_path):
+    label = "a" * csv.field_size_limit()
+    p = write(tmp_path, f"v,act\n1,{label}\n")
+    schema = CsvSchema(channels=["v"], label="act")
+    for load in (load_csv, per_cell_loop):
+        assert load(p, schema)[0].labels.tolist() == [label]
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"v,act\n1,\xff\n", b"v\xff,act\n1,walk\n", b"v,act\n" + b"1,walk\n" * 5000 + b"2,\xe9\n"],
+    ids=["label", "header", "after-5000-rows"],
+)
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path, blob):
+    p = tmp_path / "data.csv"
+    p.write_bytes(blob)
+    with pytest.raises(CsvParseError, match="not UTF-8"):
+        load_csv(p, CsvSchema(channels=["v"], label="act"))
+
 
 
 # ------------------------------------------------------------ moving_average

@@ -289,9 +289,12 @@ def test_retrain_monotone_local_correction(seed):
     assert sims_after[pi] - sims_after[li] < margin_before
 
 
-def naive_training(model, data):
-    """train_online then retrain_epoch, re-casting the whole float32 class
-    matrix and re-taking every norm per sample; returns the retrain misses."""
+def naive_training(model, data, epochs=1, online=True):
+    """train_online (unless online is False), then up to `epochs` retraining
+    epochs, stopping after one without a miss as train_iterative does;
+    re-casts the whole float32 class matrix and re-takes every norm per
+    sample.  Returns the rows missed in each epoch and the class matrix
+    after it."""
 
     def sims(h):
         M = model.class_matrix.astype(np.float64)
@@ -302,22 +305,27 @@ def naive_training(model, data):
         out[ok] = (M @ h)[ok] / (norms[ok] * hn)
         return out
 
-    for H, label in data:
+    for H, label in data if online else []:
         li, h = model.class_index(label), H.astype(np.float64)
         delta = sims(h)[li]
         if delta != 1.0:
             model.class_matrix[li] += (model.eta * (1.0 - delta) * h).astype(np.float32)
-    misses = 0
-    for H, label in data:
-        li, h = model.class_index(label), H.astype(np.float64)
-        s = sims(h)
-        pi = int(np.argmax(s))
-        if pi != li:
-            misses += 1
-            inc = (model.eta * (s[pi] - s[li]) * h).astype(np.float32)
-            model.class_matrix[li] += inc
-            model.class_matrix[pi] -= inc
-    return misses
+    missed, snapshots = [], []
+    for _ in range(epochs):
+        missed.append([])
+        for row, (H, label) in enumerate(data):
+            li, h = model.class_index(label), H.astype(np.float64)
+            s = sims(h)
+            pi = int(np.argmax(s))
+            if pi != li:
+                missed[-1].append(row)
+                inc = (model.eta * (s[pi] - s[li]) * h).astype(np.float32)
+                model.class_matrix[li] += inc
+                model.class_matrix[pi] -= inc
+        snapshots.append(model.class_matrix.copy())
+        if not missed[-1]:
+            break
+    return missed, snapshots
 
 
 def test_cached_class_rows_match_per_sample_recompute_bit_for_bit():
@@ -329,10 +337,112 @@ def test_cached_class_rows_match_per_sample_recompute_bit_for_bit():
     H = (protos[labels] + rng.integers(-30, 31, (300, 257))).astype(np.int16)
     data = [(h, f"c{c}") for h, c in zip(H, labels)]
     expect = make_model(n_classes=5, dim=257, eta=0.25)
-    expect_misses = naive_training(expect, data)
+    missed, _ = naive_training(expect, data)
     got, misses = retrain_epoch(train_online(make_model(n_classes=5, dim=257, eta=0.25), data), data)
-    assert misses == expect_misses > 20
+    assert misses == len(missed[0]) > 20
     assert np.array_equal(got.class_matrix.view(np.uint32), expect.class_matrix.view(np.uint32))
+
+
+# Retraining screens each block with one matrix product and runs the exact
+# per-sample step only on the rows the screen does not settle.  Each case
+# below returns a model ready to retrain, its retraining pairs, and the
+# rows the oracle must miss in the first epoch.
+SCREEN_DIM = 256
+
+
+def _screen_block_edges(dtype):
+    # +-1 rows around three prototypes; rows 15, 16 and 17 (either side of
+    # the first block edge) and 31 (the end of the second block) carry the
+    # wrong label, so the first epoch misses exactly there
+    rng = np.random.default_rng(31)
+    protos = rng.choice(np.array([-1, 1]), (3, SCREEN_DIM))
+    labels = np.arange(48) % 3
+    flips = rng.random((48, SCREEN_DIM)) < 0.2
+    H = np.where(flips, -protos[labels], protos[labels]).astype(dtype)
+    wrong = [15, 16, 17, 31]
+    names = [f"c{(c + 1) % 3 if i in wrong else c}" for i, c in enumerate(labels)]
+    m = make_model(n_classes=3, dim=SCREEN_DIM, eta=0.25)
+    data = list(zip(H, names))
+    train_online(m, data)
+    return m, data, wrong
+
+
+def _screen_exact_ties():
+    # rows c0 and c1 are identical, so every query scores them equally and
+    # argmax must pick c0: a "c1" query is a miss with a zero increment,
+    # until a "c2" query predicted as c0 pulls the two rows apart
+    rng = np.random.default_rng(32)
+    m = make_model(n_classes=3, dim=SCREEN_DIM, eta=0.5)
+    row = rng.integers(-4, 5, SCREEN_DIM)
+    m.class_matrix[:] = [row, row, rng.integers(-4, 5, SCREEN_DIM)]
+    H = (row + rng.integers(-2, 3, (40, SCREEN_DIM))).astype(np.int16)
+    names = ["c1"] * 20 + ["c0"] * 10 + ["c2"] * 10
+    data = list(zip(H, names))
+    return m, data, list(range(20)) + list(range(30, 40))
+
+
+def _screen_near_ties():
+    # float64 queries with non-integer components, constant over each run of
+    # 8 components, against two rows that rotate every such run by one: the
+    # two cosines are equal in exact arithmetic, so which one wins rests on
+    # rounding alone, and a blocked product may round it the other way
+    rng = np.random.default_rng(33)
+    m = make_model(n_classes=3, dim=SCREEN_DIM, eta=0.5)
+    row = rng.normal(0, 1, SCREEN_DIM)
+    rotated = np.roll(row.reshape(-1, 8), 1, axis=1).ravel()
+    m.class_matrix[:] = [row, rotated, rng.normal(0, 1, SCREEN_DIM)]
+    runs = m.class_matrix[0].reshape(-1, 8).mean(axis=1) + rng.normal(0, 1, (64, SCREEN_DIM // 8))
+    H = np.repeat(runs, 8, axis=1)
+    data = list(zip(H, ["c0", "c1"] * 32))
+    return m, data, None
+
+
+def _screen_zero_norms():
+    # class c3 is never trained (a zero-norm row, scoring 0); row 5 is the
+    # zero query (every class scores 0, so argmax picks c0); rows 7 and 20
+    # point away from every trained class, so the zero row wins them
+    rng = np.random.default_rng(34)
+    protos = rng.normal(0, 1, (3, SCREEN_DIM))
+    labels = np.arange(36) % 3
+    H = protos[labels] + rng.normal(0, 0.8, (36, SCREEN_DIM))
+    m = make_model(n_classes=4, dim=SCREEN_DIM, eta=0.5)
+    train_online(m, list(zip(H, [f"c{c}" for c in labels])))
+    assert not m.class_matrix[3].any()
+    H[5] = 0.0
+    H[7] = H[20] = -protos.sum(axis=0)
+    data = list(zip(H, [f"c{c}" for c in labels]))
+    return m, data, None
+
+
+SCREEN_CASES = {
+    "block-edges-int8": lambda: _screen_block_edges(np.int8),
+    "block-edges-int16": lambda: _screen_block_edges(np.int16),
+    "exact-ties-int16": _screen_exact_ties,
+    "near-ties-float64": _screen_near_ties,
+    "zero-norms-float64": _screen_zero_norms,
+}
+SCREEN_EPOCHS = 4
+
+
+@pytest.mark.parametrize("case", list(SCREEN_CASES))
+def test_screened_retraining_equals_per_sample_oracle(case):
+    model, data, first_misses = SCREEN_CASES[case]()
+    expect = model.copy()
+    missed, snapshots = naive_training(expect, data, SCREEN_EPOCHS, online=False)
+    curve = [len(rows) for rows in missed]
+    if first_misses is not None:
+        assert missed[0] == first_misses
+    assert curve[0] > 0
+
+    got = model.copy()
+    for misses, snapshot in zip(curve, snapshots):
+        assert retrain_epoch(got, data)[1] == misses
+        assert np.array_equal(got.class_matrix.view(np.uint32), snapshot.view(np.uint32))
+
+    out = train_iterative(model, data, max_epochs=SCREEN_EPOCHS, patience=SCREEN_EPOCHS)
+    best = snapshots[curve.index(min(curve))]
+    assert out.retrain_curve == curve
+    assert np.array_equal(out.class_matrix.view(np.uint32), best.view(np.uint32))
 
 
 def test_row_refresh_equals_a_fresh_cast_bit_for_bit():
