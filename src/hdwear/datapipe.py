@@ -126,9 +126,11 @@ def load_csv(path, schema: CsvSchema) -> list:
     cell longer than csv.field_size_limit(), raises CsvParseError.
 
     The data rows are read by numpy's C reader (np.loadtxt) first.  It may
-    only decline, never reject: a ValueError from numpy, a non-finite value
-    or no data rows at all hand the file to the per-cell csv.reader + float()
-    loop, which raises CsvParseError (row and column named), SchemaError or
+    only decline, never reject: a ValueError from numpy, a non-finite value,
+    a cell in any column longer than csv.field_size_limit() (checked with
+    csv.reader only when a byte scan finds a long line or a '"') or no data
+    rows at all hand the file to the per-cell csv.reader + float() loop,
+    which raises CsvParseError (row and column named), SchemaError or
     EmptyInputError, or accepts what float() accepts and numpy does not
     (such as "1_0" or non-ASCII digits).  Both read the same text from the
     same open file, and numpy's float parser gives float()'s values, so the
@@ -159,19 +161,28 @@ def _read(fh, path, schema: CsvSchema) -> list:
         raise SchemaError(f"{path}: missing columns {missing}; header {header}")
     col = {name: header.index(name) for name in wanted}
     first_row = fh.tell()
-    recordings = _read_columns(fh, schema, col)
+    recordings = _read_columns(fh, path, schema, col)
     if recordings is None:
         fh.seek(first_row)
         recordings = _read_cells(fh, path, schema, col)
     return recordings
 
 
-def _read_columns(fh, schema: CsvSchema, col: dict) -> list | None:
+def _read_columns(fh, path, schema: CsvSchema, col: dict) -> list | None:
     """load_csv's fast path: the Recordings of the rows from fh's position
     on, read with np.loadtxt, or None to leave the file to _read_cells."""
     if schema.delimiter in '"\r\n':  # delimiters numpy's reader does not take
         return None
     start = fh.tell()
+    if _may_hold_long_cell(path):
+        # csv.reader refuses a cell longer than its limit in any column,
+        # while numpy takes it; the per-cell loop reports it
+        try:
+            for _ in csv.reader(fh, delimiter=schema.delimiter):
+                pass
+        except csv.Error:
+            return None
+        fh.seek(start)
     read = partial(
         np.loadtxt, fh, delimiter=schema.delimiter, comments=None, quotechar='"', ndmin=2
     )
@@ -188,9 +199,6 @@ def _read_columns(fh, schema: CsvSchema, col: dict) -> list | None:
     except ValueError:
         return None
     if not len(values) or not np.isfinite(values).all():
-        return None
-    # csv.reader refuses a longer cell; the per-cell loop reports it
-    if any(max(map(len, cells), default=0) > csv.field_size_limit() for cells in text):
         return None
     text = [np.array([s.strip() for s in cells], dtype=object) for cells in text]
     labels = text[0] if schema.label else None
@@ -218,6 +226,33 @@ def _read_columns(fh, schema: CsvSchema, col: dict) -> list | None:
             )
         )
     return recordings
+
+
+# The long-cell pre-check reads the file in chunks of about this many bytes.
+_SCAN_BYTES = 1 << 20
+
+
+def _may_hold_long_cell(path) -> bool:
+    """False only when no cell of the file can be longer than
+    csv.field_size_limit() characters.
+
+    A cell's value is no longer than its text, in characters or in UTF-8
+    bytes, and a cell that is not quoted lies within one line.  So a file
+    without a '"' in which every aligned span of limit // 2 bytes holds a
+    line break has no such cell: a line longer than the limit covers one of
+    those spans whole.  The scan is a few byte searches per MiB."""
+    limit = csv.field_size_limit()
+    span = limit // 2
+    if span < 4096:  # too many spans to scan cheaply: let the exact check run
+        return True
+    with open(path, "rb") as raw:
+        while chunk := raw.read(span * max(1, _SCAN_BYTES // span)):
+            if b'"' in chunk:
+                return True
+            for i in range(0, len(chunk) - span + 1, span):
+                if chunk.find(b"\n", i, i + span) < 0 and chunk.find(b"\r", i, i + span) < 0:
+                    return True
+    return False
 
 
 def _read_cells(fh, path, schema: CsvSchema, col: dict) -> list:

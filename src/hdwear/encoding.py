@@ -1,10 +1,33 @@
 """Feature-record encoding: each window's feature vector becomes one
 hypervector.
 
-Feature i is quantized against its own training-split bounds to a level
-L_q, bound with the feature's random signature S_i, and the F bound
-vectors are bundled:  H = sum_i S_i * L_{q_i}.  A batch of N records
-encodes to one (N, D) integer matrix.
+Feature f is quantized against its own training-split bounds to a level
+L_q, bound with the feature's random signature S_f, and the F bound
+vectors are bundled:  H = sum_f S_f * L_{q_f}.  A batch of N records
+encodes to one (N, D) integer matrix, in the smallest signed integer type
+that holds +-F.
+
+The levels are nested (:func:`hdwear.hv.level_flips`): L_q is the base
+vector B negated at the first k_q components of one flip order, k_0 = 0
+<= k_1 <= ... <= k_{Q-1} = floor(D/2).  With U_f = S_f * B,
+
+    H = sum_f U_f - 2 G,    G = sum_f U_f * [component flipped in L_{q_f}].
+
+Flip-order segment s = [k_{s-1}, k_s) (s = 1..Q-1) is flipped in L_q
+exactly when q >= s, so on the components of that segment G = (lv >= s) @
+U_seg for the (N, F) level indices lv; the other half of the components
+never flips, and there H is the constant sum_f U_f.  The encoder builds
+one table W = [-2 U[:, flipped]^T | sum_f U_f[flipped]] of shape
+(floor(D/2), F + 1), in flip order, so each segment of a block of records
+is one product W[seg] @ [(lv >= s)^T ; 1] that folds in the -2 and the
+constant: Q - 1 small matrix products over half the components, instead
+of one gather per feature over all of them.
+
+The products run in float32 and are exact.  Every term is 0, +-2 or a
+column sum of size at most F, so every partial sum is an integer of size
+at most 3F; float32 holds every integer of size up to 2**24, so the
+result does not depend on BLAS's summation order while 3F < 2**24.  A
+wider record is rejected with InvalidArgumentError.
 """
 
 from __future__ import annotations
@@ -16,7 +39,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidDimensionError, InvalidSampleError
-from .hv import check_seed, make_level_memory, random_hv
+from .hv import check_seed, level_flips, random_hvs
+
+# float32 holds every integer of size up to this
+_FLOAT32_EXACT = 2**24
+# Bytes of the transposed (D, rows) block of records the encoder fills at a
+# time, in the record dtype.  On the benchmark's record sets (2-core VM),
+# 256 KiB blocks encoded the wide-highdim test set 1.5x slower than 1 MiB
+# blocks, and 2 MiB blocks the dense-stream training set 1.5x slower.
+_BLOCK_BYTES = 1 << 20
 
 
 def quantize(X, bounds, q: int) -> np.ndarray:
@@ -34,13 +65,42 @@ def quantize(X, bounds, q: int) -> np.ndarray:
     return np.where(span, np.minimum((t * q).astype(np.int64), q - 1), 0)
 
 
-def encode_records(X, bounds, levels, signatures) -> np.ndarray:
-    """Encode (N, F) feature records against (Q, D) levels and (F, D)
-    signatures: H[n] = sum_f signatures[f] * levels[quantize(X)[n, f]].
+def record_tables(flips, signatures) -> tuple:
+    """The tables :func:`encode_records` reads, for the levels of `flips` =
+    (base, order, k) from :func:`hdwear.hv.level_flips` and (F, D) +-1
+    signatures, named as in the module docstring: (order, segments, q, W,
+    fixed).
 
-    The sum is held in the smallest signed integer type that holds +-F.
-    """
+    segments holds (s, k_{s-1}, k_s) for every nonempty segment, q is the
+    number of levels, W is (floor(D/2), F + 1) and fixed is sum_f U_f at
+    order[floor(D/2):].  W and fixed are held in the record dtype, the
+    smallest signed integer type that holds +-F; it also holds the +-2
+    entries of W."""
+    base, order, k = flips
     n_feat, dim = signatures.shape
+    if 3 * n_feat >= _FLOAT32_EXACT:
+        raise InvalidArgumentError(
+            f"{n_feat} features: the float32 products are exact only for 3F < {_FLOAT32_EXACT}"
+        )
+    # a signed type holds +F iff it holds -(F + 1)
+    dtype = np.min_scalar_type(-n_feat - 1)
+    flipped = order[: dim // 2]
+    W = np.empty((len(flipped), n_feat + 1), dtype=dtype)
+    np.multiply(signatures.T[flipped], -2 * base[flipped, None], out=W[:, :n_feat])
+    total = signatures.sum(axis=0, dtype=dtype) * base
+    W[:, n_feat] = total[flipped]
+    segments = tuple((s, a, b) for s, (a, b) in enumerate(zip(k[:-1], k[1:]), 1) if a < b)
+    return order, segments, len(k), W, total[order[dim // 2 :]]
+
+
+def encode_records(X, bounds, tables: tuple) -> np.ndarray:
+    """Encode (N, F) feature records: H[n] = sum_f S_f * L_{quantize(X)[n, f]},
+    as an (N, D) array in the tables' record dtype.
+
+    Row blocks of the output are filled transposed, one segment at a time,
+    with one float32 product each (see the module docstring)."""
+    order, segments, q, W, fixed = tables
+    n_feat, dim = W.shape[1] - 1, len(order)
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         X = X.reshape(0, n_feat)
@@ -48,11 +108,19 @@ def encode_records(X, bounds, levels, signatures) -> np.ndarray:
         raise InvalidArgumentError(f"expected (N, {n_feat}) features, got shape {X.shape}")
     if len(bounds) != n_feat:
         raise InvalidArgumentError("one (v_min, v_max) pair per feature required")
-    lv = quantize(X, bounds, len(levels))
-    # a signed type holds +F iff it holds -(F + 1)
-    H = np.zeros((len(X), dim), dtype=np.min_scalar_type(-n_feat - 1))
-    for f in range(n_feat):
-        H += (signatures[f] * levels)[lv[:, f]]
+    lv = quantize(X, bounds, q)
+    H = np.empty((len(lv), dim), dtype=W.dtype)
+    rows = max(1, min(len(lv), _BLOCK_BYTES // (dim * W.itemsize)))
+    Ht = np.empty((dim, rows), dtype=W.dtype)
+    Ht[order[len(W) :]] = fixed[:, None]  # never flipped: the same in every block
+    M = np.ones((n_feat + 1, rows), dtype=np.float32)  # the last row stays 1
+    for r0 in range(0, len(lv), rows):
+        lvT = lv[r0 : r0 + rows].T
+        ht, m = Ht[:, : lvT.shape[1]], M[:, : lvT.shape[1]]
+        for s, a, b in segments:
+            np.greater_equal(lvT, s, out=m[:n_feat])
+            ht[order[a:b]] = W[a:b].astype(np.float32) @ m
+        H[r0 : r0 + rows] = ht.T
     return H
 
 
@@ -102,17 +170,22 @@ def _in_range(n) -> bool:
 
 
 class FeatureEncoder:
-    """Level memory and one signature per feature for the feature-record
-    pipeline; signature i is random_hv(sensor_seed, i, dim)."""
+    """The encoding tables of one EncoderConfig: its level memory and one
+    signature per feature, signature i = random_hv(sensor_seed, i, dim)."""
 
     def __init__(self, config: EncoderConfig):
         if config.n_features == 0:
             raise InvalidArgumentError("encoder config carries no feature bounds")
         self.config = config
-        self.levels = make_level_memory(config.level_seed, config.dim, config.q_levels)
-        self.signatures = np.stack(
-            [random_hv(config.sensor_seed, i, config.dim) for i in range(config.n_features)]
-        )
+        flips = level_flips(config.level_seed, config.dim, config.q_levels)
+        self.tables = record_tables(flips, self.signatures)
+
+    @property
+    def signatures(self) -> np.ndarray:
+        """The (F, D) int8 signatures, drawn afresh on each access: the
+        encoder keeps only its tables."""
+        config = self.config
+        return random_hvs(config.sensor_seed, range(config.n_features), config.dim)
 
     def encode_matrix(self, X) -> np.ndarray:
-        return encode_records(X, self.config.feature_bounds, self.levels, self.signatures)
+        return encode_records(X, self.config.feature_bounds, self.tables)

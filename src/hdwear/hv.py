@@ -47,10 +47,26 @@ def random_hv(seed: int, stream_id: int, dim: int) -> np.ndarray:
     """Deterministic i.i.d. uniform +-1 int8 vector keyed by (seed, stream_id):
     component i is +1 iff bit i of the stream's first bytes (little-endian)
     is set."""
+    return random_hvs(seed, [stream_id], dim)[0]
+
+
+def random_hvs(seed: int, streams, dim: int) -> np.ndarray:
+    """(len(streams), D) int8 batch whose row j is random_hv(seed, streams[j], dim).
+
+    One Philox generator is re-keyed per stream instead of building
+    rng(seed, stream) each time (which gathers OS entropy it then ignores):
+    a fresh generator's 64-bit words, little-endian, are the bytes
+    Generator.bytes draws."""
     if dim <= 0:
         raise InvalidDimensionError(f"dim must be positive, got {dim}")
-    raw = np.frombuffer(rng(seed, stream_id).bytes((dim + 7) // 8), dtype=np.uint8)
-    return _bipolar(np.unpackbits(raw, bitorder="little", count=dim))
+    bits = rng(seed, 0).bit_generator
+    state = bits.state
+    words = np.empty((len(streams), (dim + 63) // 64), dtype="<u8")
+    for row, stream in zip(words, streams):
+        state["state"]["key"] = np.array([seed, check_seed(stream, "stream")], dtype=np.uint64)
+        bits.state = state
+        row[:] = bits.random_raw(len(row))
+    return _bipolar(np.unpackbits(words.view(np.uint8), axis=1, count=dim, bitorder="little"))
 
 
 def _bipolar(ones: np.ndarray) -> np.ndarray:
@@ -90,22 +106,35 @@ _LEVEL_BASE_STREAM = 0
 _LEVEL_ORDER_STREAM = 1
 
 
-def make_level_memory(seed: int, dim: int, q: int) -> np.ndarray:
-    """Q level vectors L_0..L_{Q-1} as a (Q, D) int8 array, with similarity
-    decaying in level distance.
+def level_flips(seed: int, dim: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws that define the level memory: (base, order, k).
 
-    L_i is L_0 negated at the first k_i = round(i * floor(D/2) / (Q-1))
-    indices of a fixed random flip order, so flips are nested: Hamming(L_i,
-    L_j) = |k_i - k_j|, monotone in |i - j|, and the endpoints differ in
-    exactly floor(D/2) components (near-orthogonal rather than
-    anti-correlated).
+    base is L_0, a (D,) +-1 int8 vector; order is a random permutation of
+    range(D), the flip order; k is the (Q,) nondecreasing int array
+    k_i = round(i * floor(D/2) / (Q-1)), from k_0 = 0 to k_{Q-1} = floor(D/2).
+    L_i is base negated at the components order[:k_i].
     """
     if q < 2:
         raise InvalidArgumentError(f"need at least 2 levels, got {q}")
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     base = random_hv(seed, _LEVEL_BASE_STREAM, dim)
-    rank = np.empty(dim, dtype=np.int64)
-    rank[rng(seed, _LEVEL_ORDER_STREAM).permutation(dim)] = np.arange(dim)
+    order = rng(seed, _LEVEL_ORDER_STREAM).permutation(dim)
     k = np.array([round(i * (dim // 2) / (q - 1)) for i in range(q)])
+    return base, order, k
+
+
+def make_level_memory(seed: int, dim: int, q: int) -> np.ndarray:
+    """Q level vectors L_0..L_{Q-1} as a (Q, D) int8 array, with similarity
+    decaying in level distance.
+
+    L_i is L_0 negated at the first k_i = round(i * floor(D/2) / (Q-1))
+    indices of a fixed random flip order (the draws of :func:`level_flips`),
+    so flips are nested: Hamming(L_i, L_j) = |k_i - k_j|, monotone in
+    |i - j|, and the endpoints differ in exactly floor(D/2) components
+    (near-orthogonal rather than anti-correlated).
+    """
+    base, order, k = level_flips(seed, dim, q)
+    rank = np.empty(dim, dtype=np.int64)
+    rank[order] = np.arange(dim)
     return base * _bipolar(rank >= k[:, None])

@@ -43,8 +43,9 @@ every miss re-scores the rest of its block, and on the benchmark's
 training sets (2-core VM) 64-row blocks retrained as fast (dense-stream)
 or 2.6x slower (wear-std), 256-row blocks 1.9x slower (dense-stream).
 :func:`train_iterative` checks its pairs once and keeps the checked
-blocks, in their own dtype, with their query norms and class indices for
-every epoch; it keeps no float64 copy of the training set.
+blocks, in their own dtype, with their class indices for every epoch; the
+query norms are taken once, from the first epoch's float64 cast of each
+block.  It keeps no float64 copy of the training set.
 
 Inputs are checked once, where they enter.  :class:`Model` is frozen, so
 its fields are checked only at construction and cannot be rebound later;
@@ -231,19 +232,15 @@ def train_online(model: Model, stream) -> Model:
     return model
 
 
-def retrain_epoch(model: Model, dataset) -> tuple[Model, int]:
-    """One pass updating only on mispredictions; later samples in the epoch
-    see earlier updates.  Returns (model, misprediction count)."""
-    return model, _retrain_pass(model, _retrain_blocks(model, dataset))
-
-
 def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int = 3) -> Model:
     """Retrain until the training misprediction count stops improving for
     `patience` consecutive epochs (or max_epochs); returns the epoch-end
     snapshot with the fewest mispredictions.
 
-    Every epoch visits the samples in dataset order.  The pairs are checked
-    once, before the first epoch (also when max_epochs is 0).
+    An epoch is one pass updating only on mispredictions; it visits the
+    samples in dataset order, and later samples see earlier updates.  The
+    pairs are checked once, before the first epoch (also when max_epochs
+    is 0).
     """
     for name, n in (("max_epochs", max_epochs), ("patience", patience)):
         if not isinstance(n, (int, np.integer)) or n < 0:
@@ -270,14 +267,13 @@ def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int =
 
 
 def _retrain_blocks(model: Model, pairs) -> list:
-    """(class indices, queries in their own dtype, query norms) per block of
-    labelled_blocks: what every retraining epoch reads."""
+    """[class indices, queries in their own dtype, query norms] per block of
+    labelled_blocks: what every retraining epoch reads.  The norms are
+    None until the first _retrain_pass takes them from the float64 cast it
+    makes of the block anyway."""
     truth, blocks = labelled_blocks(model, pairs)
     edges = range(_BLOCK_ROWS, len(truth), _BLOCK_ROWS)
-    return [
-        (t, H, np.linalg.norm(H.astype(np.float64), axis=1))
-        for t, H in zip(np.split(truth, edges), blocks)
-    ]
+    return [[t, H, None] for t, H in zip(np.split(truth, edges), blocks)]
 
 
 # The screen settles only queries whose norm lies in this range.  There no
@@ -331,8 +327,11 @@ def _retrain_pass(model: Model, blocks: list) -> int:
     M, norms = _class_rows(model)
     margin = _margin(model.dim)
     misses = 0
-    for truth, H, hn in blocks:
+    for block in blocks:
+        truth, H, hn = block
         Hf = H.astype(np.float64)
+        if hn is None:
+            hn = block[2] = np.linalg.norm(Hf, axis=1)
         C = _scaled(M @ Hf.T, norms, hn)
         j = 0
         while len(flagged := np.flatnonzero(~_settled(C[:, j:], truth[j:], hn[j:], margin))):

@@ -1,6 +1,7 @@
 """CSV loading, filtering, window features and labels, and splits."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -187,6 +188,12 @@ TEXTS = st.one_of(
     ),
     st.text(alphabet='ab ,;"#\t\r\n', max_size=5),
 )
+# cells longer than csv.field_size_limit(), which csv.reader refuses: a
+# number numpy's reader takes, a long line, and a quoted cell of short lines
+LIMIT = csv.field_size_limit()
+LONG_NUMBER = "0" * LIMIT + "1"
+LONG = "a" * (LIMIT + 1)
+LONG_LINES = "ab\n" * (LIMIT // 3 + 1)
 
 
 @st.composite
@@ -204,8 +211,16 @@ def csv_files(draw):
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     numbers = NUMBERS if clean else st.one_of(NUMBERS, NOT_NUMBERS)
 
+    # a quarter of the files hold one cell over csv.field_size_limit()
+    long_at = draw(st.sampled_from([None, None, None, 0]))
+    if long_at is not None:
+        long_at = draw(st.integers(0, 20))
+    n_cells = itertools.count()
+
     def cell(name):
         text = draw(numbers if name in channels else TEXTS)
+        if next(n_cells) == long_at:
+            text = LONG_NUMBER if name in channels else draw(st.sampled_from([LONG, LONG_LINES]))
         # a cell holding a delimiter, quote or line break is now and then left bare
         special = any(c in text for c in (delimiter, '"', "\n", "\r"))
         return quoted(text) if draw(st.integers(0, 9)) < (9 if special else 3) else text
@@ -258,9 +273,6 @@ def test_load_csv_equals_per_cell_loop(tmp_path_factory, case):
             assert np.array_equal(g.labels, w.labels)
 
 
-LONG = "a" * (csv.field_size_limit() + 1)
-
-
 @pytest.mark.parametrize(
     "text, where",
     [
@@ -268,9 +280,17 @@ LONG = "a" * (csv.field_size_limit() + 1)
         (f"v,act\n1,walk\n1,{LONG}\n2,oops\n", "row 2"),
         (f"v,act\n1,{LONG}\n2,oops\n", "row 1"),
         (f'v,act\n1,"{LONG}"\n', "row 1"),
+        (f'v,act\n1,"{LONG_LINES}"\n', "row 1"),
+        (f"v,act\n{LONG_NUMBER},walk\n", "row 1"),
+        (f"v,act,x\n1,walk,{LONG}\n", "row 1"),
+        (f"v,act,x\n1,walk,z\n2,run,{LONG}\n", "row 2"),
         (f"v,{LONG}\n1,walk\n", "header"),
     ],
-    ids=["label", "label-after-good-row", "label-before-bad-row", "quoted-label", "header"],
+    ids=[
+        "label", "label-after-good-row", "label-before-bad-row", "quoted-label",
+        "quoted-label-of-short-lines", "channel", "outside-schema", "outside-schema-row-2",
+        "header",
+    ],
 )
 def test_load_rejects_cell_over_csv_field_limit(tmp_path, text, where):
     # both readers agree: numpy's declines, and the loop names the row

@@ -1,5 +1,6 @@
 """Feature-record encoding: quantization, record encoding, FeatureEncoder."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdwear import encoding
 from hdwear import reference as ref
 from hdwear.datapipe import Recording, build_dataset
-from hdwear.encoding import EncoderConfig, FeatureEncoder, encode_records, quantize
+from hdwear.encoding import EncoderConfig, FeatureEncoder, encode_records, quantize, record_tables
 from hdwear.errors import InvalidArgumentError, InvalidDimensionError, InvalidSampleError
-from hdwear.hv import make_level_memory, random_hv, sign_quantize
+from hdwear.hv import level_flips, make_level_memory, random_hv, rng, sign_quantize
 
 D = 4096
+LEVEL_SEED, Q = 21, 16
 
 
 def cosine(a, b) -> float:
@@ -22,22 +25,38 @@ def cosine(a, b) -> float:
 
 @pytest.fixture(scope="module")
 def lm():
-    return make_level_memory(21, D, 16)
+    return make_level_memory(LEVEL_SEED, D, Q)
 
 
 def signatures(seed, count, dim=D):
     return np.stack([random_hv(seed, i, dim) for i in range(count)])
 
 
-def encode_one(features, bounds, lm, sigs):
+def encode(X, bounds, sigs, q=Q, seed=LEVEL_SEED):
+    """encode_records against make_level_memory(seed, dim, q) and sigs."""
+    return encode_records(X, bounds, record_tables(level_flips(seed, sigs.shape[1], q), sigs))
+
+
+def gather_encode(X, bounds, levels, sigs):
+    """The encoder before the nested tables, kept as their oracle: one
+    gather and add per feature, H[n] = sum_f sigs[f] * levels[lv[n, f]]."""
+    n_feat = len(sigs)
+    lv = quantize(np.asarray(X, dtype=np.float64).reshape(-1, n_feat), bounds, len(levels))
+    H = np.zeros((len(lv), sigs.shape[1]), dtype=np.min_scalar_type(-n_feat - 1))
+    for f in range(n_feat):
+        H += (sigs[f] * levels)[lv[:, f]]
+    return H
+
+
+def encode_one(features, bounds, sigs):
     """Encode a single record through the batch path."""
-    return encode_records([features], bounds, lm, sigs)[0]
+    return encode([features], bounds, sigs)[0]
 
 
-def record_at_levels(levels, lm, sigs):
-    """Encode a record whose feature i falls in level levels[i] of lm."""
-    q = len(lm)
-    return encode_one([lv + 0.5 for lv in levels], [(0.0, float(q))] * len(levels), lm, sigs)
+def record_at_levels(levels, sigs):
+    """Encode a record whose feature i falls in level levels[i] of the lm
+    fixture's levels."""
+    return encode_one([lv + 0.5 for lv in levels], [(0.0, float(Q))] * len(levels), sigs)
 
 
 def quantize_one(x, v_min, v_max, q):
@@ -107,7 +126,7 @@ def test_quantize_rejects_non_finite_anywhere_in_batch(bad):
     with pytest.raises(InvalidSampleError):
         quantize(X, [(0.0, 1.0)] * 3, 8)
     with pytest.raises(InvalidSampleError):
-        encode_records(X, [(0.0, 1.0)] * 3, make_level_memory(1, 64, 8), signatures(2, 3, 64))
+        encode(X, [(0.0, 1.0)] * 3, signatures(2, 3, 64), q=8, seed=1)
 
 
 # ----------------------------------------------------------- encode_records
@@ -116,36 +135,36 @@ def test_quantize_rejects_non_finite_anywhere_in_batch(bad):
 def test_feature_record_single(lm):
     sigs = signatures(32, 1)
     bounds = [(0.0, 1.0)]
-    acc = encode_one([0.3], bounds, lm, sigs)
+    acc = encode_one([0.3], bounds, sigs)
     lv = quantize_one(0.3, 0.0, 1.0, 16)
     assert np.array_equal(sign_quantize(acc, 0), sigs[0] * lm[lv])
 
 
-def test_feature_record_deterministic(lm):
+def test_feature_record_deterministic():
     sigs = signatures(32, 7)
     bounds = [(0.0, 1.0)] * 7
     rec = [0.1, 0.9, 0.4, 0.2, 0.8, 0.55, 0.0]
-    a = encode_one(rec, bounds, lm, sigs)
-    b = encode_one(rec, bounds, lm, sigs)
+    a = encode_one(rec, bounds, sigs)
+    b = encode_one(rec, bounds, sigs)
     assert np.array_equal(a, b)
 
 
-def test_feature_record_full_range_change(lm):
+def test_feature_record_full_range_change():
     sigs = signatures(32, 7)
     bounds = [(0.0, 1.0)] * 7
     rec = [0.1, 0.9, 0.4, 0.2, 0.8, 0.55, 0.0]
     moved = list(rec)
     moved[3] = 1.0  # full quantization range away
-    a = encode_one(rec, bounds, lm, sigs)
-    b = encode_one(moved, bounds, lm, sigs)
+    a = encode_one(rec, bounds, sigs)
+    b = encode_one(moved, bounds, sigs)
     assert cosine(a, b) < 0.9
 
 
-def test_feature_record_arity_mismatch(lm):
+def test_feature_record_arity_mismatch():
     with pytest.raises(InvalidArgumentError):
-        encode_one([0.1, 0.2], [(0, 1)] * 3, lm, signatures(32, 3))
+        encode_one([0.1, 0.2], [(0, 1)] * 3, signatures(32, 3))
     with pytest.raises(InvalidArgumentError):
-        encode_one([0.1, 0.2, 0.3], [(0, 1)] * 2, lm, signatures(32, 3))
+        encode_one([0.1, 0.2, 0.3], [(0, 1)] * 2, signatures(32, 3))
 
 
 @given(st.sampled_from([3, 77, 131]), st.integers(1, 9), st.integers(2, 9), st.data())
@@ -155,7 +174,7 @@ def test_encode_records_rows_match_reference(d, n_feat, q, data):
     sigs = signatures(6, n_feat, d)
     bounds = [(0.0, 1.0)] * n_feat
     X = [[data.draw(st.floats(-0.5, 1.5)) for _ in range(n_feat)] for _ in range(3)]
-    H = encode_records(X, bounds, lm, sigs)
+    H = encode(X, bounds, sigs, q=q, seed=5)
     assert H.shape == (3, d)
     for row, feats in zip(H, X):
         expect = [0.0] * d
@@ -172,36 +191,102 @@ def test_encode_records_saturated_sum_is_exact(n_feat, dtype):
     d = 77
     lm = make_level_memory(3, d, 4)
     sigs = np.ones((n_feat, d), dtype=np.int8)
-    H = encode_records(np.zeros((2, n_feat)), [(0.0, 1.0)] * n_feat, lm, sigs)
+    H = encode(np.zeros((2, n_feat)), [(0.0, 1.0)] * n_feat, sigs, q=4, seed=3)
     assert H.dtype == dtype
     assert np.array_equal(H, np.broadcast_to(n_feat * lm[0].astype(np.int64), (2, d)))
-    neg = encode_records(np.zeros((1, n_feat)), [(0.0, 1.0)] * n_feat, lm, -sigs)
+    neg = encode(np.zeros((1, n_feat)), [(0.0, 1.0)] * n_feat, -sigs, q=4, seed=3)
     assert np.array_equal(neg[0], -n_feat * lm[0].astype(np.int64))
 
 
-def test_encode_records_empty_batch(lm):
-    assert encode_records(np.empty((0,)), [(0.0, 1.0)] * 2, lm, signatures(1, 2)).shape == (0, D)
+def test_encode_records_empty_batch():
+    assert encode(np.empty((0,)), [(0.0, 1.0)] * 2, signatures(1, 2)).shape == (0, D)
+
+
+@given(
+    st.one_of(st.integers(2, 12), st.integers(13, 300)),
+    st.integers(2, 64),
+    st.sampled_from([1, 2, 7, 21, 127, 128, 140]),
+    st.sampled_from([0, 1, 2, 17, 40]),
+    st.integers(1, 4096),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_feature_encoder_equals_gather_loop(d, q, n_feat, n, block_bytes, seed):
+    # small D with many levels repeats k_q, so some segments are empty; F =
+    # 127/128 crosses the int8/int16 record dtype; a small row-block budget
+    # makes N span several blocks, and a partial last block
+    cfg = EncoderConfig(
+        dim=d, q_levels=q, level_seed=seed, sensor_seed=seed + 1,
+        feature_bounds=[(0.0, 1.0)] * n_feat,
+    )
+    X = rng(seed, 9).uniform(-0.2, 1.2, size=(n, n_feat))
+    expect = gather_encode(
+        X, cfg.feature_bounds, make_level_memory(seed, d, q), signatures(seed + 1, n_feat, d)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoding, "_BLOCK_BYTES", block_bytes)
+        got = FeatureEncoder(cfg).encode_matrix(X)
+    assert got.dtype == expect.dtype and got.shape == (n, d)
+    assert np.array_equal(got, expect)
+
+
+# sha256 of encode_matrix (as little-endian int64) on fixed records,
+# recorded from the gather loop the nested tables replaced
+GOLDEN = {
+    (10000, 140, 300): (
+        np.int16,
+        "b1b8e9f08d0821a6688aa705291177081051ceabf4c2398c5597bb7ca4bc4a23",
+    ),
+    (1024, 21, 1100): (
+        np.int8,
+        "7351cdfb66edc17d644e3805861c4ec51309001043d1b4d00f384aac5d23b24b",
+    ),
+}
+
+
+@pytest.mark.parametrize("dim, n_feat, n", list(GOLDEN))
+def test_encode_matrix_golden_digest(dim, n_feat, n):
+    # integer arithmetic throughout, so the digest is the same on every platform
+    X = rng(0, n_feat).uniform(-0.25, 1.25, size=(n, n_feat))
+    cfg = EncoderConfig(dim=dim, q_levels=16, feature_bounds=[(0.0, 1.0)] * n_feat)
+    H = FeatureEncoder(cfg).encode_matrix(X)
+    dtype, digest = GOLDEN[dim, n_feat, n]
+    assert H.dtype == dtype
+    assert hashlib.sha256(H.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def test_encoder_rejects_features_past_float32_exactness(monkeypatch):
+    # the products stay exact while 3F < 2**24, the first integer after
+    # which float32 skips one; a lowered bound shows the check without
+    # building millions of signatures
+    assert encoding._FLOAT32_EXACT == 2**24
+    assert np.float32(2**24 - 1) + np.float32(1) == 2**24
+    assert np.float32(2**24) + np.float32(1) == 2**24
+    monkeypatch.setattr(encoding, "_FLOAT32_EXACT", 30)
+    with pytest.raises(InvalidArgumentError, match="3F < 30"):
+        FeatureEncoder(EncoderConfig(dim=64, feature_bounds=[(0.0, 1.0)] * 10))
+    FeatureEncoder(EncoderConfig(dim=64, feature_bounds=[(0.0, 1.0)] * 9))
 
 
 def test_window_n1_is_level(lm):
     # a one-feature window bound with the identity signature is its level
-    acc = record_at_levels([5], lm, np.ones((1, D), dtype=np.int8))
+    acc = record_at_levels([5], np.ones((1, D), dtype=np.int8))
     assert np.array_equal(sign_quantize(acc, 0), lm[5])
 
 
-def test_window_changed_level_decorrelates(lm):
+def test_window_changed_level_decorrelates():
     # binding preserves similarity, so the cosine is cos(L_0, L_15) = 0 at even D
     sigs = signatures(33, 1)
-    base = record_at_levels([0], lm, sigs)
-    changed = record_at_levels([15], lm, sigs)
+    base = record_at_levels([0], sigs)
+    changed = record_at_levels([15], sigs)
     assert abs(cosine(base, changed)) < 0.1
 
 
-def test_window_level_locality(lm):
+def test_window_level_locality():
     # moving the feature's level further away never increases similarity
     sigs = signatures(33, 1)
-    base = record_at_levels([3], lm, sigs)
-    cosines = [cosine(base, record_at_levels([lv], lm, sigs)) for lv in range(3, 16)]
+    base = record_at_levels([3], sigs)
+    cosines = [cosine(base, record_at_levels([lv], sigs)) for lv in range(3, 16)]
     for earlier, later in zip(cosines, cosines[1:]):
         assert later <= earlier + 1e-12
 
@@ -212,16 +297,16 @@ def test_window_level_locality(lm):
 def test_multisensor_member_cosine(lm):
     # each bound member of a 2-feature bundle has cosine ~ 1/sqrt(2)
     sigs = signatures(31, 2)
-    acc = record_at_levels([2, 11], lm, sigs)
+    acc = record_at_levels([2, 11], sigs)
     assert cosine(acc, sigs[0] * lm[2]) > 0.4
     assert cosine(acc, sigs[1] * lm[11]) > 0.4
 
 
-def test_multisensor_position_sensitive(lm):
+def test_multisensor_position_sensitive():
     # swapping two sensors' values yields a dissimilar record
     sigs = signatures(31, 2)
-    orig = record_at_levels([0, 15], lm, sigs)
-    swapped = record_at_levels([15, 0], lm, sigs)
+    orig = record_at_levels([0, 15], sigs)
+    swapped = record_at_levels([15, 0], sigs)
     assert cosine(orig, swapped) < 0.2
 
 

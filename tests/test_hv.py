@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 from hdwear import reference as ref
 from hdwear.errors import InvalidArgumentError, InvalidDimensionError
-from hdwear.hv import make_level_memory, pack, random_hv, rng, sign_quantize
+from hdwear.hv import (
+    level_flips,
+    make_level_memory,
+    pack,
+    random_hv,
+    random_hvs,
+    rng,
+    sign_quantize,
+)
 
 D = 4096
 
@@ -63,6 +71,19 @@ def test_random_hv_zero_dim_rejected():
 def test_random_hv_negative_seed_rejected():
     with pytest.raises(InvalidArgumentError):
         random_hv(-1, 0, 8)
+
+
+@pytest.mark.parametrize("dim", [1, 63, 64, 65, 1000])
+def test_random_hvs_rows_are_the_streams_bytes(dim):
+    streams = [0, 3, 1, 2**33, 2**64 - 1]
+    batch = random_hvs(2**64 - 1, streams, dim)
+    assert batch.shape == (len(streams), dim) and batch.dtype == np.int8
+    for row, stream in zip(batch, streams):
+        raw = rng(2**64 - 1, stream).bytes((dim + 7) // 8)
+        assert row.tolist() == ref.random_components(raw, dim)
+    assert random_hvs(5, [], dim).shape == (0, dim)
+    with pytest.raises(InvalidArgumentError):
+        random_hvs(5, [0, -1], dim)
 
 
 def test_rng_is_philox_keyed_by_seed_and_stream():
@@ -241,6 +262,16 @@ def test_level_memory_is_q_by_d_bipolar():
 def test_level_memory_q_too_small():
     with pytest.raises(InvalidArgumentError):
         make_level_memory(8, 64, 1)
+
+
+@pytest.mark.parametrize("dim, q", [(2, 2), (7, 30), (100, 2), (513, 16)])
+def test_level_memory_is_base_negated_along_level_flips(dim, q):
+    base, order, k = level_flips(8, dim, q)
+    assert sorted(order.tolist()) == list(range(dim))
+    assert k[0] == 0 and k[-1] == dim // 2 and np.all(np.diff(k) >= 0)
+    for level, expect in zip(make_level_memory(8, dim, q), k):
+        flipped = np.flatnonzero(level != base)
+        assert sorted(flipped.tolist()) == sorted(order[:expect].tolist())
 
 
 # -------------------------------------------------------------- item memory

@@ -38,7 +38,6 @@ from hdwear.learning import (
     model_from_bytes,
     model_to_bytes,
     predict,
-    retrain_epoch,
     save_model,
     train_iterative,
     train_online,
@@ -213,7 +212,7 @@ def exact_misprediction_model(eta=0.5):
 def test_retrain_exact_equal_and_opposite_increments():
     m, H = exact_misprediction_model()
     before = m.class_matrix.copy().astype(np.float64)
-    _, misses = retrain_epoch(m, [(H, "l")])
+    misses = train_iterative(m, [(H, "l")], max_epochs=1).retrain_curve[0]
     after = m.class_matrix.astype(np.float64)
     assert misses == 1
     d_l = after[0] - before[0]
@@ -225,7 +224,7 @@ def test_retrain_exact_equal_and_opposite_increments():
 def test_retrain_margin_moves_both_ways():
     m, H = exact_misprediction_model(eta=1.0)
     s_before = similarities(m, H)
-    retrain_epoch(m, [(H, "l")])
+    train_iterative(m, [(H, "l")], max_epochs=1)
     s_after = similarities(m, H)
     assert s_after[0] > s_before[0]
     assert s_after[1] < s_before[1]
@@ -237,7 +236,7 @@ def test_retrain_correct_predictions_leave_model_untouched():
     data = [(h0, "c0"), (h1, "c1")]
     train_online(m, data)
     before = m.class_matrix.copy()
-    _, misses = retrain_epoch(m, data)
+    misses = train_iterative(m, data, max_epochs=1).retrain_curve[0]
     assert misses == 0
     assert np.array_equal(m.class_matrix, before)
 
@@ -252,7 +251,7 @@ def test_retrain_equal_similarity_miss_is_zero_magnitude():
     before = m.class_matrix.copy()
     # both classes have similarity 1; argmax tie-break picks index 0 = "a",
     # so label "b" is a (marginal) misprediction
-    _, misses = retrain_epoch(m, [(H, "b")])
+    misses = train_iterative(m, [(H, "b")], max_epochs=1).retrain_curve[0]
     assert misses == 1
     assert np.array_equal(m.class_matrix, before)
 
@@ -264,7 +263,7 @@ def test_retrain_changes_exactly_two_rows():
     before = m.class_matrix.copy()
     victim = hv_accum(10, 1)
     # mislabel the c1 prototype as c3 to force a misprediction
-    _, misses = retrain_epoch(m, [(victim, "c3")])
+    misses = train_iterative(m, [(victim, "c3")], max_epochs=1).retrain_curve[0]
     assert misses == 1
     changed = [i for i in range(4) if not np.array_equal(m.class_matrix[i], before[i])]
     assert changed == [1, 3]
@@ -284,7 +283,7 @@ def test_retrain_monotone_local_correction(seed):
     if sims[pi] <= sims[li]:  # needs a strict margin to shrink
         return
     margin_before = sims[pi] - sims[li]
-    retrain_epoch(m, [(H, f"c{li}")])
+    train_iterative(m, [(H, f"c{li}")], max_epochs=1)
     sims_after = similarities(m, H)
     assert sims_after[pi] - sims_after[li] < margin_before
 
@@ -338,7 +337,8 @@ def test_cached_class_rows_match_per_sample_recompute_bit_for_bit():
     data = [(h, f"c{c}") for h, c in zip(H, labels)]
     expect = make_model(n_classes=5, dim=257, eta=0.25)
     missed, _ = naive_training(expect, data)
-    got, misses = retrain_epoch(train_online(make_model(n_classes=5, dim=257, eta=0.25), data), data)
+    got = train_online(make_model(n_classes=5, dim=257, eta=0.25), data)
+    misses = train_iterative(got, data, max_epochs=1).retrain_curve[0]
     assert misses == len(missed[0]) > 20
     assert np.array_equal(got.class_matrix.view(np.uint32), expect.class_matrix.view(np.uint32))
 
@@ -436,7 +436,7 @@ def test_screened_retraining_equals_per_sample_oracle(case):
 
     got = model.copy()
     for misses, snapshot in zip(curve, snapshots):
-        assert retrain_epoch(got, data)[1] == misses
+        assert train_iterative(got, data, max_epochs=1).retrain_curve == [misses]
         assert np.array_equal(got.class_matrix.view(np.uint32), snapshot.view(np.uint32))
 
     out = train_iterative(model, data, max_epochs=SCREEN_EPOCHS, patience=SCREEN_EPOCHS)
@@ -461,7 +461,7 @@ def test_row_refresh_equals_a_fresh_cast_bit_for_bit():
 
 def test_retrain_untrained_model_rejected():
     with pytest.raises(ModelNotTrainedError):
-        retrain_epoch(make_model(), [(hv_accum(11, 0), "c0")])
+        train_iterative(make_model(), [(hv_accum(11, 0), "c0")], max_epochs=1)
 
 
 # ----------------------------------------------------------- train_iterative
@@ -511,7 +511,7 @@ def test_iterative_keeps_best_epoch():
     data = linearly_separable(15)
     train_online(m, data)
     out = train_iterative(m, data, max_epochs=10, patience=9)
-    _, misses_now = retrain_epoch(out.copy(), data)
+    misses_now = train_iterative(out.copy(), data, max_epochs=1).retrain_curve[0]
     assert misses_now <= max(out.retrain_curve)
 
 
@@ -806,6 +806,7 @@ def test_model_rejects_bad_eta(eta):
         make_model(eta=eta)
 
 
+# "retrain_epoch" is one retraining epoch: train_iterative(max_epochs=1)
 @pytest.mark.parametrize("call", ["train_online", "retrain_epoch", "model_to_bytes"])
 @pytest.mark.parametrize("eta", [math.nan, 0.0, -1.0])
 def test_eta_set_after_construction_rejected(eta, call):
@@ -816,11 +817,11 @@ def test_eta_set_after_construction_rejected(eta, call):
     assert m.eta == 0.25
     assert np.array_equal(m.class_matrix.view(np.uint32), before.view(np.uint32))
     # the rejected value reaches neither training nor the model file; the
-    # "walk" prototype labelled "run" is a miss for retrain_epoch
+    # "walk" prototype labelled "run" is a miss for one retraining epoch
     data = [(hv_accum(20, 0, 256), "run")]
     run = {
         "train_online": lambda m: train_online(m, data).class_matrix.tobytes(),
-        "retrain_epoch": lambda m: retrain_epoch(m, data)[0].class_matrix.tobytes(),
+        "retrain_epoch": lambda m: train_iterative(m, data, max_epochs=1).class_matrix.tobytes(),
         "model_to_bytes": model_to_bytes,
     }[call]
     assert run(m) == run(untouched) != before.tobytes()
@@ -858,6 +859,7 @@ BAD_PAIRS = {
 }
 
 
+# "retrain_epoch" is one retraining epoch: train_iterative(max_epochs=1)
 @pytest.mark.parametrize("call", ["train_online", "retrain_epoch", "train_iterative"])
 @pytest.mark.parametrize("kind", list(BAD_PAIRS))
 @pytest.mark.parametrize("at", [0, 17, 40])
@@ -871,7 +873,7 @@ def test_bad_pair_in_training_stream_leaves_model_unchanged(call, kind, at):
     data.insert(at, pair)
     run = {
         "train_online": lambda: train_online(m, iter(data)),
-        "retrain_epoch": lambda: retrain_epoch(m, data),
+        "retrain_epoch": lambda: train_iterative(m, data, max_epochs=1),
         "train_iterative": lambda: train_iterative(m, data, max_epochs=3),
     }[call]
     with pytest.raises(error):
