@@ -17,6 +17,8 @@ per uint64 word, so that for packed operands
 
     dot(a, b) = D - 2 * popcount(pack(a) XOR pack(b)).
 
+:func:`pack_sign` packs the majority sign of bundles straight into words.
+
 All randomness in hdwear comes from :func:`rng`, a counter-based Philox
 stream keyed by (seed, stream): what it draws depends only on those two
 integers, never on platform, thread count, or call order.
@@ -77,29 +79,40 @@ def _bipolar(ones: np.ndarray) -> np.ndarray:
 def pack(hvs) -> np.ndarray:
     """Pack (..., D) bipolar vectors into (..., W) uint64 words, W = ceil(D/64).
 
-    Component i is bit i % 64 of word i // 64 (set <=> component > 0); the
-    W*64 - D padding bits are always zero.  This is the only place that knows
-    the layout.
+    Component i is bit i % 64 of word i // 64 (set <=> component > 0, so a
+    bool array packs its True components); the W*64 - D padding bits are
+    always zero.  This is the only place that knows the layout.
     """
     hvs = np.asarray(hvs)
-    dim = hvs.shape[-1]
-    bits = np.zeros(hvs.shape[:-1] + (64 * ((dim + 63) // 64),), dtype=bool)
-    bits[..., :dim] = hvs > 0
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    ones = np.packbits(hvs if hvs.dtype == bool else hvs > 0, axis=-1, bitorder="little")
+    words = np.zeros(hvs.shape[:-1] + (8 * ((hvs.shape[-1] + 63) // 64),), dtype=np.uint8)
+    words[..., : ones.shape[-1]] = ones
+    return words.view("<u8")
 
 
 _TIE_STREAM = 0
 
 
+def _sign_bits(acc: np.ndarray, tie_seed: int) -> np.ndarray:
+    """acc > 0, except that exact zeros take the tie coin of their component
+    index, drawn once and only if acc has a zero."""
+    ones = acc > 0
+    zero = acc == 0
+    if zero.any():
+        ones |= zero & (random_hv(tie_seed, _TIE_STREAM, acc.shape[-1]) > 0)
+    return ones
+
+
 def sign_quantize(acc, tie_seed: int) -> np.ndarray:
     """Majority sign of (..., D) accumulators as +-1 int8; exact zeros take a
     deterministic coin that depends only on (tie_seed, component index)."""
-    acc = np.asarray(acc)
-    out = _bipolar(acc > 0)
-    zero = acc == 0
-    if zero.any():
-        out = np.where(zero, random_hv(tie_seed, _TIE_STREAM, acc.shape[-1]), out)
-    return out
+    return _bipolar(_sign_bits(np.asarray(acc), tie_seed))
+
+
+def pack_sign(acc, tie_seed: int) -> np.ndarray:
+    """pack(sign_quantize(acc, tie_seed)), bit for bit, packed straight from
+    the sign bits: no +-1 array in between and no second compare over one."""
+    return pack(_sign_bits(np.asarray(acc), tie_seed))
 
 
 _LEVEL_BASE_STREAM = 0

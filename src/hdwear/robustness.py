@@ -1,30 +1,51 @@
 """1-bit model quantization and bit-flip fault injection.
 
 The stored class vectors are sign-quantized to single bits and held as
-(K, W) uint64 words (:func:`hdwear.hv.pack`).  :func:`robustness_sweep`
+(K, W) uint64 words (:func:`hdwear.hv.pack_sign`).  :func:`robustness_sweep`
 checks its (H, label) pairs with :func:`hdwear.learning.labelled_blocks`,
 the boundary training and :func:`hdwear.learning.evaluate` use too: a
 label the model lacks raises ``UnknownClassError`` and a non-finite query
 ``InvalidSampleError`` (neither is ever scored), and, as in ``evaluate``,
-an empty test set raises ``EmptyDatasetError``.  It quantizes the queries
-in their own dtype with the model's tie seed and packs them the same way
-once, block by block, into one (N, W) array that every trial shares.
-Ranking then reduces to popcounts, dot = D - 2 * popcount(query XOR
-class), so the nearest class in Hamming distance wins.  Injections negate
-an exact number of uniformly chosen (class, component) positions,
-round(rate * K * D), sampled without replacement; rate 0 draws none but
-checks the trial seed all the same.
+an empty test set raises ``EmptyDatasetError``.  Its seed, trial count and
+rates are checked before any work, and a bad one raises
+``InvalidArgumentError``.
+
+Ranking reduces to popcounts, dot = D - 2 * popcount(query XOR class), so
+the nearest class in Hamming distance wins, ties to the lowest index.  The
+sweep packs the queries once, block by block with the model's tie seed,
+and keeps them transposed as (W, N) words, so that each class word meets
+all N queries in one contiguous row: per class, one XOR and one popcount
+into reused (W, N) buffers, then a sum over the W rows into a (K, N)
+distance buffer.  The distances accumulate in the narrowest unsigned type
+that holds D, which no distance exceeds because padding bits are zero on
+both sides.
+
+An injection negates an exact number of uniformly chosen (class,
+component) positions, round(rate * K * D), sampled without replacement by
+the trial seed's Philox stream; rate 0 draws none but checks the trial
+seed all the same.  The drawn positions set a fresh (K, D) bool mask that
+:func:`hdwear.hv.pack` turns into the (K, W) flip words, padding bits
+zero.  The sweep XORs them in through :func:`inject_bitflips` itself: a
+freshly zeroed mask costs less than clearing the drawn positions of a
+reused one.
+
+So every row is identical by construction to the plain path, which packs
+a bool mask per trial, XORs it into the class words and sums int64
+popcounts one class at a time: the Philox draws are the same calls, the
+flip words the same bits, the distances the same integers (a popcount sum
+is exact in any type that holds D), and ``argmin`` keeps the lowest-index
+tie rule.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidArgumentError, ModelNotTrainedError
-from .hv import pack, rng, sign_quantize
+from .hv import check_seed, pack, pack_sign, rng
 from .learning import Model, labelled_blocks
 
 TABLE4_RATES = (0.01, 0.02, 0.04, 0.06, 0.10, 0.12)
@@ -45,25 +66,29 @@ def quantize_model(model: Model) -> BinaryModel:
         raise ModelNotTrainedError("cannot quantize an untrained model")
     return BinaryModel(
         dim=model.dim,
-        class_words=pack(sign_quantize(model.class_matrix, model.encoder.tie_seed)),
+        class_words=pack_sign(model.class_matrix, model.encoder.tie_seed),
     )
 
 
 _FLIP_STREAM = 2**33
 
 
+def _check_rate(rate) -> None:
+    if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and 0.0 <= rate <= 1.0):
+        raise InvalidArgumentError(f"rate must be a real in [0, 1], got {rate!r}")
+
+
 def inject_bitflips(bm: BinaryModel, rate: float, trial_seed: int) -> BinaryModel:
     """Flip exactly round(rate * K * D) distinct stored bits, chosen
     uniformly without replacement; returns a corrupted copy."""
-    if not (isinstance(rate, numbers.Real) and 0.0 <= rate <= 1.0):
-        raise InvalidArgumentError(f"rate must be a real in [0, 1], got {rate!r}")
+    _check_rate(rate)
     k = len(bm.class_words)
     total = k * bm.dim
     n_flips = round(rate * total)
     positions = rng(trial_seed, _FLIP_STREAM).choice(total, size=n_flips, replace=False)
     flips = np.zeros(total, dtype=bool)
     flips[positions] = True
-    return replace(bm, class_words=bm.class_words ^ pack(flips.reshape(k, bm.dim)))
+    return BinaryModel(bm.dim, bm.class_words ^ pack(flips.reshape(k, bm.dim)))
 
 
 @dataclass
@@ -90,16 +115,6 @@ class RobustnessReport:
         ]
 
 
-def _binary_accuracy(bm: BinaryModel, queries: np.ndarray, truth: np.ndarray) -> float:
-    """Accuracy of packed (N, W) queries whose true class indices are
-    `truth`.  Scores one class at a time; the nearest class in Hamming
-    distance wins, ties to the lowest index."""
-    dist = np.empty((len(queries), len(bm.class_words)), dtype=np.int64)
-    for ci, words in enumerate(bm.class_words):
-        dist[:, ci] = np.bitwise_count(queries ^ words).sum(axis=1, dtype=np.int64)
-    return int(np.count_nonzero(dist.argmin(axis=1) == truth)) / len(truth)
-
-
 def _trial_seed(sweep_seed: int, rate_idx: int, trial: int) -> int:
     ss = np.random.SeedSequence(entropy=sweep_seed, spawn_key=(rate_idx, trial))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -114,22 +129,36 @@ def robustness_sweep(
 ) -> RobustnessReport:
     """Quantize once, then for each rate run `trials` independent injections
     and evaluate each corrupted model on the test set."""
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise InvalidArgumentError(f"trials must be an integer >= 1, got {trials!r}")
+    check_seed(seed)
     rates = list(rates)
+    for rate in rates:
+        _check_rate(rate)
     bm = quantize_model(model)
     truth, blocks = labelled_blocks(model, test_set)
     if not len(truth):
         raise EmptyDatasetError("no (H, label) pairs to score")
-    queries = np.concatenate([pack(sign_quantize(H, model.encoder.tie_seed)) for H in blocks])
-    acc_clean = _binary_accuracy(bm, queries, truth)
+    # the queries as (W, N) words and the buffers every trial reuses
+    qt = np.empty((bm.class_words.shape[1], len(truth)), dtype=np.uint64)
+    np.concatenate([pack_sign(H, model.encoder.tie_seed).T for H in blocks], axis=1, out=qt)
+    xor = np.empty_like(qt)
+    count = np.empty(qt.shape, dtype=np.uint8)
+    dist = np.empty((len(bm.class_words), len(truth)), dtype=np.min_scalar_type(bm.dim))
+
+    def accuracy(class_words: np.ndarray) -> float:
+        for words, row in zip(class_words, dist):
+            np.bitwise_xor(qt, words[:, None], out=xor)
+            np.bitwise_count(xor, out=count)
+            np.add.reduce(count, axis=0, out=row)
+        return int(np.count_nonzero(dist.argmin(axis=0) == truth)) / len(truth)
+
+    acc_clean = accuracy(bm.class_words)
     mean_acc = np.zeros(len(rates))
     sd_acc = np.zeros(len(rates))
     for ri, rate in enumerate(rates):
         accs = [
-            _binary_accuracy(
-                inject_bitflips(bm, rate, _trial_seed(seed, ri, t)), queries, truth
-            )
+            accuracy(inject_bitflips(bm, rate, _trial_seed(seed, ri, t)).class_words)
             for t in range(trials)
         ]
         mean_acc[ri] = np.mean(accs)

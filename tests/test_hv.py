@@ -15,6 +15,7 @@ from hdwear.hv import (
     level_flips,
     make_level_memory,
     pack,
+    pack_sign,
     random_hv,
     random_hvs,
     rng,
@@ -227,6 +228,21 @@ def test_sign_quantize_matches_reference():
     assert got.tolist() == ref.sign_quantize(comps.tolist(), coin)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.float64])
+@pytest.mark.parametrize("d", [1, 63, 65, 77, 130])
+def test_pack_sign_is_pack_of_sign_quantize(d, dtype):
+    # sums of two +-1 vectors: exact zeros (ties) in about half the components
+    acc = np.stack([random_hv(31, i, d) + random_hv(32, i, d) for i in range(5)]).astype(dtype)
+    coin = random_hv(7, 0, d).tolist()
+    want = pack([ref.sign_quantize(row.tolist(), coin) for row in acc])
+    got = pack_sign(acc, tie_seed=7)
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+    assert np.array_equal(got, pack(sign_quantize(acc, tie_seed=7)))
+    assert np.array_equal(pack_sign(acc[0], tie_seed=7), want[0])
+    bits = np.unpackbits(got.view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, d:].any()
+
+
 # ------------------------------------------------------------- level memory
 
 
@@ -383,6 +399,8 @@ def test_pack_bit_i_is_component_i_and_padding_is_zero(d):
         assert ref.random_components(raw, d) == v.tolist()
         padding = [(raw[i // 8] >> (i % 8)) & 1 for i in range(d, 8 * len(raw))]
         assert not any(padding)
+    # a bool array packs its True components
+    assert np.array_equal(pack(hvs > 0), words)
     # an all-(+1) batch sets every valid bit and nothing else
     ones = pack(np.ones((2, d), dtype=np.int8))
     assert int(np.bitwise_count(ones).sum()) == 2 * d

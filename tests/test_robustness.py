@@ -13,9 +13,15 @@ from hdwear.errors import (
     ModelNotTrainedError,
     UnknownClassError,
 )
-from hdwear.hv import pack, random_hv, sign_quantize
+from hdwear.hv import pack, random_hv, rng, sign_quantize
 from hdwear.learning import Model, evaluate, predict, train_iterative, train_online
-from hdwear.robustness import TABLE4_RATES, inject_bitflips, quantize_model, robustness_sweep
+from hdwear.robustness import (
+    TABLE4_RATES,
+    RobustnessReport,
+    inject_bitflips,
+    quantize_model,
+    robustness_sweep,
+)
 
 D = 4096
 
@@ -162,7 +168,7 @@ def test_non_finite_or_non_real_query_rejected_alike(score):
 @pytest.mark.parametrize(
     "call, value",
     [
-        ("trials", 2.5), ("trials", 0), ("trials", None), ("trials", "2"),
+        ("trials", 2.5), ("trials", 0), ("trials", None), ("trials", "2"), ("trials", True),
         ("max_epochs", -1), ("max_epochs", 2.5), ("max_epochs", None),
         ("patience", -1), ("patience", 1.0), ("patience", "3"),
     ],
@@ -235,11 +241,24 @@ def test_inject_leaves_original_untouched():
 def test_inject_rate_out_of_range():
     m, _ = trained_model(dim=256)
     bm = quantize_model(m)
-    for bad in (-0.1, 1.1, float("nan"), "0.1", None):
+    for bad in (-0.1, 1.1, float("nan"), "0.1", None, True):
         with pytest.raises(InvalidArgumentError):
             inject_bitflips(bm, bad, trial_seed=0)
+    for rates in ([0.1, "x"], [True]):
+        with pytest.raises(InvalidArgumentError):
+            robustness_sweep(m, trained_model(dim=256)[1], rates=rates, trials=1)
+        # checked before any work: an empty test set is never looked at
+        with pytest.raises(InvalidArgumentError):
+            robustness_sweep(m, [], rates=rates, trials=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", None])
+def test_sweep_seed_rejected(seed):
+    m, data = trained_model(n_classes=2, dim=130)
     with pytest.raises(InvalidArgumentError):
-        robustness_sweep(m, trained_model(dim=256)[1], rates=[0.1, "x"], trials=1)
+        robustness_sweep(m, data, rates=[0.1], trials=1, seed=seed)
+    # the largest Philox key word is a seed like any other
+    robustness_sweep(m, data, rates=[0.1], trials=1, seed=2**64 - 1)
 
 
 def test_inject_negative_trial_seed_rejected():
@@ -277,3 +296,108 @@ def test_sweep_report_rows_shape():
     rate, mean_acc, sd, loss = rows[1]
     assert rate == 0.1
     assert loss == pytest.approx(rep.acc_clean - mean_acc)
+
+
+# ------------------------------------------------------- the sweep's oracle
+# The plain path the sweep replaced, kept as its reference: one bool flip
+# mask per trial, packed and XORed into the class words, then one int64
+# popcount sum per class and the lowest-index argmin.
+
+
+def oracle_trial_seed(seed, rate_idx, trial):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(rate_idx, trial))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def oracle_flip_mask(k, dim, rate, trial_seed):
+    """(K, D) bool mask of round(rate * K * D) distinct positions drawn from
+    the trial seed's flip stream."""
+    total = k * dim
+    positions = rng(trial_seed, 2**33).choice(total, size=round(rate * total), replace=False)
+    mask = np.zeros(total, dtype=bool)
+    mask[positions] = True
+    return mask.reshape(k, dim)
+
+
+def oracle_accuracy(class_words, queries, truth):
+    dist = np.empty((len(queries), len(class_words)), dtype=np.int64)
+    for ci, words in enumerate(class_words):
+        dist[:, ci] = np.bitwise_count(queries ^ words).sum(axis=1, dtype=np.int64)
+    return int(np.count_nonzero(dist.argmin(axis=1) == truth)) / len(truth)
+
+
+def oracle_sweep(m, pairs, rates, trials, seed):
+    tie = m.encoder.tie_seed
+    class_words = pack(sign_quantize(m.class_matrix, tie))
+    queries = pack(sign_quantize(np.array([h for h, _ in pairs]), tie))
+    truth = np.array([m.classes.index(label) for _, label in pairs])
+    k = len(m.classes)
+    mean_acc, sd_acc = np.zeros(len(rates)), np.zeros(len(rates))
+    for ri, rate in enumerate(rates):
+        accs = [
+            oracle_accuracy(
+                class_words ^ pack(oracle_flip_mask(k, m.dim, rate, oracle_trial_seed(seed, ri, t))),
+                queries,
+                truth,
+            )
+            for t in range(trials)
+        ]
+        mean_acc[ri], sd_acc[ri] = np.mean(accs), np.std(accs)
+    acc_clean = oracle_accuracy(class_words, queries, truth)
+    return RobustnessReport(list(rates), acc_clean, mean_acc, sd_acc, trials, seed)
+
+
+def sweep_pairs(m, n, dtype):
+    """Each class's prototype (at rate 1 its own class is at distance D),
+    then n queries that are a prototype plus three +-1 vectors: exact
+    zeros, ties for the coin, in about 3/8 of the components."""
+    k = len(m.classes)
+    protos = [random_hv(60, i, m.dim) for i in range(k)]  # trained_model's data
+    noisy = [
+        protos[i % k] + random_hv(63, i, m.dim) + random_hv(64, i, m.dim) + random_hv(65, i, m.dim)
+        for i in range(n)
+    ]
+    labels = list(m.classes) + [m.classes[i % k] for i in range(n)]
+    return [(h.astype(dtype), label) for h, label in zip(protos + noisy, labels)]
+
+
+def check_sweep_against_oracle(m, pairs, rates, trials, seed=5):
+    got = robustness_sweep(m, pairs, rates=rates, trials=trials, seed=seed)
+    want = oracle_sweep(m, pairs, rates, trials, seed)
+    assert repr(got.rows()) == repr(want.rows())
+    assert got.acc_clean == want.acc_clean
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.float64])
+@pytest.mark.parametrize("dim", [65, 130, 255, 256, 1000, 4096])
+def test_sweep_rows_equal_oracle(dim, dtype):
+    m, _ = trained_model(n_classes=3, dim=dim)
+    check_sweep_against_oracle(m, sweep_pairs(m, 37, dtype), [0.0, 0.05, 0.3, 0.45, 1.0], trials=3)
+
+
+def test_sweep_rows_equal_oracle_past_uint16_distances():
+    # D > 2**16 - 1: at rate 1 each prototype is D bits from its own class
+    m, _ = trained_model(n_classes=2, dim=2**16 + 1)
+    check_sweep_against_oracle(m, sweep_pairs(m, 2, np.int8), [0.0, 0.5, 1.0], trials=2)
+
+
+def test_sweep_identical_class_rows_go_to_lowest_index():
+    m, data = trained_model(n_classes=3, dim=130)
+    m.class_matrix[1] = m.class_matrix[0]
+    # class 1's prototype is as near to class 0 as to its own class
+    assert robustness_sweep(m, [(data[1][0], "c0")], rates=[0.0], trials=1).acc_clean == 1.0
+    check_sweep_against_oracle(m, sweep_pairs(m, 20, np.int16), [0.0, 0.1, 1.0], trials=4)
+
+
+@pytest.mark.parametrize("dim", [77, 130])
+@pytest.mark.parametrize("rate", [0.0, 0.01, 0.33, 1.0])
+def test_inject_flips_the_oracle_mask_and_no_padding(dim, rate):
+    bm = quantize_model(trained_model(n_classes=3, dim=dim)[0])
+    corrupted = inject_bitflips(bm, rate, trial_seed=12)
+    flipped = np.unpackbits(
+        (corrupted.class_words ^ bm.class_words).view(np.uint8), axis=1, bitorder="little"
+    ).astype(bool)
+    mask = oracle_flip_mask(3, dim, rate, 12)
+    assert np.array_equal(flipped[:, :dim], mask)
+    assert not flipped[:, dim:].any()
+    assert np.count_nonzero(mask) == round(rate * 3 * dim)
