@@ -31,7 +31,7 @@ from .errors import (
     SchemaError,
     UnknownSubjectError,
 )
-from .hv import rng
+from .hv import check_int, rng
 
 FEATURE_STATS = ("mean", "std", "min", "max", "rms", "mad", "zcross")
 
@@ -47,6 +47,8 @@ class CsvSchema:
     delimiter: str = ","
 
     def __post_init__(self):
+        if isinstance(self.channels, str):
+            raise SchemaError(f"channels must be a list of column names, got {self.channels!r}")
         if not self.channels:
             raise SchemaError("schema needs at least one channel column")
         if len(set(self.channels)) != len(self.channels):
@@ -133,8 +135,11 @@ def load_csv(path, schema: CsvSchema) -> list:
     which raises CsvParseError (row and column named), SchemaError or
     EmptyInputError, or accepts what float() accepts and numpy does not
     (such as "1_0" or non-ASCII digits).  Both read the same text from the
-    same open file, and numpy's float parser gives float()'s values, so the
-    result does not depend on which of them read the file.
+    same open file, numpy's float parser gives float()'s values, and both
+    yield the same columns: the (N, C) float64 channel matrix and the raw
+    label and subject cells.  One function, _recordings, strips those cells
+    and groups the rows into Recordings, so the result does not depend on
+    which reader read the file.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -161,16 +166,17 @@ def _read(fh, path, schema: CsvSchema) -> list:
         raise SchemaError(f"{path}: missing columns {missing}; header {header}")
     col = {name: header.index(name) for name in wanted}
     first_row = fh.tell()
-    recordings = _read_columns(fh, path, schema, col)
-    if recordings is None:
+    columns = _read_columns(fh, path, schema, col)
+    if columns is None:
         fh.seek(first_row)
-        recordings = _read_cells(fh, path, schema, col)
-    return recordings
+        columns = _read_cells(fh, path, schema, col)
+    return _recordings(*columns, schema)
 
 
-def _read_columns(fh, path, schema: CsvSchema, col: dict) -> list | None:
-    """load_csv's fast path: the Recordings of the rows from fh's position
-    on, read with np.loadtxt, or None to leave the file to _read_cells."""
+def _read_columns(fh, path, schema: CsvSchema, col: dict) -> tuple | None:
+    """load_csv's fast path: the rows from fh's position on, read with
+    np.loadtxt, as _read_cells returns them, or None to leave the file to
+    _read_cells."""
     if schema.delimiter in '"\r\n':  # delimiters numpy's reader does not take
         return None
     start = fh.tell()
@@ -200,32 +206,38 @@ def _read_columns(fh, path, schema: CsvSchema, col: dict) -> list | None:
         return None
     if not len(values) or not np.isfinite(values).all():
         return None
-    text = [np.array([s.strip() for s in cells], dtype=object) for cells in text]
-    labels = text[0] if schema.label else None
+    return values, text
 
+
+def _recordings(values: np.ndarray, text, schema: CsvSchema) -> list:
+    """Group the rows of both readers into Recordings.
+
+    values is the (N, C) float64 channel matrix, channels in schema order;
+    text holds the raw label and subject cells (in that order, each column
+    present only when the schema names it).  The cells are stripped;
+    subjects keep the order of their first row, rows keep file order within
+    a subject, each channel is one contiguous float64 array, labels are a
+    str array sized to the longest label of its subject, and a file without
+    a subject column is the one subject "default"."""
+    text = [np.array([s.strip() for s in cells], dtype=object) for cells in text]
     if schema.subject:
         names, first, codes = np.unique(text[-1], return_index=True, return_inverse=True)
         by_first = np.argsort(first)  # unique subjects in order of their first row
         codes = np.argsort(by_first)[codes]  # each row's subject, numbered in that order
-        order = np.argsort(codes, kind="stable")
-        names, counts = names[by_first], np.bincount(codes)
-        values = values[order]
-        labels = None if labels is None else labels[order]
+        order = np.argsort(codes, kind="stable")  # rows by subject, in file order within one
+        names, rows = names[by_first], np.split(order, np.cumsum(np.bincount(codes))[:-1])
     else:
-        names, counts = ["default"], [len(values)]
-    # one contiguous float64 array per channel, like np.array(list of floats)
-    series = np.ascontiguousarray(values.T)
-    recordings = []
-    for name, end, n in zip(names, np.cumsum(counts), counts):
-        span = slice(end - n, end)
-        recordings.append(
-            Recording(
-                subject_id=name,
-                channels={ch: series[j, span] for j, ch in enumerate(schema.channels)},
-                labels=None if labels is None else labels[span].astype(str),
-            )
+        names, rows = ["default"], [np.arange(len(values))]
+    labels = text[0] if schema.label else None
+    # each gather is one new contiguous array, so values is the only other copy
+    return [
+        Recording(
+            subject_id=name,
+            channels={ch: values[own, j] for j, ch in enumerate(schema.channels)},
+            labels=None if labels is None else labels[own].astype(str),
         )
-    return recordings
+        for name, own in zip(names, rows)
+    ]
 
 
 # The long-cell pre-check reads the file in chunks of about this many bytes.
@@ -255,25 +267,20 @@ def _may_hold_long_cell(path) -> bool:
     return False
 
 
-def _read_cells(fh, path, schema: CsvSchema, col: dict) -> list:
-    """load_csv's per-cell loop and its only error path: the Recordings of
-    the rows from fh's position on, or the error that names the bad row."""
+def _read_cells(fh, path, schema: CsvSchema, col: dict) -> tuple:
+    """load_csv's per-cell loop and its only error path: the rows from fh's
+    position on as the (N, C) float64 channel matrix and the label and
+    subject cells, or the error that names the bad row."""
     n_cells = max(col.values()) + 1
-    per_subject: dict[str, dict] = {}
-    n_rows = 0
+    text_cols = [col[c] for c in (schema.label, schema.subject) if c]
+    values, text = [], []
     for row_no, row in _numbered_rows(fh, path, schema.delimiter):
         if not row or all(not cell.strip() for cell in row):
             continue
-        n_rows += 1
         if len(row) < n_cells:
             raise CsvParseError(
                 f"{path}: row {row_no}: {len(row)} cells, the schema needs {n_cells}"
             )
-        subject = row[col[schema.subject]].strip() if schema.subject else "default"
-        bucket = per_subject.setdefault(
-            subject,
-            {ch: [] for ch in schema.channels} | {"labels": []},
-        )
         for ch in schema.channels:
             cell = row[col[ch]].strip()
             try:
@@ -287,24 +294,11 @@ def _read_cells(fh, path, schema: CsvSchema, col: dict) -> list:
                 raise CsvParseError(
                     f"{path}: row {row_no}, column {ch!r}: non-finite value {cell!r}"
                 )
-            bucket[ch].append(value)
-        bucket["labels"].append(
-            row[col[schema.label]].strip() if schema.label else None
-        )
-
-    if n_rows == 0:
+            values.append(value)
+        text.append([row[c] for c in text_cols])
+    if not text:
         raise EmptyInputError(f"{path}: no data rows")
-    recordings = []
-    for subject, bucket in per_subject.items():
-        labels = bucket.pop("labels")
-        recordings.append(
-            Recording(
-                subject_id=subject,
-                channels={ch: np.array(vals) for ch, vals in bucket.items()},
-                labels=None if labels and labels[0] is None else np.array(labels),
-            )
-        )
-    return recordings
+    return np.array(values).reshape(len(text), -1), list(zip(*text))
 
 
 def _numbered_rows(fh, path, delimiter: str):
@@ -323,8 +317,7 @@ def moving_average(signal, window_len: int) -> np.ndarray:
     """Centered moving average; windows truncate at the edges, so output
     length equals input length.  For even lengths the window extends one
     sample further to the right."""
-    if window_len < 1:
-        raise InvalidArgumentError(f"window_len must be >= 1, got {window_len}")
+    check_int(window_len, "window_len", 1)
     x = np.asarray(signal, dtype=np.float64)
     if window_len == 1:
         return x.copy()
@@ -339,8 +332,8 @@ def moving_average(signal, window_len: int) -> np.ndarray:
 
 
 def _check_window(window_samples: int, stride: int) -> None:
-    if window_samples < 1 or stride < 1:
-        raise InvalidArgumentError("window_samples and stride must be >= 1")
+    check_int(window_samples, "window_samples", 1)
+    check_int(stride, "stride", 1)
 
 
 def window_features(x, window_samples: int, stride: int) -> np.ndarray:

@@ -31,12 +31,19 @@ import numpy as np
 from .errors import InvalidArgumentError, InvalidDimensionError
 
 
+def check_int(n, what: str, low: int = 0, high: int | float = np.inf) -> int:
+    """Return `n` if it is an integer in [low, high), Python or numpy but not
+    bool; raise InvalidArgumentError otherwise.  Seeds, counts and window
+    sizes all pass through here."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not low <= n < high:
+        raise InvalidArgumentError(f"{what} must be an integer in [{low}, {high}), got {n!r}")
+    return n
+
+
 def check_seed(seed, what: str = "seed") -> int:
     """Return `seed` if it is an integer in [0, 2**64), the range of one
     Philox key word; raise InvalidArgumentError otherwise."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise InvalidArgumentError(f"{what} must be an integer in [0, 2**64), got {seed!r}")
-    return seed
+    return check_int(seed, what, 0, 2**64)
 
 
 def rng(seed: int, stream: int) -> np.random.Generator:

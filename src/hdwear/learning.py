@@ -85,6 +85,7 @@ from .errors import (
     UnknownClassError,
     UnsupportedVersionError,
 )
+from .hv import check_int
 
 MAGIC = b"HDWM"
 FORMAT_VERSION = 1
@@ -242,9 +243,8 @@ def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int =
     pairs are checked once, before the first epoch (also when max_epochs
     is 0).
     """
-    for name, n in (("max_epochs", max_epochs), ("patience", patience)):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise InvalidArgumentError(f"{name} must be an integer >= 0, got {n!r}")
+    check_int(max_epochs, "max_epochs")
+    check_int(patience, "patience")
     blocks = _retrain_blocks(model, dataset)
     best = model.copy()
     best_misses = None

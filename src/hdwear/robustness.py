@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidArgumentError, ModelNotTrainedError
-from .hv import check_seed, pack, pack_sign, rng
+from .hv import check_int, check_seed, pack, pack_sign, rng
 from .learning import Model, labelled_blocks
 
 TABLE4_RATES = (0.01, 0.02, 0.04, 0.06, 0.10, 0.12)
@@ -129,8 +129,7 @@ def robustness_sweep(
 ) -> RobustnessReport:
     """Quantize once, then for each rate run `trials` independent injections
     and evaluate each corrupted model on the test set."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise InvalidArgumentError(f"trials must be an integer >= 1, got {trials!r}")
+    check_int(trials, "trials", 1)
     check_seed(seed)
     rates = list(rates)
     for rate in rates:

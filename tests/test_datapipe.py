@@ -85,6 +85,10 @@ def test_load_missing_column(tmp_path):
     p = write(tmp_path, "v\n1.0\n")
     with pytest.raises(SchemaError, match="missing"):
         load_csv(p, CsvSchema(channels=["v", "missing_ch"]))
+    # a str would be read one character per column: "ab" as a and b
+    for channels in ("ab", "acc", "v"):
+        with pytest.raises(SchemaError, match="channels must be a list"):
+            CsvSchema(channels=channels)
 
 
 def test_load_empty_file(tmp_path):
@@ -153,6 +157,19 @@ def test_load_interleaved_subjects_keep_row_order(tmp_path):
         for r in recs:
             rows = [i for i, s in enumerate(subjects) if s == r.subject_id]
             assert r.channels["v"].tolist() == rows
+
+
+def test_load_labels_sized_per_subject(tmp_path):
+    # each subject's labels are as wide as its own longest label, not the
+    # file's; padded subject cells name the same subject
+    p = write(tmp_path, "v,act,subj\n1,a,s2\n2,walking, s1\n3, bb ,s2 \n4,run,s1\n")
+    schema = CsvSchema(channels=["v"], label="act", subject="subj")
+    for load in (load_csv, per_cell_loop):
+        recs = load(p, schema)
+        assert [r.subject_id for r in recs] == ["s2", "s1"]
+        assert [r.channels["v"].tolist() for r in recs] == [[1.0, 3.0], [2.0, 4.0]]
+        assert [r.labels.dtype for r in recs] == [np.dtype("<U2"), np.dtype("<U7")]
+        assert [r.labels.tolist() for r in recs] == [["a", "bb"], ["walking", "run"]]
 
 
 def per_cell_loop(path, schema):
@@ -424,7 +441,10 @@ def test_segment_count_closed_form(n, window, stride):
     assert len(build_dataset([rec(labels=["x"] * n, n=n)], ["a", "b"], window, stride)) == expected
 
 
-@pytest.mark.parametrize("window, stride", [(0, 1), (1, 0), (-1, 1)])
+@pytest.mark.parametrize(
+    "window, stride",
+    [(0, 1), (1, 0), (-1, 1), (3.5, 1), (2, 2.0), (True, 1), (2, False), (None, 1), ("2", 1)],
+)
 def test_window_geometry_rejected(window, stride):
     with pytest.raises(InvalidArgumentError):
         window_features(np.arange(5.0), window, stride)
@@ -612,8 +632,9 @@ def test_random_split_reproducible():
 
 
 def test_split_negative_seed_rejected():
-    with pytest.raises(InvalidArgumentError):
-        split_random(make_ds([[0.0], [1.0]]), -1)
+    for seed in (-1, True, False):
+        with pytest.raises(InvalidArgumentError):
+            split_random(make_ds([[0.0], [1.0]]), seed)
     with pytest.raises(InvalidArgumentError):
         split_leave_one_subject_out(subject_ds(), "s1", seed=-1)
 
@@ -704,7 +725,9 @@ def test_build_dataset_rejects_empty_channel_order():
         build_dataset([], [], 4, 2)
 
 
-@pytest.mark.parametrize("window, stride", [(0, 1), (1, 0)])
+@pytest.mark.parametrize(
+    "window, stride", [(0, 1), (1, 0), (3.5, 1), (4, 2.0), (True, 1), (4, False)]
+)
 def test_build_dataset_bad_geometry(window, stride):
     with pytest.raises(InvalidArgumentError):
         build_dataset([], ["a"], window, stride)
@@ -720,5 +743,16 @@ def test_build_dataset_labels_feed_model_round_trip():
 
 
 def test_build_dataset_rejects_bad_smooth():
-    with pytest.raises(InvalidArgumentError):
-        build_dataset([rec(n=10)], ["a"], 5, 5, smooth=0)
+    for smooth in (0, 2.5, True, None):
+        with pytest.raises(InvalidArgumentError):
+            build_dataset([rec(n=10)], ["a"], 5, 5, smooth=smooth)
+        with pytest.raises(InvalidArgumentError):
+            moving_average(np.arange(5.0), smooth)
+
+
+def test_window_geometry_takes_numpy_integers():
+    want = build_dataset([rec(n=10)], ["a"], 4, 2, smooth=3)
+    got = build_dataset([rec(n=10)], ["a"], np.int64(4), np.int32(2), smooth=np.int64(3))
+    assert np.array_equal(got.X, want.X)
+    x = np.arange(5.0)
+    assert np.array_equal(moving_average(x, np.int64(2)), moving_average(x, 2))

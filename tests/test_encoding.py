@@ -375,7 +375,7 @@ def test_feature_encoder_signature_streams():
 
 
 @pytest.mark.parametrize("field", ["level_seed", "sensor_seed", "tie_seed"])
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, False])
 def test_encoder_config_rejects_bad_seed(field, seed):
     with pytest.raises(InvalidArgumentError):
         EncoderConfig(feature_bounds=[(0.0, 1.0)], **{field: seed})

@@ -93,7 +93,7 @@ def test_rng_is_philox_keyed_by_seed_and_stream():
     assert rng(2**64 - 1, 2**33).bytes(16) == expect
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, None])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, None, True, False, np.True_])
 def test_rng_rejects_bad_seed_and_stream(seed):
     with pytest.raises(InvalidArgumentError):
         rng(seed, 0)

@@ -169,8 +169,9 @@ def test_non_finite_or_non_real_query_rejected_alike(score):
     "call, value",
     [
         ("trials", 2.5), ("trials", 0), ("trials", None), ("trials", "2"), ("trials", True),
-        ("max_epochs", -1), ("max_epochs", 2.5), ("max_epochs", None),
-        ("patience", -1), ("patience", 1.0), ("patience", "3"),
+        ("trials", np.True_),
+        ("max_epochs", -1), ("max_epochs", 2.5), ("max_epochs", None), ("max_epochs", True),
+        ("patience", -1), ("patience", 1.0), ("patience", "3"), ("patience", False),
     ],
 )
 def test_count_arguments_rejected(call, value):
@@ -252,7 +253,7 @@ def test_inject_rate_out_of_range():
             robustness_sweep(m, [], rates=rates, trials=1)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", None])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", None, True, False])
 def test_sweep_seed_rejected(seed):
     m, data = trained_model(n_classes=2, dim=130)
     with pytest.raises(InvalidArgumentError):
