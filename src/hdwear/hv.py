@@ -26,17 +26,21 @@ integers, never on platform, thread count, or call order.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidDimensionError
 
 
-def check_int(n, what: str, low: int = 0, high: int | float = np.inf) -> int:
+def check_int(
+    n, what: str, low: int = 0, high: int | float = np.inf, error=InvalidArgumentError
+) -> int:
     """Return `n` if it is an integer in [low, high), Python or numpy but not
-    bool; raise InvalidArgumentError otherwise.  Seeds, counts and window
-    sizes all pass through here."""
+    bool; raise `error` (InvalidArgumentError by default) otherwise.  Seeds,
+    counts, dimensions and window sizes all pass through here."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not low <= n < high:
-        raise InvalidArgumentError(f"{what} must be an integer in [{low}, {high}), got {n!r}")
+        raise error(f"{what} must be an integer in [{low}, {high}), got {n!r}")
     return n
 
 
@@ -48,8 +52,23 @@ def check_seed(seed, what: str = "seed") -> int:
 
 def rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed by (seed, stream); both must lie in [0, 2**64)."""
-    key = np.array([check_seed(seed), check_seed(stream, "stream")], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return next(rngs([(seed, stream)]))
+
+
+def rngs(keys) -> Iterator[np.random.Generator]:
+    """rng(seed, stream) for each (seed, stream) of keys in turn, as one
+    Philox generator re-keyed in place; each is valid until the next is
+    drawn.  Building a generator gathers OS entropy that the key then
+    overrides (about 20 us on a 2-core VM); a re-key sets the key in a fresh
+    generator's state (about 3 us), so it draws what a generator built with
+    that key draws."""
+    gen = np.random.Generator(np.random.Philox(key=0))
+    fresh = gen.bit_generator.state
+    for seed, stream in keys:
+        key = [check_seed(seed), check_seed(stream, "stream")]
+        fresh["state"]["key"] = np.array(key, dtype=np.uint64)
+        gen.bit_generator.state = fresh
+        yield gen
 
 
 def random_hv(seed: int, stream_id: int, dim: int) -> np.ndarray:
@@ -62,19 +81,13 @@ def random_hv(seed: int, stream_id: int, dim: int) -> np.ndarray:
 def random_hvs(seed: int, streams, dim: int) -> np.ndarray:
     """(len(streams), D) int8 batch whose row j is random_hv(seed, streams[j], dim).
 
-    One Philox generator is re-keyed per stream instead of building
-    rng(seed, stream) each time (which gathers OS entropy it then ignores):
-    a fresh generator's 64-bit words, little-endian, are the bytes
-    Generator.bytes draws."""
-    if dim <= 0:
-        raise InvalidDimensionError(f"dim must be positive, got {dim}")
-    bits = rng(seed, 0).bit_generator
-    state = bits.state
+    The streams are drawn through :func:`rngs`: a fresh generator's 64-bit
+    words, little-endian, are the bytes Generator.bytes draws."""
+    check_int(dim, "dim", 1, error=InvalidDimensionError)
+    check_seed(seed)
     words = np.empty((len(streams), (dim + 63) // 64), dtype="<u8")
-    for row, stream in zip(words, streams):
-        state["state"]["key"] = np.array([seed, check_seed(stream, "stream")], dtype=np.uint64)
-        bits.state = state
-        row[:] = bits.random_raw(len(row))
+    for row, gen in zip(words, rngs((seed, stream) for stream in streams)):
+        row[:] = gen.bit_generator.random_raw(len(row))
     return _bipolar(np.unpackbits(words.view(np.uint8), axis=1, count=dim, bitorder="little"))
 
 
@@ -134,10 +147,8 @@ def level_flips(seed: int, dim: int, q: int) -> tuple[np.ndarray, np.ndarray, np
     k_i = round(i * floor(D/2) / (Q-1)), from k_0 = 0 to k_{Q-1} = floor(D/2).
     L_i is base negated at the components order[:k_i].
     """
-    if q < 2:
-        raise InvalidArgumentError(f"need at least 2 levels, got {q}")
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
+    check_int(q, "q", 2)
+    check_int(dim, "dim", 2, error=InvalidDimensionError)
     base = random_hv(seed, _LEVEL_BASE_STREAM, dim)
     order = rng(seed, _LEVEL_ORDER_STREAM).permutation(dim)
     k = np.array([round(i * (dim // 2) / (q - 1)) for i in range(q)])

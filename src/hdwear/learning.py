@@ -17,35 +17,55 @@ round-trips bit-exactly); each retrain increment is computed once and
 applied with both signs, so the two touched rows move by exact
 component-wise negatives.
 
-One cosine kernel, :func:`_cosines`, scores a single query or an (N, D)
-batch (:func:`predict`, :func:`evaluate`) against float64 class rows and
-their norms; the batched design follows Torchhd (Heddes et al., JMLR
-2023).  Training is sequential by design (each sample sees every earlier
-update), so a pass takes the float64 rows and norms once and refreshes only
-the rows it updates.  This gives the same scores as re-taking every row per
+Every score is a matrix product of float64 operands, scaled by
+:func:`_scaled` (0 where a class row or the query has norm 0): a block of
+at most _BLOCK_ROWS queries against all class rows for :func:`predict`,
+:func:`evaluate` and the retraining screen (the batched design follows
+Torchhd, Heddes et al., JMLR 2023), one query against all class rows for
+the per-sample steps.  Each call allocates its float64 operands once, on
+64-byte boundaries, and reuses them: the class rows (:func:`_class_rows`)
+and one (_BLOCK_ROWS, D) buffer that each block of queries is copied into.
+A per-sample step scores a row of that buffer as it is; the rows start on
+64-byte boundaries too whenever D is a multiple of 8.  The results do not
+depend on alignment, only the speed does (see _class_rows).  Every norm
+comes from one row-wise reduction, :func:`_norms`, and a row of a
+C-contiguous block reduces to the same norm as the row alone, so a
+query's norm is taken once, with its block's.
+
+Training is sequential by design (each sample sees every earlier update),
+so a pass takes the float64 rows and norms once and refreshes only the
+rows it updates.  This gives the same scores as re-taking every row per
 sample: a refreshed row is the exact float64 cast of its float32 row, its
 norm comes from the same row-wise reduction as the whole-matrix norms, a
 single query is scored by the same matrix-vector product, and the norm of
-an integer encoding is exact in any summation order.
+an integer encoding is exact in any summation order.  The online step
+needs only the true class's cosine.  It takes dots[l] / (norms[l] * |h|)
+from that product, or 0 when the product of the norms is not positive,
+in Python float arithmetic: the same IEEE double multiply and divide that
+_scaled applies element-wise, so the result equals _scaled's entry by
+construction.  It still computes the whole matrix-vector product, since
+a dot product with the true row alone is not promised the same summation
+order.
 
 Retraining screens before it scores.  Each block of at most _BLOCK_ROWS
-queries is scored against the current rows with one matrix product; a
-query whose own-class cosine beats every other class by more than
+queries is scored against the current rows with one matrix product; a query
+whose own-class cosine beats every other class by more than
 :func:`_margin`, 8 (D + 2) eps, is a hit under any summation order (the
 bound is in _margin's docstring), so it is settled and changes nothing.
 Every other query (a predicted miss or a near-tie) goes through the exact
-per-sample step (_cosines on that one query, argmax, two _add calls),
-which keeps its decision and increment bit for bit; after an update only
-the two touched rows are re-scored for the rest of the block.  So the
-class matrix and the miss counts equal those of scoring every sample
-alone, on any input.  Blocks stay at the 16 rows that evaluation shares:
-every miss re-scores the rest of its block, and on the benchmark's
-training sets (2-core VM) 64-row blocks retrained as fast (dense-stream)
-or 2.6x slower (wear-std), 256-row blocks 1.9x slower (dense-stream).
-:func:`train_iterative` checks its pairs once and keeps the checked
-blocks, in their own dtype, with their class indices for every epoch; the
-query norms are taken once, from the first epoch's float64 cast of each
-block.  It keeps no float64 copy of the training set.
+per-sample step (the matrix-vector product of its row of the block, scaled
+by its norm, argmax, two _add calls), which keeps its decision and increment
+bit for bit; after an update only the two touched rows are re-scored for
+the rest of the block.  So the class matrix and the miss counts equal those
+of scoring every sample alone, on any input.  Blocks stay at the 16 rows
+that evaluation shares: every miss re-scores the rest of its block, and on
+the benchmark's training sets (2-core VM) 64-row blocks retrained as fast
+(dense-stream) or 2.6x slower (wear-std), 256-row blocks 1.9x slower
+(dense-stream).  :func:`train_iterative` checks its pairs once and keeps the
+checked blocks, in their own dtype, with their class indices for every
+epoch; the screen's constants (the query norms, the one-hot of the true
+classes and each query's margin) are taken once, from the first epoch's
+float64 copy of each block.  It keeps no float64 copy of the training set.
 
 Inputs are checked once, where they enter.  :class:`Model` is frozen, so
 its fields are checked only at construction and cannot be rebound later;
@@ -183,15 +203,43 @@ class Model:
 # re-casts the whole (K, D) matrix and re-takes all K norms per sample; on a
 # 2-core VM that made the dense-stream benchmark's train_s 5-18% slower than
 # a dedicated single-row scorer, and with it train_s is 0.63-0.73x of that.
+# The rows are copied into a 64-byte-aligned buffer, as every float64 query
+# operand below is.  With one OpenBLAS thread on a 2-core VM (best of 7),
+# (6, 1024) @ (1024, 16) took 4.6 us with both operands 64-byte aligned and
+# 8.0-8.3 us at an 8-, 16- or 32-byte offset; (4, 4096) @ (4096, 16) took
+# 10.1 us against 18.2-21.6 us.  A fresh cast lands wherever malloc puts
+# it, so the speed of every score followed the heap's history.  The
+# products' results do not depend on the alignment, only their speed.
 def _class_rows(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    M = model.class_matrix.astype(np.float64)
-    return M, np.linalg.norm(M, axis=1)
+    M = _aligned(model.class_matrix.shape)
+    M[...] = model.class_matrix
+    return M, _norms(M)
 
 
-def _cosines(M: np.ndarray, norms: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Cosine of a (D,) query or (N, D) batch against every class row, as
-    (K,) or (K, N); a zero-norm row or query scores 0."""
-    return _scaled(M @ h.T, norms, np.linalg.norm(h, axis=-1))
+def _aligned(shape: tuple) -> np.ndarray:
+    """Uninitialised C-contiguous float64 array of the given shape whose data
+    starts on a 64-byte boundary (numpy's own data start on 8 at least)."""
+    raw = np.empty(math.prod(shape) + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + math.prod(shape)].reshape(shape)
+
+
+def _float_blocks(dim: int, blocks) -> Iterator[np.ndarray]:
+    """Each (n, D) block of at most _BLOCK_ROWS queries as float64, copied
+    into one aligned buffer that is reused; a block is valid until the next
+    one is drawn."""
+    buf = _aligned((_BLOCK_ROWS, dim))
+    for H in blocks:
+        Hf = buf[: len(H)]
+        Hf[...] = H
+        yield Hf
+
+
+def _norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of float64 A, reduced exactly as
+    np.linalg.norm(A, axis=-1) reduces them; a row of a C-contiguous block
+    reduces as the same row alone."""
+    return np.sqrt(np.add.reduce(A * A, axis=-1))
 
 
 def _scaled(dots: np.ndarray, norms: np.ndarray, hn) -> np.ndarray:
@@ -206,16 +254,7 @@ def _add(model: Model, M: np.ndarray, norms: np.ndarray, row: int, inc: np.ndarr
     and norm, by the same row-wise reduction as _class_rows."""
     model.class_matrix[row] += inc
     M[row] = model.class_matrix[row]
-    norms[row] = np.linalg.norm(M[row : row + 1], axis=1)[0]
-
-
-def _float_rows(model: Model, pairs):
-    """(class index, float64 query) per pair, in order, all checked by
-    labelled_blocks before the first is yielded.  Rows are cast one at a
-    time: casting each (16, D) block at once made a wide-highdim retrain
-    epoch up to 1.9x slower on a 2-core VM."""
-    truth, blocks = labelled_blocks(model, pairs)
-    return zip(truth.tolist(), (h.astype(np.float64) for H in blocks for h in H))
+    norms[row] = _norms(M[row])
 
 
 def train_online(model: Model, stream) -> Model:
@@ -224,12 +263,20 @@ def train_online(model: Model, stream) -> Model:
     Each (H, label) moves only the true class row, by H scaled by how much
     new information it carries: eta * (1 - delta).  An empty stream is a
     no-op.  Mutates and returns model."""
-    rows = _float_rows(model, stream)
+    truth, blocks = labelled_blocks(model, stream)
     M, norms = _class_rows(model)
-    for li, h in rows:
-        delta = _cosines(M, norms, h)[li]
-        if delta != 1.0:
-            _add(model, M, norms, li, (model.eta * (1.0 - delta) * h).astype(np.float32))
+    eta = float(model.eta)
+    # Norms are taken per block: for 16 rows at D = 1024 that took 25 us,
+    # against 89 us row by row (copy and norm; one thread, 2-core VM).  At
+    # D = 10000 the block leaves the L2 cache and is the slower, 239 us
+    # against 218 us.
+    edges = range(_BLOCK_ROWS, len(truth), _BLOCK_ROWS)
+    for t, Hf in zip(np.split(truth, edges), _float_blocks(model.dim, blocks)):
+        for li, hn, h in zip(t.tolist(), _norms(Hf).tolist(), Hf):
+            den = float(norms[li]) * hn
+            delta = float((M @ h)[li]) / den if den > 0 else 0.0
+            if delta != 1.0:
+                _add(model, M, norms, li, (eta * (1.0 - delta) * h).astype(np.float32))
     return model
 
 
@@ -267,10 +314,12 @@ def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int =
 
 
 def _retrain_blocks(model: Model, pairs) -> list:
-    """[class indices, queries in their own dtype, query norms] per block of
-    labelled_blocks: what every retraining epoch reads.  The norms are
-    None until the first _retrain_pass takes them from the float64 cast it
-    makes of the block anyway."""
+    """[class indices, queries in their own dtype, screen constants] per
+    block of labelled_blocks: what every retraining epoch reads.  The
+    screen constants (query norms, the (K, n) one-hot of the true classes,
+    and each query's margin for _settled) are None until the first
+    _retrain_pass takes them from the float64 copy it makes of the block
+    anyway."""
     truth, blocks = labelled_blocks(model, pairs)
     edges = range(_BLOCK_ROWS, len(truth), _BLOCK_ROWS)
     return [[t, H, None] for t, H in zip(np.split(truth, edges), blocks)]
@@ -304,16 +353,14 @@ def _margin(dim: int) -> float:
     return 8.0 * (dim + 2) * float(np.finfo(np.float64).eps)
 
 
-def _settled(C: np.ndarray, truth: np.ndarray, hn: np.ndarray, margin: float) -> np.ndarray:
+def _settled(C: np.ndarray, own: np.ndarray, margins: np.ndarray) -> np.ndarray:
     """Which queries (columns of the screened cosines C) are sure hits: their
-    own class beats every other by more than margin, and their norm is in
-    the range where _margin's bound holds.  A NaN score settles nothing."""
-    cols = np.arange(len(truth))
-    own = C[truth, cols]
-    rivals = C.copy()
-    rivals[truth, cols] = -np.inf
-    lo, hi = _SCREEN_NORMS
-    return (own > rivals.max(axis=0) + margin) & (hn >= lo) & (hn <= hi)
+    own class (the True entry of their column of own) beats every other by
+    more than their margin, which is _margin where the query's norm lies in
+    _SCREEN_NORMS and NaN elsewhere.  A NaN score or margin settles nothing;
+    a NaN margin, unlike inf, also adds to a rival of -inf (the only rival
+    of a one-class model) without an invalid-value warning."""
+    return C.T[own.T] > np.where(own, -np.inf, C).max(axis=0) + margins
 
 
 def _retrain_pass(model: Model, blocks: list) -> int:
@@ -326,18 +373,21 @@ def _retrain_pass(model: Model, blocks: list) -> int:
         raise ModelNotTrainedError("retraining starts from a trained model")
     M, norms = _class_rows(model)
     margin = _margin(model.dim)
+    lo, hi = _SCREEN_NORMS
     misses = 0
-    for block in blocks:
-        truth, H, hn = block
-        Hf = H.astype(np.float64)
-        if hn is None:
-            hn = block[2] = np.linalg.norm(Hf, axis=1)
+    for block, Hf in zip(blocks, _float_blocks(model.dim, (H for _, H, _ in blocks))):
+        truth, _, screen = block
+        if screen is None:
+            hn = _norms(Hf)
+            own = truth == np.arange(model.n_classes)[:, None]
+            screen = block[2] = (hn, own, np.where((hn >= lo) & (hn <= hi), margin, np.nan))
+        hn, own, margins = screen
         C = _scaled(M @ Hf.T, norms, hn)
         j = 0
-        while len(flagged := np.flatnonzero(~_settled(C[:, j:], truth[j:], hn[j:], margin))):
+        while len(flagged := np.flatnonzero(~_settled(C[:, j:], own[:, j:], margins[j:]))):
             j += int(flagged[0])
-            li, h = int(truth[j]), H[j].astype(np.float64)
-            sims = _cosines(M, norms, h)
+            li, h = int(truth[j]), Hf[j]
+            sims = _scaled(M @ h, norms, hn[j])
             pi = int(np.argmax(sims))
             if pi != li:
                 misses += 1
@@ -350,7 +400,9 @@ def _retrain_pass(model: Model, blocks: list) -> int:
     return misses
 
 
-# Rows scored per step.  Casting the whole wide-highdim benchmark test set
+# Rows scored per matrix product; each call copies every block into one
+# aligned (_BLOCK_ROWS, D) float64 buffer (1.25 MiB at D = 10000) instead
+# of casting it afresh.  Casting the whole wide-highdim benchmark test set
 # (D = 10000) to float64 at once raised peak RSS from about 73.5 to
 # 81.7-95.3 MiB, past the benchmark's 10% bound; 16-row blocks measured
 # 74.4-74.9 MiB.
@@ -396,24 +448,24 @@ def predict(model: Model, H) -> np.ndarray:
     (N, D) batch, as (N,) int64; ties resolve to the lowest class index and
     a zero-norm class or query scores 0.  A row that is not real or has a
     non-finite component raises InvalidSampleError, as in labelled_blocks."""
-    rows = _trained_rows(model)
     h = np.asarray(H)
     if h.ndim != 2 or h.shape[1] != model.dim:
         raise DimensionMismatchError(f"query batch shape {h.shape} != (N, {model.dim})")
     _check_real(h)
-    return _best(rows, h)
+    return _best(model, np.split(h, range(_BLOCK_ROWS, len(h), _BLOCK_ROWS)))
 
 
-def _trained_rows(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    """_class_rows of a model that has been trained."""
+def _best(model: Model, blocks) -> np.ndarray:
+    """Most similar class index per row of checked query blocks of at most
+    _BLOCK_ROWS rows, as (N,) int64; each block is scored from one aligned
+    float64 buffer."""
     if not model.is_trained:
         raise ModelNotTrainedError("model has not been trained")
-    return _class_rows(model)
-
-
-def _best(rows: tuple[np.ndarray, np.ndarray], h: np.ndarray) -> np.ndarray:
-    """Most similar class index per row of a checked (N, D) batch."""
-    return _cosines(*rows, h.astype(np.float64, copy=False)).argmax(axis=0)
+    M, norms = _class_rows(model)
+    best = [np.empty(0, dtype=np.int64)]
+    for Hf in _float_blocks(model.dim, blocks):
+        best.append(_scaled(M @ Hf.T, norms, _norms(Hf)).argmax(axis=0))
+    return np.concatenate(best)
 
 
 @dataclass
@@ -432,8 +484,7 @@ def evaluate(model: Model, dataset) -> EvalReport:
     truth, blocks = labelled_blocks(model, dataset)
     if not len(truth):
         raise EmptyDatasetError("no (H, label) pairs to score")
-    rows = _trained_rows(model)
-    pred = np.concatenate([_best(rows, H) for H in blocks])
+    pred = _best(model, blocks)
     k = model.n_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (truth, pred), 1)

@@ -25,9 +25,11 @@ component) positions, round(rate * K * D), sampled without replacement by
 the trial seed's Philox stream; rate 0 draws none but checks the trial
 seed all the same.  The drawn positions set a fresh (K, D) bool mask that
 :func:`hdwear.hv.pack` turns into the (K, W) flip words, padding bits
-zero.  The sweep XORs them in through :func:`inject_bitflips` itself: a
-freshly zeroed mask costs less than clearing the drawn positions of a
-reused one.
+zero; a freshly zeroed mask costs less than clearing the drawn positions
+of a reused one.  The sweep XORs in the same flip words as
+:func:`inject_bitflips`, drawn from one Philox generator per rate that is
+re-keyed for each trial (:func:`hdwear.hv.rngs`): it draws what a fresh
+``rng(trial_seed, stream)`` draws without gathering OS entropy each time.
 
 So every row is identical by construction to the plain path, which packs
 a bool mask per trial, XORs it into the class words and sums int64
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidArgumentError, ModelNotTrainedError
-from .hv import check_int, check_seed, pack, pack_sign, rng
+from .hv import check_int, check_seed, pack, pack_sign, rng, rngs
 from .learning import Model, labelled_blocks
 
 TABLE4_RATES = (0.01, 0.02, 0.04, 0.06, 0.10, 0.12)
@@ -82,13 +84,17 @@ def inject_bitflips(bm: BinaryModel, rate: float, trial_seed: int) -> BinaryMode
     """Flip exactly round(rate * K * D) distinct stored bits, chosen
     uniformly without replacement; returns a corrupted copy."""
     _check_rate(rate)
+    return BinaryModel(bm.dim, bm.class_words ^ _flips(bm, rate, rng(trial_seed, _FLIP_STREAM)))
+
+
+def _flips(bm: BinaryModel, rate: float, gen: np.random.Generator) -> np.ndarray:
+    """(K, W) words with the round(rate * K * D) positions that gen, the
+    trial seed's flip stream, draws set."""
     k = len(bm.class_words)
     total = k * bm.dim
-    n_flips = round(rate * total)
-    positions = rng(trial_seed, _FLIP_STREAM).choice(total, size=n_flips, replace=False)
     flips = np.zeros(total, dtype=bool)
-    flips[positions] = True
-    return BinaryModel(bm.dim, bm.class_words ^ pack(flips.reshape(k, bm.dim)))
+    flips[gen.choice(total, size=round(rate * total), replace=False)] = True
+    return pack(flips.reshape(k, bm.dim))
 
 
 @dataclass
@@ -156,10 +162,8 @@ def robustness_sweep(
     mean_acc = np.zeros(len(rates))
     sd_acc = np.zeros(len(rates))
     for ri, rate in enumerate(rates):
-        accs = [
-            accuracy(inject_bitflips(bm, rate, _trial_seed(seed, ri, t)).class_words)
-            for t in range(trials)
-        ]
+        keys = [(_trial_seed(seed, ri, t), _FLIP_STREAM) for t in range(trials)]
+        accs = [accuracy(bm.class_words ^ _flips(bm, rate, gen)) for gen in rngs(keys)]
         mean_acc[ri] = np.mean(accs)
         sd_acc[ri] = np.std(accs)
     return RobustnessReport(

@@ -19,6 +19,7 @@ from hdwear.hv import (
     random_hv,
     random_hvs,
     rng,
+    rngs,
     sign_quantize,
 )
 
@@ -85,6 +86,21 @@ def test_random_hvs_rows_are_the_streams_bytes(dim):
     assert random_hvs(5, [], dim).shape == (0, dim)
     with pytest.raises(InvalidArgumentError):
         random_hvs(5, [0, -1], dim)
+
+
+def test_rngs_draws_what_fresh_generators_draw():
+    # every re-keyed generator starts from a fresh state, whatever its
+    # predecessor drew (an odd number of bytes, a sample without
+    # replacement, raw words)
+    keys = [(7, 0), (2**64 - 1, 2**33), (7, 0), (0, 5), (3, 2**64 - 1)]
+    for i, ((seed, stream), gen) in enumerate(zip(keys, rngs(keys))):
+        fresh = rng(seed, stream)
+        assert gen.bytes(5) == fresh.bytes(5)
+        drawn = gen.choice(1000, 17 * i, replace=False)
+        assert drawn.tolist() == fresh.choice(1000, 17 * i, replace=False).tolist()
+        gen.bit_generator.random_raw(i)
+    with pytest.raises(InvalidArgumentError):
+        list(rngs([(1, 0), (-1, 0)]))
 
 
 def test_rng_is_philox_keyed_by_seed_and_stream():
@@ -288,6 +304,37 @@ def test_level_memory_is_base_negated_along_level_flips(dim, q):
     for level, expect in zip(make_level_memory(8, dim, q), k):
         flipped = np.flatnonzero(level != base)
         assert sorted(flipped.tolist()) == sorted(order[:expect].tolist())
+
+
+BAD_DIMS = [2.5, True, np.True_, "64", None, 0, -3]
+DIM_CALLS = {
+    "random_hv": lambda dim: random_hv(1, 0, dim),
+    "random_hvs": lambda dim: random_hvs(1, [0, 1], dim),
+    "level_flips": lambda dim: level_flips(1, dim, 4),
+    "make_level_memory": lambda dim: make_level_memory(1, dim, 4),
+}
+
+
+@pytest.mark.parametrize("call", list(DIM_CALLS))
+@pytest.mark.parametrize("dim", BAD_DIMS, ids=repr)
+def test_bad_dim_raises_invalid_dimension(call, dim):
+    with pytest.raises(InvalidDimensionError):
+        DIM_CALLS[call](dim)
+
+
+@pytest.mark.parametrize("q", [2.5, True, np.False_, "4", None, 1, 0, -2], ids=repr)
+def test_bad_level_count_raises_invalid_argument(q):
+    with pytest.raises(InvalidArgumentError):
+        level_flips(1, 64, q)
+    with pytest.raises(InvalidArgumentError):
+        make_level_memory(1, 64, q)
+
+
+def test_numpy_integer_dim_and_q_accepted():
+    assert np.array_equal(random_hv(1, 0, np.int64(100)), random_hv(1, 0, 100))
+    assert np.array_equal(random_hvs(1, [2, 3], np.uint16(65)), random_hvs(1, [2, 3], 65))
+    lm = make_level_memory(1, np.int64(64), np.int32(5))
+    assert np.array_equal(lm, make_level_memory(1, 64, 5))
 
 
 # -------------------------------------------------------------- item memory

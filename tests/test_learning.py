@@ -32,6 +32,9 @@ from hdwear.learning import (
     Model,
     _add,
     _class_rows,
+    _margin,
+    _retrain_blocks,
+    _retrain_pass,
     evaluate,
     labelled_blocks,
     load_model,
@@ -288,6 +291,18 @@ def test_retrain_monotone_local_correction(seed):
     assert sims_after[pi] - sims_after[li] < margin_before
 
 
+def oracle_cosines(model, h):
+    """Cosine of a float64 query against every class row, from a fresh cast
+    of the float32 class matrix and fresh norms; 0 where a norm is 0."""
+    M = model.class_matrix.astype(np.float64)
+    norms = np.linalg.norm(M, axis=1)
+    hn = np.linalg.norm(h)
+    out = np.zeros(len(M))
+    ok = (norms > 0) & (hn > 0)
+    out[ok] = (M @ h)[ok] / (norms[ok] * hn)
+    return out
+
+
 def naive_training(model, data, epochs=1, online=True):
     """train_online (unless online is False), then up to `epochs` retraining
     epochs, stopping after one without a miss as train_iterative does;
@@ -295,18 +310,9 @@ def naive_training(model, data, epochs=1, online=True):
     sample.  Returns the rows missed in each epoch and the class matrix
     after it."""
 
-    def sims(h):
-        M = model.class_matrix.astype(np.float64)
-        norms = np.linalg.norm(M, axis=1)
-        hn = np.linalg.norm(h)
-        out = np.zeros(len(M))
-        ok = (norms > 0) & (hn > 0)
-        out[ok] = (M @ h)[ok] / (norms[ok] * hn)
-        return out
-
     for H, label in data if online else []:
         li, h = model.class_index(label), H.astype(np.float64)
-        delta = sims(h)[li]
+        delta = oracle_cosines(model, h)[li]
         if delta != 1.0:
             model.class_matrix[li] += (model.eta * (1.0 - delta) * h).astype(np.float32)
     missed, snapshots = [], []
@@ -314,7 +320,7 @@ def naive_training(model, data, epochs=1, online=True):
         missed.append([])
         for row, (H, label) in enumerate(data):
             li, h = model.class_index(label), H.astype(np.float64)
-            s = sims(h)
+            s = oracle_cosines(model, h)
             pi = int(np.argmax(s))
             if pi != li:
                 missed[-1].append(row)
@@ -445,6 +451,32 @@ def test_screened_retraining_equals_per_sample_oracle(case):
     assert np.array_equal(out.class_matrix.view(np.uint32), best.view(np.uint32))
 
 
+def test_screen_settles_no_query_outside_its_norm_range():
+    # three hits far from any tie; only the first has a norm inside
+    # _SCREEN_NORMS, so the other two must take the exact step
+    m = make_model(n_classes=2, dim=64)
+    m.class_matrix[:] = [np.ones(64), -np.ones(64)]
+    H = np.ones((3, 64)) * np.array([[1.0], [2.0**-420], [2.0**420]])
+    blocks = _retrain_blocks(m, zip(H, ["c0"] * 3))
+    assert _retrain_pass(m, blocks) == 0
+    hn, own, margins = blocks[0][2]
+    assert own.tolist() == [[True] * 3, [False] * 3]
+    assert margins[0] == _margin(64) and np.isnan(margins[1:]).all()
+
+
+def test_one_class_retraining_raises_no_invalid_value():
+    # a one-class model's only rival score is -inf; queries outside
+    # _SCREEN_NORMS (a zero query, a huge one) still reach the exact step,
+    # and adding their margin to -inf must not raise an invalid-value error
+    m = make_model(n_classes=1, dim=64)
+    m.class_matrix[:] = 1.0
+    H = np.ones((3, 64)) * np.array([[0.0], [1.0], [2.0**420]])
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
+        out = train_iterative(m, zip(H, ["c0"] * 3), max_epochs=2)
+    assert out.retrain_curve == [0]
+    assert (out.class_matrix == 1.0).all()
+
+
 def test_row_refresh_equals_a_fresh_cast_bit_for_bit():
     # the invariant the training cache rests on: after each update the
     # float64 rows and norms equal a fresh cast of the float32 matrix
@@ -457,6 +489,69 @@ def test_row_refresh_equals_a_fresh_cast_bit_for_bit():
         fresh_M, fresh_norms = _class_rows(m)
         assert np.array_equal(M, fresh_M)
         assert np.array_equal(norms.view(np.uint64), fresh_norms.view(np.uint64))
+
+
+def offset_copy(H, offset):
+    """A copy of H whose data starts `offset` bytes past a 64-byte boundary."""
+    raw = np.empty(H.nbytes + 64 + offset, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start : start + H.nbytes].view(H.dtype).reshape(H.shape)
+    out[...] = H
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+ALIGN_DIM = 203  # not a multiple of 8, so block rows start at every offset
+
+
+def alignment_case(dtype):
+    """Overlapping queries around three prototypes, for four classes: c3 is
+    never a label, so its row has norm 0 (the den == 0 path) until row 7,
+    which points away from every prototype, is predicted as c3; rows 3 and
+    21 are zero queries.  Float components are quarters, so every query's
+    sum of squares is exact in any order and the oracle's dot-product norm
+    equals _norms."""
+    rng = np.random.default_rng(41)
+    protos = rng.integers(-1, 2, (3, ALIGN_DIM))
+    labels = rng.integers(0, 3, 96)
+    H = protos[labels] + rng.integers(-12, 13, (96, ALIGN_DIM))
+    H[[3, 21]] = 0
+    H[7] = -3 * protos.sum(axis=0)
+    H = (H / 4 if np.dtype(dtype).kind == "f" else H).astype(dtype)
+    return H, [f"c{c}" for c in labels]
+
+
+@pytest.mark.parametrize("offset", [2, 8, 16])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.float32, np.float64])
+def test_query_alignment_cannot_change_results(dtype, offset):
+    H, names = alignment_case(dtype)
+    view = offset_copy(H, offset)
+    data = list(zip(view, names))
+
+    expect = make_model(n_classes=4, dim=ALIGN_DIM, eta=0.25)
+    naive_training(expect, data, epochs=0)
+    got = train_online(make_model(n_classes=4, dim=ALIGN_DIM, eta=0.25), data)
+    assert np.array_equal(got.class_matrix.view(np.uint32), expect.class_matrix.view(np.uint32))
+    assert not got.class_matrix[3].any()
+
+    missed, snapshots = naive_training(expect, data, epochs=3, online=False)
+    assert len(missed[0]) > 0
+    for rows, snapshot in zip(missed, snapshots):
+        assert train_iterative(got, data, max_epochs=1).retrain_curve == [len(rows)]
+        assert np.array_equal(got.class_matrix.view(np.uint32), snapshot.view(np.uint32))
+
+    want = [int(np.argmax(oracle_cosines(got, h.astype(np.float64)))) for h in view]
+    assert predict(got, view).tolist() == want
+    confusion = np.zeros((4, 4), dtype=np.int64)
+    for label, p in zip(names, want):
+        confusion[got.class_index(label), p] += 1
+    assert np.array_equal(evaluate(got, data).confusion, confusion)
+
+
+def test_class_rows_are_64_byte_aligned():
+    m = make_model(n_classes=3, dim=ALIGN_DIM)
+    M, norms = _class_rows(m)
+    assert M.ctypes.data % 64 == 0 and M.flags.c_contiguous and M.dtype == np.float64
 
 
 def test_retrain_untrained_model_rejected():

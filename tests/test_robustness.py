@@ -13,6 +13,7 @@ from hdwear.errors import (
     ModelNotTrainedError,
     UnknownClassError,
 )
+from hdwear import hv, robustness
 from hdwear.hv import pack, random_hv, rng, sign_quantize
 from hdwear.learning import Model, evaluate, predict, train_iterative, train_online
 from hdwear.robustness import (
@@ -388,6 +389,39 @@ def test_sweep_identical_class_rows_go_to_lowest_index():
     # class 1's prototype is as near to class 0 as to its own class
     assert robustness_sweep(m, [(data[1][0], "c0")], rates=[0.0], trials=1).acc_clean == 1.0
     check_sweep_against_oracle(m, sweep_pairs(m, 20, np.int16), [0.0, 0.1, 1.0], trials=4)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.12, 1.0])
+def test_sweep_trials_draw_the_positions_of_fresh_generators(monkeypatch, rate):
+    # the sweep re-keys one generator per trial; every trial must draw the
+    # positions rng(trial_seed, flip stream) draws, in (rate, trial) order
+    m, data = trained_model(n_classes=3, dim=130)
+    keys, drawn = [], []
+
+    class Recorder:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def choice(self, *args, **kwargs):
+            drawn.append(self.gen.choice(*args, **kwargs))
+            return drawn[-1]
+
+    def recording_rngs(pairs):
+        pairs = list(pairs)
+        keys.extend(pairs)
+        return (Recorder(gen) for gen in hv.rngs(pairs))
+
+    monkeypatch.setattr(robustness, "rngs", recording_rngs)
+    rates, trials, seed = [0.05, rate], 4, 9
+    rep = robustness_sweep(m, data, rates=rates, trials=trials, seed=seed)
+    want = [(oracle_trial_seed(seed, ri, t), 2**33) for ri in range(2) for t in range(trials)]
+    assert keys == want
+    total = 3 * 130
+    for i, ((trial_seed, stream), got) in enumerate(zip(keys, drawn)):
+        n = round(rates[i // trials] * total)
+        assert got.tolist() == rng(trial_seed, stream).choice(total, n, replace=False).tolist()
+    assert len(drawn) == len(keys)
+    assert repr(rep.rows()) == repr(oracle_sweep(m, data, rates, trials, seed).rows())
 
 
 @pytest.mark.parametrize("dim", [77, 130])
