@@ -3,12 +3,12 @@ splitting.
 
 A dataset is columnar: one (N, F) float64 feature matrix X plus (N,)
 arrays of window labels y and subject ids, one row per window, recordings
-stacked in order.  Each channel is windowed with one sliding_window_view;
-its seven statistics per window (mean, std, min, max, RMS, mean absolute
-first difference, zero crossings of the mean-removed window) are
-concatenated across channels in schema order.  A window's label is the
-majority of its per-sample labels, ties going to the lowest label in
-sorted order.  Quantization bounds are fit on the training split only and
+stacked in order.  A recording's channels are windowed together with one
+sliding_window_view; the seven statistics per window and channel (mean,
+std, min, max, RMS, mean absolute first difference, zero crossings of the
+mean-removed window) are concatenated across channels in schema order.
+A window's label is the majority of its per-sample labels, ties going to
+the lowest label in sorted order.  Quantization bounds are fit on the training split only and
 frozen into the model; test-time values outside the bounds are clamped,
 never rejected.
 """
@@ -67,12 +67,12 @@ class Recording:
 
     def __post_init__(self):
         # every window row pairs features and a label taken at the same samples
-        lengths = {len(x) for x in self.channels.values()}
-        lengths |= set() if self.labels is None else {len(self.labels)}
-        if len(lengths) != 1:
+        columns = [*self.channels.values(), *([] if self.labels is None else [self.labels])]
+        shapes = {np.shape(x) for x in columns}
+        if [len(shape) for shape in shapes] != [1]:
             raise SchemaError(
                 f"recording {self.subject_id!r}: channels and labels need one common "
-                f"length, got {sorted(lengths)}"
+                f"1-D shape, got {sorted(shapes)}"
             )
 
     @property
@@ -139,7 +139,9 @@ def load_csv(path, schema: CsvSchema) -> list:
     yield the same columns: the (N, C) float64 channel matrix and the raw
     label and subject cells.  One function, _recordings, strips those cells
     and groups the rows into Recordings, so the result does not depend on
-    which reader read the file.
+    which reader read the file.  The grouping costs per run of rows with
+    equal label and subject cells, not per row: a file written subject by
+    subject in label segments has few runs however many rows it holds.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -213,31 +215,49 @@ def _recordings(values: np.ndarray, text, schema: CsvSchema) -> list:
     """Group the rows of both readers into Recordings.
 
     values is the (N, C) float64 channel matrix, channels in schema order;
-    text holds the raw label and subject cells (in that order, each column
-    present only when the schema names it).  The cells are stripped;
-    subjects keep the order of their first row, rows keep file order within
-    a subject, each channel is one contiguous float64 array, labels are a
-    str array sized to the longest label of its subject, and a file without
-    a subject column is the one subject "default"."""
-    text = [np.array([s.strip() for s in cells], dtype=object) for cells in text]
-    if schema.subject:
-        names, first, codes = np.unique(text[-1], return_index=True, return_inverse=True)
-        by_first = np.argsort(first)  # unique subjects in order of their first row
-        codes = np.argsort(by_first)[codes]  # each row's subject, numbered in that order
-        order = np.argsort(codes, kind="stable")  # rows by subject, in file order within one
-        names, rows = names[by_first], np.split(order, np.cumsum(np.bincount(codes))[:-1])
-    else:
-        names, rows = ["default"], [np.arange(len(values))]
-    labels = text[0] if schema.label else None
+    text holds the raw label and subject cells as (N,) object arrays (in
+    that order, each column present only when the schema names it).  The
+    cells are stripped; subjects keep the order of their first row, rows
+    keep file order within a subject, each channel is one contiguous
+    float64 array, labels are a str array sized to the longest label of its
+    subject, and a file without a subject column is the one subject
+    "default".
+
+    The grouping costs per run of rows with equal raw label and subject
+    cells, not per row: only each run's first cells are stripped, numbered
+    and cast to str, and rows take their run's values by np.repeat."""
+    heads, sizes = _runs(text, len(values))
+    firsts = [[s.strip() for s in cells[heads].tolist()] for cells in text]
+    names = firsts[-1] if schema.subject else ["default"] * len(heads)
+    subjects = {}  # stripped subject -> its number, in order of first appearance
+    run_subject = np.array([subjects.setdefault(s, len(subjects)) for s in names])
+    rows = _groups(np.repeat(run_subject, sizes))
+    labels = np.array(firsts[0], dtype=object) if schema.label else None
     # each gather is one new contiguous array, so values is the only other copy
     return [
         Recording(
             subject_id=name,
             channels={ch: values[own, j] for j, ch in enumerate(schema.channels)},
-            labels=None if labels is None else labels[own].astype(str),
+            labels=None if labels is None else np.repeat(labels[runs].astype(str), sizes[runs]),
         )
-        for name, own in zip(names, rows)
+        for name, own, runs in zip(subjects, rows, _groups(run_subject))
     ]
+
+
+def _runs(columns, n: int) -> tuple:
+    """The first row and the length of each run of the n rows in which no
+    1-D column changes value: one compare per column, not a loop per row."""
+    starts = np.arange(n) == 0  # row 0 starts the first run
+    for col in columns:
+        starts[1:] |= col[1:] != col[:-1]
+    heads = np.flatnonzero(starts)
+    return heads, np.diff(heads, append=n)
+
+
+def _groups(codes: np.ndarray) -> list:
+    """The positions of each code 0, 1, ... in codes, each in order (a
+    stable sort of codes that never decrease is one linear pass)."""
+    return np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
 
 
 # The long-cell pre-check reads the file in chunks of about this many bytes.
@@ -298,7 +318,7 @@ def _read_cells(fh, path, schema: CsvSchema, col: dict) -> tuple:
         text.append([row[c] for c in text_cols])
     if not text:
         raise EmptyInputError(f"{path}: no data rows")
-    return np.array(values).reshape(len(text), -1), list(zip(*text))
+    return np.array(values).reshape(len(text), -1), np.array(text, dtype=object).T
 
 
 def _numbered_rows(fh, path, delimiter: str):
@@ -338,34 +358,64 @@ def _check_window(window_samples: int, stride: int) -> None:
 
 def window_features(x, window_samples: int, stride: int) -> np.ndarray:
     """The seven FEATURE_STATS of every window of one channel, (n_windows, 7);
-    row i covers x[i * stride : i * stride + window_samples]."""
+    row i covers x[i * stride : i * stride + window_samples].  This is
+    build_dataset's blocked pass over a single channel."""
     _check_window(window_samples, stride)
     x = np.asarray(x, dtype=np.float64)
-    if len(x) < window_samples:
-        return np.empty((0, len(FEATURE_STATS)))
-    V = sliding_window_view(x, window_samples)[::stride]
-    mean = V.mean(axis=-1)
-    signs = np.sign(V - mean[:, None])
-    return np.column_stack(
-        [
-            mean,
-            V.std(axis=-1),
-            V.min(axis=-1),
-            V.max(axis=-1),
-            np.sqrt((V * V).mean(axis=-1)),
-            np.abs(np.diff(V)).mean(axis=-1) if window_samples > 1 else np.zeros(len(V)),
-            np.count_nonzero(signs[:, :-1] * signs[:, 1:] < 0, axis=-1),
-        ]
-    )
+    if x.ndim != 1:
+        raise InvalidArgumentError(f"window_features takes one 1-D channel, got shape {x.shape}")
+    out = np.empty((max(0, (len(x) - window_samples) // stride + 1), len(FEATURE_STATS)))
+    return _window_stats(x[None], window_samples, stride, out)
+
+
+# The blocked window statistics keep each temporary to about this many bytes.
+_BLOCK_BYTES = 1 << 18
+
+
+def _window_stats(S: np.ndarray, n: int, stride: int, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous (n_windows, 7 * C) out with the FEATURE_STATS
+    of every n-sample window of each row of the (C, L) float64 S, seven
+    stats per channel in order, and return it.
+
+    Windows go in blocks whose (rows, C, n) temporaries hold about
+    _BLOCK_BYTES, so memory stays flat however long the recording.  Each
+    reduction runs along the contiguous last axis, one window at a time, as
+    numpy's 1-D reductions of that window do, so every statistic equals
+    reference.channel_features bit for bit; std is sqrt(add.reduce(d * d) /
+    n) over d = window - mean, the operations of numpy's var, and d also
+    gives the zero-crossing signs."""
+    if not len(out):  # also when the windows are longer than S
+        return out
+    V = sliding_window_view(S, n, axis=-1)[:, ::stride].transpose(1, 0, 2)
+    stats = out.reshape(len(V), len(S), len(FEATURE_STATS))
+    step = max(1, _BLOCK_BYTES // (8 * V[0].size))
+    for i in range(0, len(V), step):
+        B, o = V[i : i + step], stats[i : i + step]
+        o[..., 0] = mean = np.add.reduce(B, axis=-1) / n
+        d = B - mean[..., None]
+        o[..., 1] = np.sqrt(np.add.reduce(d * d, axis=-1) / n)
+        o[..., 2] = np.minimum.reduce(B, axis=-1)
+        o[..., 3] = np.maximum.reduce(B, axis=-1)
+        o[..., 4] = np.sqrt(np.add.reduce(B * B, axis=-1) / n)
+        o[..., 5] = np.add.reduce(np.abs(np.diff(B)), axis=-1) / max(n - 1, 1)  # 0 if n == 1
+        signs = np.sign(d)
+        o[..., 6] = np.count_nonzero(signs[..., :-1] * signs[..., 1:] < 0, axis=-1)
+    return out
 
 
 def window_labels(labels, window_samples: int, stride: int) -> np.ndarray:
     """Each window's majority label, windows placed as in window_features;
-    ties go to the lowest label in sorted order."""
+    ties go to the lowest label in sorted order.  The labels are coded by
+    runs of equal labels, so np.unique sorts only each run's first label."""
     _check_window(window_samples, stride)
-    uniq, codes = np.unique(np.asarray(labels), return_inverse=True)
-    if len(codes) < window_samples:
-        return uniq[:0]
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise InvalidArgumentError(f"window_labels takes 1-D labels, got shape {labels.shape}")
+    if len(labels) < window_samples:
+        return labels[:0]
+    heads, sizes = _runs([labels], len(labels))
+    uniq, run_codes = np.unique(labels[heads], return_inverse=True)
+    codes = np.repeat(run_codes, sizes)
     starts = np.arange(0, len(codes) - window_samples + 1, stride)
     counts = np.empty((len(starts), len(uniq)), dtype=np.int64)
     for k in range(len(uniq)):
@@ -382,32 +432,38 @@ def build_dataset(
     smooth: int = 1,
 ) -> WindowedDataset:
     """recordings -> moving average over `smooth` samples (1: none) ->
-    per-channel window features, concatenated in channel_order,
-    recordings stacked in order."""
+    window features, concatenated in channel_order, recordings stacked in
+    order.  A recording's smoothed channels are stacked into one (C, n)
+    array, and one blocked pass writes the statistics of every channel of
+    every window straight into its rows of X (see _window_stats)."""
     _check_window(window_samples, stride)
     if len(channel_order) == 0:
         raise SchemaError("channel_order names no channels")
-    X = [np.empty((0, len(FEATURE_STATS) * len(channel_order)))]
-    y, subjects, skipped = [np.empty(0, dtype=str)], [np.empty(0, dtype=str)], 0
+    recordings = list(recordings)
     for rec in recordings:
         missing = [ch for ch in channel_order if ch not in rec.channels]
         if missing:
             raise SchemaError(f"recording {rec.subject_id!r} has no channels {missing}")
-        if rec.n_samples < window_samples:
-            skipped += 1
-            continue
-        channels = [moving_average(rec.channels[ch], smooth) for ch in channel_order]
-        X.append(np.hstack([window_features(x, window_samples, stride) for x in channels]))
-        n = len(X[-1])
+    kept = [rec for rec in recordings if rec.n_samples >= window_samples]
+    counts = [(rec.n_samples - window_samples) // stride + 1 for rec in kept]
+    # one matrix filled in place: nothing per recording outlives its pass
+    X = np.empty((sum(counts), len(FEATURE_STATS) * len(channel_order)))
+    y, subjects, start = [np.empty(0, dtype=str)], [np.empty(0, dtype=str)], 0
+    for rec, n in zip(kept, counts):
+        # each smoothed channel is copied into S as it is made, not kept in a list
+        smoothed = (moving_average(rec.channels[ch], smooth) for ch in channel_order)
+        S = np.fromiter(smoothed, (np.float64, rec.n_samples), len(channel_order))
+        _window_stats(S, window_samples, stride, X[start : start + n])
+        start += n
         labeled = rec.labels is not None
         y.append(window_labels(rec.labels, window_samples, stride) if labeled else np.full(n, None))
         subjects.append(np.full(n, rec.subject_id))
     return WindowedDataset(
-        X=np.concatenate(X),
+        X=X,
         y=np.concatenate(y),
         subjects=np.concatenate(subjects),
         feature_names=[f"{ch}_{stat}" for ch in channel_order for stat in FEATURE_STATS],
-        skipped_recordings=skipped,
+        skipped_recordings=len(recordings) - len(kept),
     )
 
 

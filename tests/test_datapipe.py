@@ -2,10 +2,14 @@
 
 import csv
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdwear import datapipe
@@ -172,6 +176,97 @@ def test_load_labels_sized_per_subject(tmp_path):
         assert [r.labels.tolist() for r in recs] == [["a", "bb"], ["walking", "run"]]
 
 
+def sorting_oracle(values, text, schema):
+    """The subject grouping before it went by runs: strip every cell, number
+    the subjects with np.unique and a stable argsort, cast labels per row."""
+    text = [np.array([s.strip() for s in cells], dtype=object) for cells in text]
+    if schema.subject:
+        names, first, codes = np.unique(text[-1], return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        codes = np.argsort(by_first)[codes]
+        order = np.argsort(codes, kind="stable")
+        names, rows = names[by_first], np.split(order, np.cumsum(np.bincount(codes))[:-1])
+    else:
+        names, rows = ["default"], [np.arange(len(values))]
+    labels = text[0] if schema.label else None
+    return [
+        Recording(
+            subject_id=name,
+            channels={ch: values[own, j] for j, ch in enumerate(schema.channels)},
+            labels=None if labels is None else labels[own].astype(str),
+        )
+        for name, own in zip(names, rows)
+    ]
+
+
+def assert_same_recordings(got, want):
+    assert [r.subject_id for r in got] == [r.subject_id for r in want]
+    assert all(type(r.subject_id) is str for r in got)
+    for g, w in zip(got, want):
+        assert list(g.channels) == list(w.channels)
+        for ch in w.channels:
+            assert g.channels[ch].dtype == w.channels[ch].dtype == np.float64
+            assert g.channels[ch].flags.c_contiguous
+            assert np.array_equal(g.channels[ch].view(np.uint64), w.channels[ch].view(np.uint64))
+        if w.labels is None:
+            assert g.labels is None
+        else:
+            assert g.labels.dtype == w.labels.dtype
+            assert np.array_equal(g.labels, w.labels)
+
+
+SUBJECT_CELLS = ["s01", " s01", "s01 ", "s02", "s10", "  s2", "A", "B"]
+LABEL_CELLS = ["a", " a", "a ", "bb", "walking", "run", "", " "]
+
+
+@st.composite
+def grouped_rows(draw):
+    """Which of the label and subject columns a file has, and its rows as
+    (label cell, subject cell): runs of equal cells, interleaved subjects
+    and cells that differ only by padding."""
+    label, subject = draw(st.booleans()), draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        cells = (draw(st.sampled_from(LABEL_CELLS)), draw(st.sampled_from(SUBJECT_CELLS)))
+        rows += [cells] * draw(st.sampled_from([1, 1, 2, 7]))
+    return label, subject, rows
+
+
+@given(grouped_rows())
+@example((True, True, [("a", "A"), ("bb", "B"), ("a", "A")]))
+@example((True, True, [("a", " s01"), ("a", "s01"), (" a", "s01"), ("a ", "s02")]))
+@example((True, False, [("a", "A"), ("bb", "B"), ("a", "A")]))
+@example((False, True, [("a", "A"), ("bb", "B"), ("a", "A")]))
+@example((False, False, [("a", "A"), ("a", "A")]))
+@example((True, True, [("run", "s01")]))
+@example((True, True, [("a", f"s{i}") for i in range(40)]))
+@settings(max_examples=150, deadline=None)
+def test_grouping_by_runs_equals_sorting_oracle(tmp_path_factory, case):
+    label, subject, rows = case
+    schema = CsvSchema(channels=["v", "w"], label="act" if label else None,
+                       subject="subj" if subject else None)
+    lines = ["v,w,act,subj"] + [f"{i},{-i / 3},{a},{s}" for i, (a, s) in enumerate(rows)]
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    recordings, seen = datapipe._recordings, []
+
+    def spy(*columns):  # the oracle groups the very columns the reader returned
+        seen.append(columns)
+        return recordings(*columns)
+
+    def cell_loop(*args):
+        raise AssertionError("the per-cell loop ran")
+
+    # numpy's reader takes these files; patched to decline, the loop reads them
+    for reader, patched in (("_read_cells", cell_loop), ("_read_columns", lambda *args: None)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datapipe, reader, patched)
+            mp.setattr(datapipe, "_recordings", spy)
+            got = load_csv(path, schema)
+        assert_same_recordings(got, sorting_oracle(*seen.pop()))
+        assert sum(r.n_samples for r in got) == len(rows)
+
+
 def per_cell_loop(path, schema):
     """load_csv with numpy's reader declining every file."""
     with pytest.MonkeyPatch.context() as mp:
@@ -276,18 +371,7 @@ def test_load_csv_equals_per_cell_loop(tmp_path_factory, case):
         assert (type(got), str(got)) == (type(want), str(want))
         return
     assert isinstance(got, list), got
-    assert [r.subject_id for r in got] == [r.subject_id for r in want]
-    assert all(type(r.subject_id) is str for r in got)
-    for g, w in zip(got, want):
-        assert list(g.channels) == list(w.channels)
-        for ch in w.channels:
-            assert g.channels[ch].dtype == w.channels[ch].dtype == np.float64
-            assert np.array_equal(g.channels[ch].view(np.uint64), w.channels[ch].view(np.uint64))
-        if w.labels is None:
-            assert g.labels is None
-        else:
-            assert g.labels.dtype == w.labels.dtype
-            assert np.array_equal(g.labels, w.labels)
+    assert_same_recordings(got, want)
 
 
 @pytest.mark.parametrize(
@@ -396,13 +480,30 @@ def rec(labels=None, n=10):
         ({"a": np.arange(10.0)}, ["x"] * 11),
         ({"a": np.arange(10.0), "b": np.arange(7.0)}, None),
         ({}, None),
+        ({"a": np.ones((5, 2))}, None),
+        ({"a": np.arange(4.0)}, np.array([["x"]] * 4)),
+        ({"a": np.arange(4.0), "b": np.float64(3.0)}, None),
+        ({"a": 2.5}, None),
     ],
-    ids=["labels-short", "labels-long", "ragged-channels", "no-channels"],
+    ids=[
+        "labels-short", "labels-long", "ragged-channels", "no-channels", "2-d-channel",
+        "2-d-labels", "0-d-channel", "scalar-channel",
+    ],
 )
 def test_recording_rejects_mismatched_lengths(channels, labels):
-    # a mismatch would pair a window's features with another window's label
+    # a mismatch would pair a window's features with another window's label;
+    # a channel or label column that is not 1-D has no samples to window
     with pytest.raises(SchemaError):
         Recording(subject_id="s", channels=channels, labels=labels)
+
+
+@pytest.mark.parametrize("seq", [np.ones((5, 2)), [[1, 2], [3, 4]], 3.0, np.ones((1, 1, 4))])
+def test_windows_need_a_1d_sequence(seq):
+    # window_labels([[1, 2], [3, 4]], 1, 1) once returned [1 2]
+    with pytest.raises(InvalidArgumentError, match="1-D"):
+        window_features(seq, 1, 1)
+    with pytest.raises(InvalidArgumentError, match="1-D"):
+        window_labels(seq, 1, 1)
 
 
 def windows_of(seq, window, stride):
@@ -525,6 +626,60 @@ def test_window_features_match_reference(window, stride, extra, seed, scale, con
 def test_window_features_match_reference_on_any_floats(xs, window, stride):
     x = np.array(xs)
     assert_bits_equal(window_features(x, window, stride), reference_features(x, window, stride))
+
+
+@pytest.mark.parametrize(
+    "window, stride, smooth, n, block_bytes",
+    [
+        # 16 windows of 20 x 100 samples per 256 KiB block: 41 windows are 16 + 16 + 9
+        (100, 50, 1, 2100, None),
+        (100, 50, 4, 2100, None),
+        (1, 1, 1, 200, 20 * 8 * 48),  # blocks of 48 one-sample windows: 48 * 4 + 8
+        (9, 4, 3, 333, 20 * 8 * 9 * 5),
+    ],
+)
+def test_blocked_stats_match_reference_at_20_channels(
+    window, stride, smooth, n, block_bytes, monkeypatch
+):
+    if block_bytes:
+        monkeypatch.setattr(datapipe, "_BLOCK_BYTES", block_bytes)
+    g = np.random.default_rng(window * 1000 + n)
+    channels = {f"c{j}": g.normal(size=n) * 10.0 ** (j % 7 - 3) for j in range(20)}
+    channels["c3"] = np.full(n, 2.5)  # a constant channel: std 0, no zero crossings
+    channels["c4"] = np.zeros(n)
+    ds = build_dataset([Recording("s", channels)], list(channels), window, stride, smooth=smooth)
+    smoothed = [moving_average(x, smooth) for x in channels.values()]
+    rows = [
+        np.concatenate([ref.channel_features(x[start : start + window]) for x in smoothed])
+        for start in range(0, n - window + 1, stride)
+    ]
+    assert_bits_equal(ds.X, np.array(rows))
+
+
+def test_load_and_build_import_no_module(tmp_path):
+    # a module imported lazily on the first call (np.unique on some inputs
+    # imports numpy.ma) costs memory on every run; ingest must not need one
+    rows = [
+        f"{i % 7 - 3},{i % 5},{'walk' if i % 40 < 25 else 'run'},s{i // 30 % 3}" for i in range(200)
+    ]
+    path = write(tmp_path, "a,b,act,subj\n" + "\n".join(rows) + "\n")
+    script = (
+        "import sys\n"
+        "from hdwear import datapipe as dp\n"
+        "before = set(sys.modules)\n"
+        "schema = dp.CsvSchema(channels=['a', 'b'], label='act', subject='subj')\n"
+        f"recs = dp.load_csv({str(path)!r}, schema)\n"
+        "ds = dp.build_dataset(recs, ['a', 'b'], 16, 4, smooth=3)\n"
+        "assert len(recs) == 3 and len(ds) > 0\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(datapipe.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------- fit_stats

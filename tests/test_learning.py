@@ -293,10 +293,15 @@ def test_retrain_monotone_local_correction(seed):
 
 def oracle_cosines(model, h):
     """Cosine of a float64 query against every class row, from a fresh cast
-    of the float32 class matrix and fresh norms; 0 where a norm is 0."""
+    of the float32 class matrix and fresh norms; 0 where a norm is 0.
+
+    Every norm is the square root of the pairwise add.reduce of the squares,
+    as the package takes it, for the query too: np.linalg.norm(h) without an
+    axis is sqrt(h @ h), a BLAS dot whose last bit can differ, which would
+    make the float64 near-tie cases agree only by luck."""
     M = model.class_matrix.astype(np.float64)
-    norms = np.linalg.norm(M, axis=1)
-    hn = np.linalg.norm(h)
+    norms = np.sqrt(np.add.reduce(M * M, axis=1))
+    hn = np.sqrt(np.add.reduce(h * h))
     out = np.zeros(len(M))
     ok = (norms > 0) & (hn > 0)
     out[ok] = (M @ h)[ok] / (norms[ok] * hn)
