@@ -19,13 +19,13 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CsvParseError,
+    DataError,
     EmptyInputError,
     InvalidArgumentError,
     SchemaError,
@@ -125,23 +125,26 @@ def load_csv(path, schema: CsvSchema) -> list:
     column, and a channel cell that float() cannot parse or that is not
     finite fails with its data-row number (1-based, excluding the header).
     Labels are str arrays, one per subject.  A file that is not UTF-8, or a
-    cell longer than csv.field_size_limit(), raises CsvParseError.
+    cell longer than csv.field_size_limit(), raises CsvParseError; a path
+    that cannot be opened or read raises DataError.
 
-    The data rows are read by numpy's C reader (np.loadtxt) first.  It may
-    only decline, never reject: a ValueError from numpy, a non-finite value,
-    a cell in any column longer than csv.field_size_limit() (checked with
-    csv.reader only when a byte scan finds a long line or a '"') or no data
-    rows at all hand the file to the per-cell csv.reader + float() loop,
-    which raises CsvParseError (row and column named), SchemaError or
-    EmptyInputError, or accepts what float() accepts and numpy does not
-    (such as "1_0" or non-ASCII digits).  Both read the same text from the
-    same open file, numpy's float parser gives float()'s values, and both
-    yield the same columns: the (N, C) float64 channel matrix and the raw
-    label and subject cells.  One function, _recordings, strips those cells
-    and groups the rows into Recordings, so the result does not depend on
-    which reader read the file.  The grouping costs per run of rows with
-    equal label and subject cells, not per row: a file written subject by
-    subject in label segments has few runs however many rows it holds.
+    The data rows are read first by one pass of numpy's C reader
+    (np.loadtxt), which tokenizes each row once for its channel, label and
+    subject cells.  It may only decline, never reject: a ValueError from
+    numpy, a non-finite value, a cell in any column longer than
+    csv.field_size_limit() (checked with csv.reader only when a byte scan
+    finds a long line or a '"') or no data rows at all hand the file to the
+    per-cell csv.reader + float() loop, which raises CsvParseError (row and
+    column named), SchemaError or EmptyInputError, or accepts what float()
+    accepts and numpy does not (such as "1_0" or non-ASCII digits).  Both
+    read the same text from the same open file, numpy's float parser gives
+    float()'s values, and both yield the same columns: the (N, C) float64
+    channel matrix and the raw label and subject cells.  One function,
+    _recordings, strips those cells and groups the rows into Recordings, so
+    the result does not depend on which reader read the file.  The grouping
+    costs per run of rows with equal label and subject cells, not per row: a
+    file written subject by subject in label segments has few runs however
+    many rows it holds.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -149,6 +152,8 @@ def load_csv(path, schema: CsvSchema) -> list:
     except UnicodeDecodeError as exc:
         # decoding runs ahead of the rows in chunks, so no row can be named
         raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:  # also the long-cell scan's own open
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
 def _read(fh, path, schema: CsvSchema) -> list:
@@ -176,39 +181,43 @@ def _read(fh, path, schema: CsvSchema) -> list:
 
 
 def _read_columns(fh, path, schema: CsvSchema, col: dict) -> tuple | None:
-    """load_csv's fast path: the rows from fh's position on, read with
-    np.loadtxt, as _read_cells returns them, or None to leave the file to
-    _read_cells."""
+    """load_csv's fast path: the rows from fh's position on, read by one
+    np.loadtxt pass, as _read_cells returns them, or None to leave the file
+    to _read_cells.
+
+    Each row is one structured record: a (C,) float64 field for the
+    channels in schema order, then one object field per label and subject
+    column, so a column the schema names twice is read twice from the same
+    cell.  The channel matrix returned is a strided view of the records."""
     if schema.delimiter in '"\r\n':  # delimiters numpy's reader does not take
         return None
-    start = fh.tell()
     if _may_hold_long_cell(path):
         # csv.reader refuses a cell longer than its limit in any column,
         # while numpy takes it; the per-cell loop reports it
+        start = fh.tell()
         try:
             for _ in csv.reader(fh, delimiter=schema.delimiter):
                 pass
         except csv.Error:
             return None
         fh.seek(start)
-    read = partial(
-        np.loadtxt, fh, delimiter=schema.delimiter, comments=None, quotechar='"', ndmin=2
-    )
     text_cols = [col[c] for c in (schema.label, schema.subject) if c]
-    text = []  # the label and subject columns, in that order
+    texts = [(f"t{i}", object) for i in range(len(text_cols))]
+    record = np.dtype([("v", np.float64, (len(schema.channels),)), *texts])
     try:
         with warnings.catch_warnings():
             # no data rows is declined below; _read_cells raises EmptyInputError
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = read(usecols=[col[ch] for ch in schema.channels])
-            if text_cols:
-                fh.seek(start)
-                text = read(usecols=text_cols, dtype=object).T
+            rows = np.loadtxt(
+                fh, dtype=record, delimiter=schema.delimiter, comments=None, quotechar='"',
+                ndmin=1, usecols=[*(col[ch] for ch in schema.channels), *text_cols],
+            )
     except ValueError:
         return None
+    values = rows["v"]
     if not len(values) or not np.isfinite(values).all():
         return None
-    return values, text
+    return values, [rows[name] for name in record.names[1:]]  # label, then subject
 
 
 def _recordings(values: np.ndarray, text, schema: CsvSchema) -> list:
@@ -356,18 +365,6 @@ def _check_window(window_samples: int, stride: int) -> None:
     check_int(stride, "stride", 1)
 
 
-def window_features(x, window_samples: int, stride: int) -> np.ndarray:
-    """The seven FEATURE_STATS of every window of one channel, (n_windows, 7);
-    row i covers x[i * stride : i * stride + window_samples].  This is
-    build_dataset's blocked pass over a single channel."""
-    _check_window(window_samples, stride)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidArgumentError(f"window_features takes one 1-D channel, got shape {x.shape}")
-    out = np.empty((max(0, (len(x) - window_samples) // stride + 1), len(FEATURE_STATS)))
-    return _window_stats(x[None], window_samples, stride, out)
-
-
 # The blocked window statistics keep each temporary to about this many bytes.
 _BLOCK_BYTES = 1 << 18
 
@@ -404,9 +401,10 @@ def _window_stats(S: np.ndarray, n: int, stride: int, out: np.ndarray) -> np.nda
 
 
 def window_labels(labels, window_samples: int, stride: int) -> np.ndarray:
-    """Each window's majority label, windows placed as in window_features;
-    ties go to the lowest label in sorted order.  The labels are coded by
-    runs of equal labels, so np.unique sorts only each run's first label."""
+    """Each window's majority label, window i covering labels[i * stride :
+    i * stride + window_samples] as in build_dataset; ties go to the lowest
+    label in sorted order.  The labels are coded by runs of equal labels,
+    so np.unique sorts only each run's first label."""
     _check_window(window_samples, stride)
     labels = np.asarray(labels)
     if labels.ndim != 1:

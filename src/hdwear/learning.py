@@ -637,5 +637,9 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    with open(path, "rb") as fh:
-        return model_from_bytes(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ModelIOError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    return model_from_bytes(blob)

@@ -26,12 +26,12 @@ from hdwear.datapipe import (
     split_leave_one_subject_out,
     split_random,
     split_subject_half,
-    window_features,
     window_labels,
 )
 from hdwear.encoding import EncoderConfig
 from hdwear.errors import (
     CsvParseError,
+    DataError,
     EmptyInputError,
     InvalidArgumentError,
     SchemaError,
@@ -138,7 +138,14 @@ def test_load_reads_clean_rows_without_the_cell_loop(tmp_path, monkeypatch):
     def cell_loop(*args):
         raise AssertionError("the per-cell loop ran")
 
+    passes, real_loadtxt = [], np.loadtxt
+
+    def loadtxt(*args, **kwargs):  # counts numpy's passes over the file
+        passes.append(kwargs.get("usecols"))
+        return real_loadtxt(*args, **kwargs)
+
     monkeypatch.setattr(datapipe, "_read_cells", cell_loop)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
     text = (
         'v,act,subj\r\n 1.5 ,"walk, fast",s2\r\n2, #x ,s1\r\n'
         '3,"two\r\nlines",s2\r\n4,"say ""hi""",s1\r\n\r\n'
@@ -148,6 +155,51 @@ def test_load_reads_clean_rows_without_the_cell_loop(tmp_path, monkeypatch):
     assert recs[0].channels["v"].tolist() == [1.5, 3.0]
     assert recs[0].labels.tolist() == ["walk, fast", "two\r\nlines"]
     assert recs[1].labels.tolist() == ["#x", 'say "hi"']
+    # channels, label and subject cells come from one pass, not one per kind
+    assert passes == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize(
+    "label, subject",
+    [("act", "act"), ("v", None), ("v", "v")],
+    ids=["label-is-subject", "label-is-channel", "label-and-subject-are-channel"],
+)
+def test_load_overlapping_schema_columns(tmp_path, monkeypatch, label, subject):
+    # numpy's one pass reads such a column twice; the per-cell loop reads its cell twice
+    p = write(tmp_path, "v,act\n1, a\n2,b\n3,b\n1,a\n")
+    schema = CsvSchema(channels=["v"], label=label, subject=subject)
+    want = per_cell_loop(p, schema)
+    monkeypatch.setattr(datapipe, "_read_cells", lambda *a: pytest.fail("the per-cell loop ran"))
+    got = load_csv(p, schema)
+    assert_same_recordings(got, want)
+    assert sum(r.n_samples for r in got) == 4
+    if subject == "v":
+        assert [r.subject_id for r in got] == ["1", "2", "3"]
+        assert [r.labels.tolist() for r in got] == [["1", "1"], ["2"], ["3"]]
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+def test_load_unreadable_path_is_typed(tmp_path, name):
+    path = tmp_path / name
+    with pytest.raises(DataError, match="cannot read") as info:
+        load_csv(path, CsvSchema(channels=["v"]))
+    assert str(path) in str(info.value)
+    assert isinstance(info.value.__cause__, OSError)
+
+
+def test_load_file_gone_before_the_long_cell_scan_is_typed(tmp_path, monkeypatch):
+    # the scan reopens the file by path; the open handle still reads it
+    path = write(tmp_path, "v\n1\n")
+    scan = datapipe._may_hold_long_cell
+
+    def remove_then_scan(p):
+        os.remove(p)
+        return scan(p)
+
+    monkeypatch.setattr(datapipe, "_may_hold_long_cell", remove_then_scan)
+    with pytest.raises(DataError, match="cannot read") as info:
+        load_csv(path, CsvSchema(channels=["v"]))
+    assert isinstance(info.value.__cause__, FileNotFoundError)
 
 
 def test_load_interleaved_subjects_keep_row_order(tmp_path):
@@ -499,9 +551,8 @@ def test_recording_rejects_mismatched_lengths(channels, labels):
 
 @pytest.mark.parametrize("seq", [np.ones((5, 2)), [[1, 2], [3, 4]], 3.0, np.ones((1, 1, 4))])
 def test_windows_need_a_1d_sequence(seq):
-    # window_labels([[1, 2], [3, 4]], 1, 1) once returned [1 2]
-    with pytest.raises(InvalidArgumentError, match="1-D"):
-        window_features(seq, 1, 1)
+    # window_labels([[1, 2], [3, 4]], 1, 1) once returned [1 2]; a channel
+    # that is not 1-D is refused by Recording (see above)
     with pytest.raises(InvalidArgumentError, match="1-D"):
         window_labels(seq, 1, 1)
 
@@ -548,7 +599,7 @@ def test_segment_count_closed_form(n, window, stride):
 )
 def test_window_geometry_rejected(window, stride):
     with pytest.raises(InvalidArgumentError):
-        window_features(np.arange(5.0), window, stride)
+        build_dataset([rec(n=5)], ["a"], window, stride)
     with pytest.raises(InvalidArgumentError):
         window_labels(["x"] * 5, window, stride)
 
@@ -570,6 +621,14 @@ def test_window_labels_match_reference(labels, window, stride):
 def assert_bits_equal(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def window_features(x, window, stride):
+    """The seven FEATURE_STATS of every window of one channel, (n_windows, 7):
+    build_dataset's blocked pass over a single channel."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((max(0, (len(x) - window) // stride + 1), len(datapipe.FEATURE_STATS)))
+    return datapipe._window_stats(x[None], window, stride, out)
 
 
 def reference_features(x, window, stride):
@@ -596,8 +655,6 @@ def test_features_arity():
 
 def test_features_empty_window():
     assert window_features([], 1, 1).shape == (0, 7)
-    with pytest.raises(InvalidArgumentError):
-        window_features([1.0, 2.0], 0, 1)
     with pytest.raises(InvalidArgumentError):
         ref.channel_features([])
 

@@ -735,6 +735,15 @@ def test_save_load_roundtrip(tmp_path):
     assert model_to_bytes(loaded) == path.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["missing.hdwm", "."], ids=["missing", "directory"])
+def test_load_model_unreadable_path_is_typed(tmp_path, name):
+    path = tmp_path / name
+    with pytest.raises(ModelIOError, match="cannot read") as info:
+        load_model(path)
+    assert str(path) in str(info.value)
+    assert isinstance(info.value.__cause__, OSError)
+
+
 def test_corrupt_payload_byte_rejected(tmp_path):
     m = trained_model()
     path = tmp_path / "model.hdwm"
