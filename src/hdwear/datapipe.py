@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -80,8 +82,7 @@ class Recording:
         return len(next(iter(self.channels.values())))
 
 
-@dataclass
-class FeatureStats:
+class FeatureStats(NamedTuple):
     mins: np.ndarray
     maxs: np.ndarray
 
@@ -348,6 +349,8 @@ def moving_average(signal, window_len: int) -> np.ndarray:
     sample further to the right."""
     check_int(window_len, "window_len", 1)
     x = np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidArgumentError(f"moving_average takes a 1-D signal, got shape {x.shape}")
     if window_len == 1:
         return x.copy()
     n = len(x)
@@ -477,8 +480,8 @@ _SPLIT_STREAM = 2**32
 
 def split_random(ds: WindowedDataset, seed: int, fraction: float = 0.5):
     """Seeded shuffle, first `fraction` of windows to train."""
-    if not 0 < fraction < 1:
-        raise InvalidArgumentError(f"fraction must be in (0, 1), got {fraction}")
+    if isinstance(fraction, bool) or not (isinstance(fraction, numbers.Real) and 0 < fraction < 1):
+        raise InvalidArgumentError(f"fraction must be a real in (0, 1), got {fraction!r}")
     n = len(ds)
     order = rng(seed, _SPLIT_STREAM).permutation(n)
     n_train = int(n * fraction)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidDimensionError, InvalidSampleError
-from .hv import check_seed, level_flips, random_hvs
+from .hv import check_int, check_seed, level_flips, random_hvs
 
 # float32 holds every integer of size up to this
 _FLOAT32_EXACT = 2**24
@@ -139,12 +139,9 @@ class EncoderConfig:
     feature_bounds: list = field(default_factory=list)  # [(v_min, v_max), ...]
 
     def __post_init__(self):
-        if not _in_range(self.dim):
-            raise InvalidDimensionError(f"dim must be an integer in [2, 2**32), got {self.dim!r}")
-        if not _in_range(self.q_levels):
-            raise InvalidArgumentError(
-                f"q_levels must be an integer in [2, 2**32), got {self.q_levels!r}"
-            )
+        # u32 fields of the model file
+        check_int(self.dim, "dim", 2, 2**32, error=InvalidDimensionError)
+        check_int(self.q_levels, "q_levels", 2, 2**32)
         for name in ("level_seed", "sensor_seed", "tie_seed"):
             check_seed(getattr(self, name), name)
         if not isinstance(self.feature_bounds, (list, tuple)):
@@ -162,11 +159,6 @@ class EncoderConfig:
     @property
     def n_features(self) -> int:
         return len(self.feature_bounds)
-
-
-def _in_range(n) -> bool:
-    """n is an integer in [2, 2**32), the range of a u32 field of the model file."""
-    return isinstance(n, (int, np.integer)) and 2 <= n < 2**32
 
 
 class FeatureEncoder:

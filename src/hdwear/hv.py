@@ -1,6 +1,6 @@
-"""Hypervectors as numpy arrays: random and level hypervectors, sign
-quantization, the bit layout of the 1-bit model, and the package's one
-random generator.
+"""Hypervectors as numpy arrays: random hypervectors, the draws that define
+the level memory, the bit layout of the 1-bit model and its sign packing,
+and the package's one random generator.
 
 A bipolar hypervector is a +-1 ``int8`` array of shape (D,), or (N, D) for
 a batch of N.  The HDC algebra is plain numpy arithmetic on these arrays;
@@ -17,7 +17,8 @@ per uint64 word, so that for packed operands
 
     dot(a, b) = D - 2 * popcount(pack(a) XOR pack(b)).
 
-:func:`pack_sign` packs the majority sign of bundles straight into words.
+:func:`pack_sign` packs the majority sign of bundles straight into words
+(its per-component oracle is :func:`hdwear.reference.sign_quantize`).
 
 All randomness in hdwear comes from :func:`rng`, a counter-based Philox
 stream keyed by (seed, stream): what it draws depends only on those two
@@ -113,26 +114,17 @@ def pack(hvs) -> np.ndarray:
 _TIE_STREAM = 0
 
 
-def _sign_bits(acc: np.ndarray, tie_seed: int) -> np.ndarray:
-    """acc > 0, except that exact zeros take the tie coin of their component
-    index, drawn once and only if acc has a zero."""
+def pack_sign(acc, tie_seed: int) -> np.ndarray:
+    """Pack the majority sign of (..., D) accumulators as :func:`pack` packs
+    +-1 vectors: component i is set iff it is > 0, and an exact zero takes
+    the tie coin of its index, random_hv(tie_seed, 0, D)[i] > 0, drawn once
+    and only if acc has a zero.  No +-1 array is built in between."""
+    acc = np.asarray(acc)
     ones = acc > 0
     zero = acc == 0
     if zero.any():
         ones |= zero & (random_hv(tie_seed, _TIE_STREAM, acc.shape[-1]) > 0)
-    return ones
-
-
-def sign_quantize(acc, tie_seed: int) -> np.ndarray:
-    """Majority sign of (..., D) accumulators as +-1 int8; exact zeros take a
-    deterministic coin that depends only on (tie_seed, component index)."""
-    return _bipolar(_sign_bits(np.asarray(acc), tie_seed))
-
-
-def pack_sign(acc, tie_seed: int) -> np.ndarray:
-    """pack(sign_quantize(acc, tie_seed)), bit for bit, packed straight from
-    the sign bits: no +-1 array in between and no second compare over one."""
-    return pack(_sign_bits(np.asarray(acc), tie_seed))
+    return pack(ones)
 
 
 _LEVEL_BASE_STREAM = 0
@@ -145,7 +137,10 @@ def level_flips(seed: int, dim: int, q: int) -> tuple[np.ndarray, np.ndarray, np
     base is L_0, a (D,) +-1 int8 vector; order is a random permutation of
     range(D), the flip order; k is the (Q,) nondecreasing int array
     k_i = round(i * floor(D/2) / (Q-1)), from k_0 = 0 to k_{Q-1} = floor(D/2).
-    L_i is base negated at the components order[:k_i].
+    L_i is base negated at the components order[:k_i], so flips are nested:
+    Hamming(L_i, L_j) = |k_i - k_j|, monotone in |i - j|, and the endpoints
+    differ in exactly floor(D/2) components (near-orthogonal rather than
+    anti-correlated).
     """
     check_int(q, "q", 2)
     check_int(dim, "dim", 2, error=InvalidDimensionError)
@@ -153,19 +148,3 @@ def level_flips(seed: int, dim: int, q: int) -> tuple[np.ndarray, np.ndarray, np
     order = rng(seed, _LEVEL_ORDER_STREAM).permutation(dim)
     k = np.array([round(i * (dim // 2) / (q - 1)) for i in range(q)])
     return base, order, k
-
-
-def make_level_memory(seed: int, dim: int, q: int) -> np.ndarray:
-    """Q level vectors L_0..L_{Q-1} as a (Q, D) int8 array, with similarity
-    decaying in level distance.
-
-    L_i is L_0 negated at the first k_i = round(i * floor(D/2) / (Q-1))
-    indices of a fixed random flip order (the draws of :func:`level_flips`),
-    so flips are nested: Hamming(L_i, L_j) = |k_i - k_j|, monotone in
-    |i - j|, and the endpoints differ in exactly floor(D/2) components
-    (near-orthogonal rather than anti-correlated).
-    """
-    base, order, k = level_flips(seed, dim, q)
-    rank = np.empty(dim, dtype=np.int64)
-    rank[order] = np.arange(dim)
-    return base * _bipolar(rank >= k[:, None])

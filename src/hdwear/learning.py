@@ -87,6 +87,7 @@ import tempfile
 import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,6 +140,8 @@ class Model:
     retrain_curve: list = field(default_factory=list)
 
     def __post_init__(self):
+        if isinstance(self.classes, str):  # it would split into one class per character
+            raise InvalidArgumentError(f"classes must be a list of labels, got {self.classes!r}")
         # a tuple, so that the class count the model file records cannot change
         object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
@@ -180,7 +183,7 @@ class Model:
     def class_index(self, label) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise UnknownClassError(f"unknown class {label!r}") from None
 
     def copy(self) -> "Model":
@@ -468,8 +471,7 @@ def _best(model: Model, blocks) -> np.ndarray:
     return np.concatenate(best)
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     """Accuracy, confusion counts (row = true class, column = predicted),
     and per-class recall."""
 
@@ -614,26 +616,30 @@ def model_from_bytes(blob: bytes) -> Model:
 
 def save_model(model: Model, path) -> None:
     """Write atomically and durably: temp file in the target directory,
-    fsync, rename, then fsync the directory so the rename survives a crash."""
+    fsync, rename, then fsync the directory so the rename survives a crash.
+    An OSError (no such directory, a directory at path, ...) raises
+    ModelIOError naming path; the temp file never outlives the call."""
     blob = model_to_bytes(model)
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    dir_fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError as exc:
+        raise ModelIOError(f"{path}: cannot write: {exc.strerror or exc}") from exc
     finally:
-        os.close(dir_fd)
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_model(path) -> Model:

@@ -26,9 +26,8 @@ the trial seed's Philox stream; rate 0 draws none but checks the trial
 seed all the same.  The drawn positions set a fresh (K, D) bool mask that
 :func:`hdwear.hv.pack` turns into the (K, W) flip words, padding bits
 zero; a freshly zeroed mask costs less than clearing the drawn positions
-of a reused one.  The sweep XORs in the same flip words as
-:func:`inject_bitflips`, drawn from one Philox generator per rate that is
-re-keyed for each trial (:func:`hdwear.hv.rngs`): it draws what a fresh
+of a reused one.  The trials draw from one Philox generator per rate that
+is re-keyed for each trial (:func:`hdwear.hv.rngs`): it draws what a fresh
 ``rng(trial_seed, stream)`` draws without gathering OS entropy each time.
 
 So every row is identical by construction to the plain path, which packs
@@ -42,19 +41,18 @@ tie rule.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidArgumentError, ModelNotTrainedError
-from .hv import check_int, check_seed, pack, pack_sign, rng, rngs
+from .hv import check_int, check_seed, pack, pack_sign, rngs
 from .learning import Model, labelled_blocks
 
 TABLE4_RATES = (0.01, 0.02, 0.04, 0.06, 0.10, 0.12)
 
 
-@dataclass
-class BinaryModel:
+class BinaryModel(NamedTuple):
     """Sign-quantized model: one packed row of uint64 words per class."""
 
     dim: int
@@ -80,13 +78,6 @@ def _check_rate(rate) -> None:
         raise InvalidArgumentError(f"rate must be a real in [0, 1], got {rate!r}")
 
 
-def inject_bitflips(bm: BinaryModel, rate: float, trial_seed: int) -> BinaryModel:
-    """Flip exactly round(rate * K * D) distinct stored bits, chosen
-    uniformly without replacement; returns a corrupted copy."""
-    _check_rate(rate)
-    return BinaryModel(bm.dim, bm.class_words ^ _flips(bm, rate, rng(trial_seed, _FLIP_STREAM)))
-
-
 def _flips(bm: BinaryModel, rate: float, gen: np.random.Generator) -> np.ndarray:
     """(K, W) words with the round(rate * K * D) positions that gen, the
     trial seed's flip stream, draws set."""
@@ -97,8 +88,7 @@ def _flips(bm: BinaryModel, rate: float, gen: np.random.Generator) -> np.ndarray
     return pack(flips.reshape(k, bm.dim))
 
 
-@dataclass
-class RobustnessReport:
+class RobustnessReport(NamedTuple):
     """Per-rate accuracy under fault injection.  loss = acc_clean - mean_acc
     is the quantity hardware-error tables report."""
 

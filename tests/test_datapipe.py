@@ -496,6 +496,14 @@ def test_moving_average_zero_window():
         moving_average([1.0], 0)
 
 
+@pytest.mark.parametrize("shape", [(), (4, 3), (1, 5), (2, 2, 2)])
+def test_moving_average_rejects_signal_not_1d(shape):
+    x = np.arange(float(np.prod(shape))).reshape(shape)
+    for window in (1, 3):
+        with pytest.raises(InvalidArgumentError, match="1-D"):
+            moving_average(x, window)
+
+
 def test_moving_average_preserves_length():
     for n in (1, 2, 5, 10):
         for w in (1, 2, 3, 4, 9):
@@ -849,6 +857,26 @@ def test_split_negative_seed_rejected():
             split_random(make_ds([[0.0], [1.0]]), seed)
     with pytest.raises(InvalidArgumentError):
         split_leave_one_subject_out(subject_ds(), "s1", seed=-1)
+
+
+@pytest.mark.parametrize(
+    "fraction", ["0.5", None, True, False, [0.5], 0, 1, -0.5, 1.5, float("nan"), np.float64(1.0)],
+    ids=repr,
+)
+def test_split_fraction_not_a_real_in_open_unit_interval_rejected(fraction):
+    ds = make_ds([[float(i)] for i in range(10)])
+    with pytest.raises(InvalidArgumentError, match="fraction"):
+        split_random(ds, 0, fraction)
+    with pytest.raises(InvalidArgumentError, match="fraction"):
+        split(ds, "random", fraction=fraction)
+
+
+def test_split_fraction_takes_numpy_reals():
+    ds = make_ds([[float(i)] for i in range(10)])
+    want = split_random(ds, 3, 0.3)
+    for fraction in (np.float64(0.3), np.float32(0.3)):
+        got = split_random(ds, 3, fraction)
+        assert [part.X.tolist() for part in got] == [part.X.tolist() for part in want]
 
 
 def test_split_dispatcher():

@@ -13,7 +13,8 @@ from hdwear import reference as ref
 from hdwear.datapipe import Recording, build_dataset
 from hdwear.encoding import EncoderConfig, FeatureEncoder, encode_records, quantize, record_tables
 from hdwear.errors import InvalidArgumentError, InvalidDimensionError, InvalidSampleError
-from hdwear.hv import level_flips, make_level_memory, random_hv, rng, sign_quantize
+from hdwear.hv import level_flips, random_hv, rng
+from oracles import make_level_memory, sign_quantize
 
 D = 4096
 LEVEL_SEED, Q = 21, 16

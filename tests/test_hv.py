@@ -11,17 +11,8 @@ from hypothesis import strategies as st
 
 from hdwear import reference as ref
 from hdwear.errors import InvalidArgumentError, InvalidDimensionError
-from hdwear.hv import (
-    level_flips,
-    make_level_memory,
-    pack,
-    pack_sign,
-    random_hv,
-    random_hvs,
-    rng,
-    rngs,
-    sign_quantize,
-)
+from hdwear.hv import level_flips, pack, pack_sign, random_hv, random_hvs, rng, rngs
+from oracles import make_level_memory
 
 D = 4096
 
@@ -155,7 +146,7 @@ def test_bind_output_near_orthogonal_to_inputs():
 def test_bundle_single_roundtrip():
     v = random_hv(4, 0, 256)
     acc = np.zeros(256) + v
-    assert np.array_equal(sign_quantize(acc, tie_seed=99), v)
+    assert np.array_equal(pack_sign(acc, tie_seed=99), pack(v))
 
 
 def test_bundle_cancellation():
@@ -217,31 +208,33 @@ def test_cosine_random_small(pairs_4096):
     assert abs(cosine(a, b)) < 0.08
 
 
-# ------------------------------------------------------------- sign_quantize
+# ---------------------------------------------- sign quantization: pack_sign
+# pack_sign packs the majority sign straight into words; its per-component
+# oracle is reference.sign_quantize with the tie coin random_hv(tie_seed, 0, D).
 
 
 def test_sign_quantize_plain_signs():
-    acc = np.array([5.0, -2.0, 1.0])
-    got = sign_quantize(acc, 0)
-    assert got.dtype == np.int8
-    assert np.array_equal(got, [1, -1, 1])
+    got = pack_sign(np.array([5.0, -2.0, 1.0]), 0)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [0b101]
 
 
 def test_sign_quantize_tie_deterministic():
     acc = np.zeros(128)
-    a = sign_quantize(acc, tie_seed=42)
-    b = sign_quantize(acc, tie_seed=42)
+    a = pack_sign(acc, tie_seed=42)
+    b = pack_sign(acc, tie_seed=42)
     assert np.array_equal(a, b)
+    assert np.array_equal(a, pack(random_hv(42, 0, 128)))
     # a different tie seed resolves ties differently somewhere
-    assert not np.array_equal(a, sign_quantize(acc, tie_seed=43))
+    assert not np.array_equal(a, pack_sign(acc, tie_seed=43))
 
 
 def test_sign_quantize_matches_reference():
     rng = np.random.default_rng(0)
     comps = rng.integers(-2, 3, size=257).astype(float)
-    got = sign_quantize(comps, tie_seed=7)
+    got = pack_sign(comps, tie_seed=7)
     coin = random_hv(7, 0, 257).tolist()
-    assert got.tolist() == ref.sign_quantize(comps.tolist(), coin)
+    assert np.array_equal(got, pack(ref.sign_quantize(comps.tolist(), coin)))
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.float64])
@@ -253,13 +246,13 @@ def test_pack_sign_is_pack_of_sign_quantize(d, dtype):
     want = pack([ref.sign_quantize(row.tolist(), coin) for row in acc])
     got = pack_sign(acc, tie_seed=7)
     assert got.dtype == np.uint64 and np.array_equal(got, want)
-    assert np.array_equal(got, pack(sign_quantize(acc, tie_seed=7)))
     assert np.array_equal(pack_sign(acc[0], tie_seed=7), want[0])
     bits = np.unpackbits(got.view(np.uint8), axis=1, bitorder="little")
     assert not bits[:, d:].any()
 
 
 # ------------------------------------------------------------- level memory
+# make_level_memory (tests/oracles.py) builds the levels that level_flips draws.
 
 
 def test_level_memory_endpoints():

@@ -45,6 +45,7 @@ from hdwear.learning import (
     train_iterative,
     train_online,
 )
+from hdwear.robustness import robustness_sweep
 
 D = 4096
 
@@ -181,6 +182,25 @@ def test_online_repeated_update_magnitude_decreases():
 def test_online_unknown_label():
     with pytest.raises(UnknownClassError):
         train_online(make_model(), [(hv_accum(7, 2), "mystery")])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        train_online,
+        lambda m, pairs: train_iterative(m, pairs, max_epochs=1),
+        evaluate,
+        lambda m, pairs: robustness_sweep(m, pairs, rates=[0.1], trials=1),
+    ],
+    ids=["train_online", "train_iterative", "evaluate", "robustness_sweep"],
+)
+@pytest.mark.parametrize("label", [["c0"], {"c0": 0}, np.array(["c0"])], ids=repr)
+def test_unhashable_label_is_an_unknown_class(call, label):
+    m = train_online(make_model(dim=256), [(hv_accum(7, i, 256), f"c{i}") for i in range(2)])
+    before = m.class_matrix.copy()
+    with pytest.raises(UnknownClassError, match="unknown class"):
+        call(m, [(hv_accum(7, 0, 256), "c0"), (hv_accum(7, 1, 256), label)])
+    assert np.array_equal(m.class_matrix, before)
 
 
 def test_train_online_empty_stream_noop():
@@ -797,6 +817,23 @@ def test_save_fsyncs_file_before_rename_and_directory_after(tmp_path, monkeypatc
     assert events == ["fsync file", "replace", "fsync dir"]
 
 
+@pytest.mark.parametrize(
+    "target, error",
+    [("no_such_dir/m.hdwm", FileNotFoundError), ("a_dir", IsADirectoryError)],
+    ids=["missing-directory", "directory"],
+)
+def test_save_os_error_is_typed_and_leaves_no_temp(tmp_path, target, error):
+    (tmp_path / "a_dir").mkdir()
+    path = tmp_path / target
+    with pytest.raises(ModelIOError, match="cannot write") as info:
+        save_model(trained_model(), path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert ".tmp" not in str(info.value)
+    assert isinstance(info.value.__cause__, error)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir"]
+    assert not any((tmp_path / "a_dir").iterdir())
+
+
 def with_crc(payload: bytes) -> bytes:
     return payload + struct.pack("<I", zlib.crc32(payload))
 
@@ -832,6 +869,14 @@ def test_model_file_without_classes_rejected():
 def test_non_str_labels_rejected():
     with pytest.raises(InvalidArgumentError):
         Model(classes=[0, 1], encoder=EncoderConfig(dim=64))
+
+
+def test_str_classes_rejected():
+    # a str is a sequence of one-character labels, never a class list
+    for classes in ("walk", "w"):
+        with pytest.raises(InvalidArgumentError, match="list of labels"):
+            Model(classes=classes, encoder=EncoderConfig(dim=64))
+    assert Model(classes=["walk"], encoder=EncoderConfig(dim=64)).classes == ("walk",)
 
 
 def test_labels_utf8_cannot_encode_rejected():

@@ -1,5 +1,6 @@
 """Packaging metadata: every declared console script and every exported
-name resolves."""
+name resolves, the package exports the pipeline, and test-only helpers stay
+out of it."""
 
 import importlib
 from pathlib import Path
@@ -25,3 +26,59 @@ def test_all_exports_resolve():
     pkg = importlib.import_module("hdwear")
     missing = [name for name in pkg.__all__ if not hasattr(pkg, name)]
     assert not missing, f"hdwear.__all__ names missing attributes: {missing}"
+
+
+# the stage calls the benchmark makes (hdbench/hdapi.py CALLS), by layer
+STAGE_CALLS = {
+    "datapipe": ("CsvSchema", "load_csv", "build_dataset", "split", "fit_stats"),
+    "encoding": ("EncoderConfig", "FeatureEncoder"),
+    "learning": (
+        "Model", "train_online", "train_iterative", "evaluate", "save_model", "load_model",
+        "predict",
+    ),
+    "robustness": ("TABLE4_RATES", "quantize_model", "robustness_sweep"),
+    "errors": ("HDWearError", "DataError", "ModelIOError"),
+}
+
+
+def test_package_exports_the_pipeline():
+    pkg = importlib.import_module("hdwear")
+    for layer, names in STAGE_CALLS.items():
+        module = importlib.import_module(f"hdwear.{layer}")
+        for name in names:
+            assert name in pkg.__all__, name
+            assert getattr(pkg, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("hv", "make_level_memory"),
+        ("hv", "sign_quantize"),
+        ("hv", "_sign_bits"),
+        ("robustness", "inject_bitflips"),
+        ("encoding", "_in_range"),
+    ],
+)
+def test_test_only_helpers_are_not_in_the_package(module, name):
+    assert not hasattr(importlib.import_module(f"hdwear.{module}"), name)
+
+
+@pytest.mark.parametrize(
+    "module, record, fields",
+    [
+        ("datapipe", "FeatureStats", ("mins", "maxs")),
+        (
+            "learning", "EvalReport",
+            ("classes", "accuracy", "confusion", "per_class_recall", "n_samples"),
+        ),
+        ("robustness", "BinaryModel", ("dim", "class_words")),
+        (
+            "robustness", "RobustnessReport",
+            ("rates", "acc_clean", "mean_acc", "sd_acc", "trials", "seed"),
+        ),
+    ],
+)
+def test_result_records_are_named_tuples(module, record, fields):
+    cls = getattr(importlib.import_module(f"hdwear.{module}"), record)
+    assert issubclass(cls, tuple) and cls._fields == fields

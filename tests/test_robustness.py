@@ -14,15 +14,10 @@ from hdwear.errors import (
     UnknownClassError,
 )
 from hdwear import hv, robustness
-from hdwear.hv import pack, random_hv, rng, sign_quantize
+from hdwear.hv import pack, random_hv, rng
 from hdwear.learning import Model, evaluate, predict, train_iterative, train_online
-from hdwear.robustness import (
-    TABLE4_RATES,
-    RobustnessReport,
-    inject_bitflips,
-    quantize_model,
-    robustness_sweep,
-)
+from hdwear.robustness import TABLE4_RATES, RobustnessReport, quantize_model, robustness_sweep
+from oracles import inject_bitflips, sign_quantize
 
 D = 4096
 
@@ -186,6 +181,11 @@ def test_count_arguments_rejected(call, value):
     assert np.array_equal(m.class_matrix, before)
 
 
+# ------------------------------------------------------- the sweep's flips
+# inject_bitflips (tests/oracles.py) XORs the flip words of one sweep trial,
+# robustness._flips on the trial seed's stream, into a copy of the model.
+
+
 def test_inject_rate_zero_identical():
     m, _ = trained_model(dim=256)
     bm = quantize_model(m)
@@ -240,15 +240,16 @@ def test_inject_leaves_original_untouched():
     assert np.array_equal(bm.class_words, before)
 
 
-def test_inject_rate_out_of_range():
-    m, _ = trained_model(dim=256)
-    bm = quantize_model(m)
+def test_sweep_rate_out_of_range():
+    m, data = trained_model(dim=256)
+    before = m.class_matrix.copy()
     for bad in (-0.1, 1.1, float("nan"), "0.1", None, True):
         with pytest.raises(InvalidArgumentError):
-            inject_bitflips(bm, bad, trial_seed=0)
+            robustness_sweep(m, data, rates=[bad], trials=1)
+    assert np.array_equal(m.class_matrix, before)
     for rates in ([0.1, "x"], [True]):
         with pytest.raises(InvalidArgumentError):
-            robustness_sweep(m, trained_model(dim=256)[1], rates=rates, trials=1)
+            robustness_sweep(m, data, rates=rates, trials=1)
         # checked before any work: an empty test set is never looked at
         with pytest.raises(InvalidArgumentError):
             robustness_sweep(m, [], rates=rates, trials=1)
@@ -257,18 +258,12 @@ def test_inject_rate_out_of_range():
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", None, True, False])
 def test_sweep_seed_rejected(seed):
     m, data = trained_model(n_classes=2, dim=130)
-    with pytest.raises(InvalidArgumentError):
-        robustness_sweep(m, data, rates=[0.1], trials=1, seed=seed)
+    # rate 0.0 flips nothing but checks the seed all the same
+    for rates in ([0.1], [0.0]):
+        with pytest.raises(InvalidArgumentError):
+            robustness_sweep(m, data, rates=rates, trials=1, seed=seed)
     # the largest Philox key word is a seed like any other
     robustness_sweep(m, data, rates=[0.1], trials=1, seed=2**64 - 1)
-
-
-def test_inject_negative_trial_seed_rejected():
-    bm = quantize_model(trained_model(dim=256)[0])
-    # rate 0.0 flips nothing but checks its seed all the same
-    for rate in (0.0, 0.1):
-        with pytest.raises(InvalidArgumentError):
-            inject_bitflips(bm, rate, trial_seed=-1)
 
 
 def test_sweep_rate_zero_row_has_zero_loss():
