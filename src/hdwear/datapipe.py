@@ -438,8 +438,8 @@ def build_dataset(
     array, and one blocked pass writes the statistics of every channel of
     every window straight into its rows of X (see _window_stats)."""
     _check_window(window_samples, stride)
-    if len(channel_order) == 0:
-        raise SchemaError("channel_order names no channels")
+    if isinstance(channel_order, str) or len(channel_order) == 0:
+        raise SchemaError(f"channel_order must be a non-empty list of names, got {channel_order!r}")
     recordings = list(recordings)
     for rec in recordings:
         missing = [ch for ch in channel_order if ch not in rec.channels]

@@ -124,12 +124,25 @@ def encode_records(X, bounds, tables: tuple) -> np.ndarray:
     return H
 
 
+def _is_float64(x) -> bool:
+    """Whether x is a real, Python or numpy but not bool, whose float64 value
+    is finite and equal to x: what a f64 field of the model file holds and
+    gives back unchanged."""
+    real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+    try:
+        return real and math.isfinite(f := float(x)) and f == x
+    except OverflowError:  # an int or a Fraction beyond the float64 range
+        return False
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     """Everything needed to re-create bit-identical encodings: geometry,
     the three seeds (level memory, feature signatures, sign-quantization
     ties), and the per-feature quantization bounds frozen from the training
-    split.  The fields are checked once, here, and cannot be rebound."""
+    split.  The fields are checked once, here, and cannot be rebound; each
+    bound is a finite real that float64 holds exactly, so the config
+    round-trips through the model file."""
 
     dim: int = 4096
     q_levels: int = 16
@@ -152,7 +165,7 @@ class EncoderConfig:
             if not (
                 isinstance(bound, (tuple, list))
                 and len(bound) == 2
-                and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in bound)
+                and all(_is_float64(v) for v in bound)
             ):
                 raise InvalidArgumentError(f"bound {bound!r} is not a finite (v_min, v_max) pair")
 

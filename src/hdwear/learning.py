@@ -80,7 +80,6 @@ pair anywhere in a stream leaves the model unchanged.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 import tempfile
@@ -91,7 +90,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import EncoderConfig
+from .encoding import EncoderConfig, _is_float64
 from .errors import (
     BadMagicError,
     ChecksumError,
@@ -125,9 +124,10 @@ class Model:
     """Per-class accumulators plus everything needed to reproduce encodings.
 
     Class labels are UTF-8 encodable ``str``, so they round-trip through the
-    model file, and are kept as a tuple; ``eta`` is a finite real > 0; the
-    class matrix is finite once cast to float32.  The fields are frozen once
-    checked; training updates ``class_matrix`` in place.
+    model file, and are kept as a tuple; ``eta`` is a real > 0 that float64
+    holds exactly, so it round-trips too; the class matrix is finite once
+    cast to float32.  The fields are frozen once checked; training updates
+    ``class_matrix`` in place.
 
     ``retrain_curve`` (misses per retraining epoch) is runtime metadata, not
     persisted.
@@ -152,7 +152,7 @@ class Model:
             )
         if len(set(self.classes)) != len(self.classes):
             raise UnknownClassError("duplicate class labels")
-        if not (isinstance(self.eta, numbers.Real) and math.isfinite(self.eta) and self.eta > 0):
+        if not (_is_float64(self.eta) and self.eta > 0):
             raise InvalidArgumentError(f"eta must be a finite real > 0, got {self.eta!r}")
         shape = (len(self.classes), self.encoder.dim)
         with np.errstate(over="ignore"):  # a component float32 cannot hold turns inf
@@ -518,16 +518,16 @@ def evaluate(model: Model, dataset) -> EvalReport:
 #   | K x D f32 class components (row-major)
 #   | u32 CRC32 of all preceding bytes
 #
-# The two reserved slots are written as 3 and 0 and ignored on read.  Nothing
-# may follow the CRC.
+# _HEAD is the fixed header, magic to F.  The two reserved slots are
+# written as 3 and 0 and ignored on read.  Nothing may follow the CRC.
 
+_HEAD = struct.Struct("<4sHIIIId4QI")
 _RESERVED = (3, 0)
 
 
 def model_to_bytes(model: Model) -> bytes:
     enc = model.encoder
-    head = struct.pack(
-        "<4sHIIIId4QI",
+    head = _HEAD.pack(
         MAGIC,
         FORMAT_VERSION,
         enc.dim,
@@ -541,9 +541,7 @@ def model_to_bytes(model: Model) -> bytes:
         enc.tie_seed,
         enc.n_features,
     )
-    parts = [head]
-    for lo, hi in enc.feature_bounds:
-        parts.append(struct.pack("<dd", float(lo), float(hi)))
+    parts = [head, np.array(enc.feature_bounds, dtype="<f8").tobytes()]
     for label in model.classes:
         raw = label.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)) + raw)
@@ -552,54 +550,49 @@ def model_to_bytes(model: Model) -> bytes:
     return payload + struct.pack("<I", zlib.crc32(payload))
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise TruncatedModelError(
-                f"file ends at byte {len(self.blob)}, needed {self.pos + n}"
-            )
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+def _fits(blob: bytes, end: int) -> int:
+    """end, if blob holds that many bytes; TruncatedModelError otherwise."""
+    if end > len(blob):
+        raise TruncatedModelError(f"file ends at byte {len(blob)}, needed {end}")
+    return end
 
 
 def model_from_bytes(blob: bytes) -> Model:
-    """Parse a model file; any malformed blob raises a ModelIOError."""
-    if len(blob) < 4 or blob[:4] != MAGIC:
+    """Parse a model file; any malformed blob raises a ModelIOError.
+
+    The checks run in file order: magic, version (as soon as its two bytes
+    exist), length, label encoding, checksum, trailing bytes, then the
+    fields themselves."""
+    if blob[:4] != MAGIC:
         raise BadMagicError("not a model file (bad magic)")
-    r = _Reader(blob)
-    r.take(4)
-    (version,) = r.unpack("<H")
-    if version != FORMAT_VERSION:
+    # read alone: a newer version is named even if its header is shorter
+    version = int.from_bytes(blob[4:6], "little")
+    if len(blob) >= 6 and version != FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"format version {version} not supported (expected {FORMAT_VERSION})"
         )
-    dim, k, q, _ = r.unpack("<IIII")
-    (eta,) = r.unpack("<d")
-    _, level_seed, sensor_seed, tie_seed = r.unpack("<4Q")
-    (n_features,) = r.unpack("<I")
-    bounds = [r.unpack("<dd") for _ in range(n_features)]
+    _, _, dim, k, q, _, eta, _, level_seed, sensor_seed, tie_seed, n_features = _HEAD.unpack(
+        blob[: _fits(blob, _HEAD.size)]
+    )
+    pos = _fits(blob, _HEAD.size + 16 * n_features)
+    bounds = np.frombuffer(blob, "<f8", 2 * n_features, _HEAD.size).reshape(-1, 2)
     classes = []
     for _ in range(k):
-        (ln,) = r.unpack("<I")
+        start = _fits(blob, pos + 4)
+        (ln,) = struct.unpack_from("<I", blob, pos)
+        pos = _fits(blob, start + ln)
         try:
-            classes.append(r.take(ln).decode("utf-8"))
+            classes.append(blob[start:pos].decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ModelIOError(f"class label is not valid UTF-8: {exc}") from None
-    matrix = np.frombuffer(r.take(4 * k * dim), dtype="<f4").reshape(k, dim)
-    payload_end = r.pos
-    (stored_crc,) = r.unpack("<I")
-    if zlib.crc32(blob[:payload_end]) != stored_crc:
+    start, pos = pos, _fits(blob, pos + 4 * k * dim)
+    matrix = np.frombuffer(blob, "<f4", k * dim, start).reshape(k, dim)
+    end = _fits(blob, pos + 4)
+    (stored_crc,) = struct.unpack_from("<I", blob, pos)
+    if zlib.crc32(memoryview(blob)[:pos]) != stored_crc:
         raise ChecksumError("model file checksum mismatch")
-    if r.pos != len(blob):
-        raise ModelIOError(f"{len(blob) - r.pos} trailing bytes after the checksum")
+    if end != len(blob):
+        raise ModelIOError(f"{len(blob) - end} trailing bytes after the checksum")
     try:
         encoder = EncoderConfig(
             dim=dim,
@@ -607,7 +600,8 @@ def model_from_bytes(blob: bytes) -> Model:
             level_seed=level_seed,
             sensor_seed=sensor_seed,
             tie_seed=tie_seed,
-            feature_bounds=[(lo, hi) for lo, hi in bounds],
+            # float 2-tuples, so that the loaded config equals the saved one
+            feature_bounds=list(map(tuple, bounds.tolist())),
         )
         return Model(classes=classes, encoder=encoder, eta=eta, class_matrix=matrix.copy())
     except HDWearError as exc:

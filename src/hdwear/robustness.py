@@ -41,6 +41,7 @@ tie rule.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
@@ -127,6 +128,8 @@ def robustness_sweep(
     and evaluate each corrupted model on the test set."""
     check_int(trials, "trials", 1)
     check_seed(seed)
+    if isinstance(rates, (str, bytes)) or not isinstance(rates, Iterable):
+        raise InvalidArgumentError(f"rates must be a list of reals, got {rates!r}")
     rates = list(rates)
     for rate in rates:
         _check_rate(rate)

@@ -965,6 +965,12 @@ def test_build_dataset_rejects_empty_channel_order():
         build_dataset([], [], 4, 2)
 
 
+def test_build_dataset_rejects_str_channel_order():
+    # a str would split into one channel per character
+    with pytest.raises(SchemaError, match="list of names"):
+        build_dataset([rec(n=10)], "ab", 4, 2)
+
+
 @pytest.mark.parametrize(
     "window, stride", [(0, 1), (1, 0), (3.5, 1), (4, 2.0), (True, 1), (4, False)]
 )

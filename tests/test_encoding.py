@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -418,6 +419,13 @@ def test_encoder_config_accepts_geometry_edges():
         ["ab"],
         [None],
         [1.0],
+        # reals that a f64 bound of the model file would not give back
+        [(True, 1.0)],
+        [(0, 2**1100)],
+        [(0, 10**400)],
+        [(0, 2**53 + 1)],
+        [(np.longdouble("1e-4000"), 1.0)],
+        [(Fraction(1, 10**400), 1.0)],
     ],
 )
 def test_encoder_config_rejects_bad_bounds(bounds):

@@ -6,6 +6,7 @@ import stat
 import struct
 import zlib
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -911,6 +912,19 @@ def test_model_file_with_non_finite_bound_rejected(bound):
         model_from_bytes(one_class_blob(8, 16, bound))
 
 
+def test_every_prefix_raises_by_where_it_ends():
+    blob = model_to_bytes(trained_model(dim=8))
+    for n in range(len(blob)):
+        error = BadMagicError if n < 4 else TruncatedModelError
+        with pytest.raises(error):
+            model_from_bytes(blob[:n])
+    # the version is checked as soon as its two bytes exist
+    wrong = blob[:4] + (2).to_bytes(2, "little") + blob[6:]
+    for n in range(6, len(wrong) + 1):
+        with pytest.raises(UnsupportedVersionError):
+            model_from_bytes(wrong[:n])
+
+
 @given(
     st.sampled_from(["truncate", "flip", "append"]),
     st.integers(0, 2**10),
@@ -954,10 +968,33 @@ def test_model_classes_cannot_change_in_place():
     assert model_from_bytes(model_to_bytes(m)) == m
 
 
-@pytest.mark.parametrize("eta", [0.0, -0.5, math.nan, math.inf, "x", None])
+@pytest.mark.parametrize(
+    "eta",
+    [
+        0.0,
+        -0.5,
+        math.nan,
+        math.inf,
+        "x",
+        None,
+        # each below is a real the f64 eta field would not give back
+        True,
+        pytest.param(10**400, id="10**400"),
+        pytest.param(2**53 + 1, id="2**53+1"),
+        pytest.param(np.longdouble("1e-4000"), id="longdouble-1e-4000"),
+        pytest.param(Fraction(1, 10**400), id="1/10**400"),
+        pytest.param(Fraction(1, 3), id="1/3"),
+    ],
+)
 def test_model_rejects_bad_eta(eta):
     with pytest.raises(InvalidArgumentError):
         make_model(eta=eta)
+
+
+def test_exact_reals_of_other_types_round_trip():
+    enc = EncoderConfig(dim=8, feature_bounds=[(Fraction(1, 2), np.float32(0.25)), (2**53, -3)])
+    m = Model(classes=["a"], encoder=enc, eta=np.longdouble(0.125), class_matrix=np.ones((1, 8)))
+    assert model_from_bytes(model_to_bytes(m)) == m
 
 
 # "retrain_epoch" is one retraining epoch: train_iterative(max_epochs=1)

@@ -247,7 +247,8 @@ def test_sweep_rate_out_of_range():
         with pytest.raises(InvalidArgumentError):
             robustness_sweep(m, data, rates=[bad], trials=1)
     assert np.array_equal(m.class_matrix, before)
-    for rates in ([0.1, "x"], [True]):
+    # a real, None, or a str or bytes (a sequence, but not of rates)
+    for rates in ([0.1, "x"], [True], 0.1, None, "0.1", b"\x00"):
         with pytest.raises(InvalidArgumentError):
             robustness_sweep(m, data, rates=rates, trials=1)
         # checked before any work: an empty test set is never looked at
