@@ -11,6 +11,13 @@ A window's label is the majority of its per-sample labels, ties going to
 the lowest label in sorted order.  Quantization bounds are fit on the training split only and
 frozen into the model; test-time values outside the bounds are clamped,
 never rejected.
+
+Two splits: split_random shuffles windows into train and test with a
+seed, and split_personalize holds one subject out for the personalization
+protocol.  There a population model is trained on every other subject
+(bounds fit on that population only, so the device gets a frozen
+encoder), adapted with train_online on the held-out subject's first half
+of windows, and evaluated on its later windows, before and after adapting.
 """
 
 from __future__ import annotations
@@ -92,20 +99,26 @@ class FeatureStats(NamedTuple):
 
 @dataclass
 class WindowedDataset:
-    """One row per window: X is (N, F) float64, y and subjects are (N,)."""
+    """One row per window: X is (N, F) float64, y and subjects are (N,).
+
+    window_samples and stride are the window geometry build_dataset used:
+    window i of a recording covers its samples [i * stride, i * stride +
+    window_samples).  A dataset built by hand defaults to 1 and 1, windows
+    that share no sample."""
 
     X: np.ndarray
     y: np.ndarray
     subjects: np.ndarray
     feature_names: list = field(default_factory=list)
     skipped_recordings: int = 0
+    window_samples: int = 1
+    stride: int = 1
+
+    def __post_init__(self):
+        _check_window(self.window_samples, self.stride)
 
     def __len__(self):
         return len(self.X)
-
-    def subject_ids(self) -> list:
-        """Distinct subjects in order of first appearance."""
-        return list(dict.fromkeys(self.subjects.tolist()))
 
     def select(self, indices) -> "WindowedDataset":
         """The given rows, in the given order, as a copy."""
@@ -465,6 +478,8 @@ def build_dataset(
         subjects=np.concatenate(subjects),
         feature_names=[f"{ch}_{stat}" for ch in channel_order for stat in FEATURE_STATS],
         skipped_recordings=len(recordings) - len(kept),
+        window_samples=window_samples,
+        stride=stride,
     )
 
 
@@ -488,37 +503,34 @@ def split_random(ds: WindowedDataset, seed: int, fraction: float = 0.5):
     return ds.select(order[:n_train]), ds.select(order[n_train:])
 
 
-def split_subject_half(ds: WindowedDataset):
-    """First half of each subject's windows (temporal order preserved) to
-    train, the rest to test."""
-    in_train = np.zeros(len(ds), dtype=bool)
-    for subject in ds.subject_ids():
-        idx = np.flatnonzero(ds.subjects == subject)
-        in_train[idx[: len(idx) // 2]] = True
-    return ds.select(np.flatnonzero(in_train)), ds.select(np.flatnonzero(~in_train))
+def split_personalize(ds: WindowedDataset, subject):
+    """(population, adapt, test) for personalizing a population model to one
+    held-out subject: population is every other subject's windows, adapt
+    the first half of the subject's windows in dataset order, and test the
+    rest of them, minus the ceil(window_samples / stride) - 1 windows right
+    after adapt that can share samples with adapt's last window.  Windows i
+    and j of a recording overlap iff |i - j| * stride < window_samples.
 
-
-def split_leave_one_subject_out(ds: WindowedDataset, subject: str, seed: int):
-    """Train on every other subject; test on a seeded random half of the
-    held-out subject's windows."""
-    subjects = ds.subject_ids()
-    if subject not in subjects:
+    Raises UnknownSubjectError for a subject the dataset lacks and
+    EmptyInputError when any of the three parts would be empty."""
+    # a subject id is one str; a list would be compared with every row
+    held = np.flatnonzero(ds.subjects == subject) if isinstance(subject, str) else []
+    if not len(held):
         raise UnknownSubjectError(f"unknown subject {subject!r}")
-    if len(subjects) < 2:
-        raise InvalidArgumentError("leave-one-subject-out needs at least 2 subjects")
-    held = np.flatnonzero(ds.subjects == subject)
-    order = rng(seed, _SPLIT_STREAM).permutation(len(held))
-    picked = np.sort(held[order[: len(held) // 2]])
-    return ds.select(np.flatnonzero(ds.subjects != subject)), ds.select(picked)
+    half = len(held) // 2
+    parts = (
+        ds.select(np.flatnonzero(ds.subjects != subject)),
+        ds.select(held[:half]),
+        # (window_samples - 1) // stride = ceil(window_samples / stride) - 1
+        ds.select(held[half + (ds.window_samples - 1) // ds.stride :]),
+    )
+    if not all(map(len, parts)):
+        raise EmptyInputError(f"subject {subject!r}: part sizes {list(map(len, parts))}")
+    return parts
 
 
-def split(ds: WindowedDataset, strategy: str, seed: int = 0, fraction: float = 0.5, subject: str | None = None):
-    if strategy == "random":
-        return split_random(ds, seed, fraction)
-    if strategy == "subject-half":
-        return split_subject_half(ds)
-    if strategy == "loso":
-        if subject is None:
-            raise InvalidArgumentError("loso split needs a subject")
-        return split_leave_one_subject_out(ds, subject, seed)
-    raise InvalidArgumentError(f"unknown split strategy {strategy!r}")
+def split(ds: WindowedDataset, strategy: str, seed: int = 0, fraction: float = 0.5):
+    """split_random(ds, seed, fraction) for strategy "random", the only one."""
+    if strategy != "random":
+        raise InvalidArgumentError(f"unknown split strategy {strategy!r}")
+    return split_random(ds, seed, fraction)

@@ -43,12 +43,10 @@ class CsvParseError(DataError):
 
 
 class EmptyInputError(DataError):
-    """Input file or split contains no usable rows."""
-
-
-class EmptyDatasetError(DataError):
-    """Evaluation or a robustness sweep invoked on an empty test set (an
-    empty training stream is a no-op)."""
+    """No rows to work on: an input file or split without usable rows, a
+    held-out subject too short for every part of its split, or an empty
+    test set for evaluation or a robustness sweep (an empty training
+    stream is a no-op)."""
 
 
 class UnknownSubjectError(DataError, KeyError):

@@ -72,9 +72,10 @@ its fields are checked only at construction and cannot be rebound later;
 training changes the class matrix in place and nothing else.
 :func:`labelled_blocks` is the one boundary for (H, label) pairs: the
 training loops, :func:`evaluate` and the robustness sweep all take their
-pairs through it, and it checks every pair (known label, shape (D,),
-finite components) before the first one is scored or learned, so a bad
-pair anywhere in a stream leaves the model unchanged.
+pairs through it, and it checks every pair (an iterable of 2-item pairs,
+known label, shape (D,), finite components) before the first one is
+scored or learned, so a bad pair anywhere in a stream leaves the model
+unchanged.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ from .errors import (
     BadMagicError,
     ChecksumError,
     DimensionMismatchError,
-    EmptyDatasetError,
+    EmptyInputError,
     HDWearError,
     InvalidArgumentError,
     InvalidSampleError,
@@ -427,15 +428,18 @@ def labelled_blocks(model: Model, pairs) -> tuple[np.ndarray, Iterator[np.ndarra
     the queries in order, in their own dtype, as stacked (n, D) arrays of at
     most _BLOCK_ROWS rows.  No pairs give an empty truth and no blocks.
 
-    Raises UnknownClassError for a label the model lacks,
-    DimensionMismatchError for an H not of shape (D,) and
-    InvalidSampleError for an H that is not real or has a non-finite
-    component.
+    Raises InvalidArgumentError for pairs that cannot be iterated, an
+    element that is not a 2-item pair or an H that is ragged,
+    UnknownClassError for a label the model lacks, DimensionMismatchError
+    for an H not of shape (D,) and InvalidSampleError for an H that is not
+    real or has a non-finite component.
     """
-    pairs = list(pairs)
+    try:
+        pairs = [(np.asarray(H), label) for H, label in pairs]
+    except (TypeError, ValueError) as exc:  # see the docstring; a 0-d array is not iterable
+        raise InvalidArgumentError(f"labelled data must be (H, label) pairs: {exc}") from exc
     truth = np.array([model.class_index(label) for _, label in pairs], dtype=np.intp)
-    for H, _ in pairs:
-        h = np.asarray(H)
+    for h, _ in pairs:
         if h.shape != (model.dim,):
             raise DimensionMismatchError(f"query dim {h.shape} != ({model.dim},)")
         _check_real(h)
@@ -451,7 +455,10 @@ def predict(model: Model, H) -> np.ndarray:
     (N, D) batch, as (N,) int64; ties resolve to the lowest class index and
     a zero-norm class or query scores 0.  A row that is not real or has a
     non-finite component raises InvalidSampleError, as in labelled_blocks."""
-    h = np.asarray(H)
+    try:
+        h = np.asarray(H)
+    except ValueError:  # numpy refuses a ragged H
+        raise DimensionMismatchError(f"ragged queries, not one (N, {model.dim}) array") from None
     if h.ndim != 2 or h.shape[1] != model.dim:
         raise DimensionMismatchError(f"query batch shape {h.shape} != (N, {model.dim})")
     _check_real(h)
@@ -485,7 +492,7 @@ class EvalReport(NamedTuple):
 def evaluate(model: Model, dataset) -> EvalReport:
     truth, blocks = labelled_blocks(model, dataset)
     if not len(truth):
-        raise EmptyDatasetError("no (H, label) pairs to score")
+        raise EmptyInputError("no (H, label) pairs to score")
     pred = _best(model, blocks)
     k = model.n_classes
     confusion = np.zeros((k, k), dtype=np.int64)

@@ -6,7 +6,7 @@ checks its (H, label) pairs with :func:`hdwear.learning.labelled_blocks`,
 the boundary training and :func:`hdwear.learning.evaluate` use too: a
 label the model lacks raises ``UnknownClassError`` and a non-finite query
 ``InvalidSampleError`` (neither is ever scored), and, as in ``evaluate``,
-an empty test set raises ``EmptyDatasetError``.  Its seed, trial count and
+an empty test set raises ``EmptyInputError``.  Its seed, trial count and
 rates are checked before any work, and a bad one raises
 ``InvalidArgumentError``.
 
@@ -41,12 +41,11 @@ tie rule.
 from __future__ import annotations
 
 import numbers
-from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyDatasetError, InvalidArgumentError, ModelNotTrainedError
+from .errors import EmptyInputError, InvalidArgumentError, ModelNotTrainedError
 from .hv import check_int, check_seed, pack, pack_sign, rngs
 from .learning import Model, labelled_blocks
 
@@ -72,11 +71,6 @@ def quantize_model(model: Model) -> BinaryModel:
 
 
 _FLIP_STREAM = 2**33
-
-
-def _check_rate(rate) -> None:
-    if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and 0.0 <= rate <= 1.0):
-        raise InvalidArgumentError(f"rate must be a real in [0, 1], got {rate!r}")
 
 
 def _flips(bm: BinaryModel, rate: float, gen: np.random.Generator) -> np.ndarray:
@@ -128,15 +122,19 @@ def robustness_sweep(
     and evaluate each corrupted model on the test set."""
     check_int(trials, "trials", 1)
     check_seed(seed)
-    if isinstance(rates, (str, bytes)) or not isinstance(rates, Iterable):
+    if isinstance(rates, (str, bytes)):  # sequences, but not of rates
         raise InvalidArgumentError(f"rates must be a list of reals, got {rates!r}")
-    rates = list(rates)
+    try:
+        rates = list(rates)
+    except TypeError as exc:  # not iterable; a 0-d array is Iterable by type only
+        raise InvalidArgumentError(f"rates must be a list of reals, got {rates!r}") from exc
     for rate in rates:
-        _check_rate(rate)
+        if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and 0.0 <= rate <= 1.0):
+            raise InvalidArgumentError(f"rate must be a real in [0, 1], got {rate!r}")
     bm = quantize_model(model)
     truth, blocks = labelled_blocks(model, test_set)
     if not len(truth):
-        raise EmptyDatasetError("no (H, label) pairs to score")
+        raise EmptyInputError("no (H, label) pairs to score")
     # the queries as (W, N) words and the buffers every trial reuses
     qt = np.empty((bm.class_words.shape[1], len(truth)), dtype=np.uint64)
     np.concatenate([pack_sign(H, model.encoder.tie_seed).T for H in blocks], axis=1, out=qt)

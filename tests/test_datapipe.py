@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -23,12 +24,11 @@ from hdwear.datapipe import (
     load_csv,
     moving_average,
     split,
-    split_leave_one_subject_out,
+    split_personalize,
     split_random,
-    split_subject_half,
     window_labels,
 )
-from hdwear.encoding import EncoderConfig
+from hdwear.encoding import EncoderConfig, FeatureEncoder
 from hdwear.errors import (
     CsvParseError,
     DataError,
@@ -37,7 +37,9 @@ from hdwear.errors import (
     SchemaError,
     UnknownSubjectError,
 )
-from hdwear.learning import Model, model_from_bytes, model_to_bytes
+from hdwear.learning import (
+    Model, evaluate, model_from_bytes, model_to_bytes, train_iterative, train_online,
+)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -794,51 +796,115 @@ def test_fit_stats_ignores_test_split():
 # -------------------------------------------------------------------- splits
 
 
-def subject_ds():
-    vectors, subjects = [], []
-    for s, count in (("s1", 10), ("s2", 6)):
-        for i in range(count):
-            vectors.append([float(i)])
-            subjects.append(s)
-    return make_ds(vectors, subjects=subjects)
+def ramp_ds(window, stride, lengths=(("s1", 600), ("s2", 500), ("s3", 700))):
+    """Recordings of one ramp channel "t" that counts samples across the
+    whole dataset, so a window's min and max features (columns 2 and 3) are
+    the indices of its first and last sample."""
+    recs, start = [], 0
+    for subject, n in lengths:
+        t = np.arange(start, start + n, dtype=float)
+        recs.append(Recording(subject, {"t": t}, labels=np.array(["x"] * n)))
+        start += n
+    return build_dataset(recs, ["t"], window, stride)
 
 
-def test_subject_half_split():
-    train, test = split_subject_half(subject_ds())
-    assert len(train) == 8 and len(test) == 8
-    s1_train = train.X[train.subjects == "s1", 0]
-    s1_test = test.X[test.subjects == "s1", 0]
-    assert len(s1_train) == 5
-    assert max(s1_train) < min(s1_test)  # train strictly precedes test
+@pytest.mark.parametrize(
+    "window, stride", [(100, 50), (64, 8), (10, 10), (10, 3), (5, 7)]
+)
+def test_personalize_adapt_precedes_test_and_shares_no_sample(window, stride):
+    ds = ramp_ds(window, stride)
+    population, adapt, test = split_personalize(ds, "s2")
+    held = ds.X[ds.subjects == "s2"]
+    half = len(held) // 2
+    # adapt is the first half of the subject's windows, in order, and every
+    # adapt sample precedes every test sample
+    assert np.array_equal(adapt.X, held[:half])
+    assert adapt.X[:, 3].max() < test.X[:, 2].min()
+    # exactly the ceil(window / stride) - 1 windows that share a sample with
+    # adapt's last window are dropped; test is the rest, in order
+    drop = math.ceil(window / stride) - 1
+    assert np.array_equal(test.X, held[half + drop :])
+    assert (held[half : half + drop, 2] <= adapt.X[-1, 3]).all()
 
 
-def test_subject_half_split_keeps_row_order():
-    # interleaved subjects: each split keeps the dataset's row order
+def test_personalize_keeps_dataset_order():
+    # interleaved subjects: adapt is the first half of the subject's rows in
+    # dataset order, test the rest, and population keeps its order too
     subjects = ["s2", "s1", "s1", "s2", "s3", "s1", "s2", "s2", "s1"]
     ds = make_ds([[float(i)] for i in range(len(subjects))], subjects=subjects)
-    train, test = split_subject_half(ds)
-    assert train.X[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert test.X[:, 0].tolist() == [4.0, 5.0, 6.0, 7.0, 8.0]
-    assert ds.subject_ids() == ["s2", "s1", "s3"]
+    population, adapt, test = split_personalize(ds, "s1")
+    assert adapt.X[:, 0].tolist() == [1.0, 2.0]
+    assert test.X[:, 0].tolist() == [5.0, 8.0]  # hand-built: no window overlaps
+    assert population.X[:, 0].tolist() == [0.0, 3.0, 4.0, 6.0, 7.0]
 
 
-def test_loso_excludes_subject():
-    train, test = split_leave_one_subject_out(subject_ds(), "s1", seed=3)
-    assert (train.subjects != "s1").all()
-    assert (test.subjects == "s1").all()
-    assert len(test) == 5  # half of the held-out subject's 10 windows
-    assert np.all(np.diff(test.X[:, 0]) > 0)  # picked rows keep their order
+def test_personalize_population_holds_no_held_out_window():
+    ds = ramp_ds(10, 5)
+    population, adapt, test = split_personalize(ds, "s1")
+    assert (population.subjects != "s1").all()
+    assert (adapt.subjects == "s1").all() and (test.subjects == "s1").all()
+    assert np.array_equal(population.X, ds.X[ds.subjects != "s1"])
 
 
-def test_loso_unknown_subject():
+@pytest.mark.parametrize(
+    "subject", ["nobody", "", ["s1"], None], ids=["nobody", "empty", "list", "None"]
+)
+def test_personalize_unknown_subject(subject):
     with pytest.raises(UnknownSubjectError):
-        split_leave_one_subject_out(subject_ds(), "nobody", seed=0)
+        split_personalize(ramp_ds(10, 5), subject)
 
 
-def test_loso_single_subject():
-    ds = make_ds([[1.0], [2.0]], subjects=["s1", "s1"])
-    with pytest.raises(InvalidArgumentError):
-        split_leave_one_subject_out(ds, "s1", seed=0)
+@pytest.mark.parametrize(
+    "lengths, window, stride",
+    [
+        ((("s1", 100), ("s2", 10)), 10, 5),  # one window: adapt would be empty
+        ((("s1", 100), ("s2", 13)), 10, 3),  # two windows: both overlap
+        ((("s1", 100),), 10, 5),  # no other subject: population would be empty
+    ],
+    ids=["one-window", "overlapping", "single-subject"],
+)
+def test_personalize_subject_too_short(lengths, window, stride):
+    ds = ramp_ds(window, stride, lengths)
+    with pytest.raises(EmptyInputError):
+        split_personalize(ds, lengths[-1][0])
+
+
+def test_geometry_survives_select_and_splits():
+    ds = ramp_ds(64, 8)
+    parts = [ds.select([0, 1]), *split_random(ds, 1), *split_personalize(ds, "s1")]
+    assert [(p.window_samples, p.stride) for p in parts] == [(64, 8)] * 6
+    hand = make_ds([[0.0], [1.0]])
+    assert (hand.window_samples, hand.stride) == (1, 1)
+    assert (hand.select([1]).window_samples, hand.select([1]).stride) == (1, 1)
+
+
+def test_personalization_protocol_end_to_end():
+    # 3 subjects, 2 classes on channel a (b is noise); the held-out subject
+    # s3 rests at a higher level than the population ever does
+    gen = np.random.default_rng(7)
+    recs = []
+    for subject, rest_level in (("s1", 0.0), ("s2", 0.0), ("s3", 0.6)):
+        labels = np.repeat(["rest", "walk"] * 6, 100)
+        a = np.where(labels == "walk", 1.0, rest_level) + gen.normal(0, 0.3, len(labels))
+        b = gen.normal(0, 0.3, len(labels))
+        recs.append(Recording(subject, {"a": a, "b": b}, labels=labels))
+    ds = build_dataset(recs, ["a", "b"], 20, 10)
+    population, adapt, test = split_personalize(ds, "s3")
+    # 1. bounds fit on the population only: the device gets a frozen encoder
+    stats = fit_stats(population)
+    enc = FeatureEncoder(EncoderConfig(dim=1024, feature_bounds=stats.bounds()))
+    assert enc.config.feature_bounds == stats.bounds() != fit_stats(ds).bounds()
+    # 2. train on the population
+    model = Model(classes=sorted(set(ds.y.tolist())), encoder=enc.config)
+    train_online(model, zip(enc.encode_matrix(population.X), population.y))
+    model = train_iterative(model, list(zip(enc.encode_matrix(population.X), population.y)))
+    # 3. evaluate on test, 4. adapt on the subject's first half, 5. evaluate again
+    H_test = enc.encode_matrix(test.X)
+    before = evaluate(model, zip(H_test, test.y))
+    train_online(model, zip(enc.encode_matrix(adapt.X), adapt.y))
+    after = evaluate(model, zip(H_test, test.y))
+    assert before.n_samples == after.n_samples == len(test)
+    assert after.accuracy > before.accuracy
 
 
 def test_random_split_reproducible():
@@ -855,8 +921,6 @@ def test_split_negative_seed_rejected():
     for seed in (-1, True, False):
         with pytest.raises(InvalidArgumentError):
             split_random(make_ds([[0.0], [1.0]]), seed)
-    with pytest.raises(InvalidArgumentError):
-        split_leave_one_subject_out(subject_ds(), "s1", seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -880,12 +944,16 @@ def test_split_fraction_takes_numpy_reals():
 
 
 def test_split_dispatcher():
-    ds = subject_ds()
-    assert len(split(ds, "subject-half")[0]) == 8
-    with pytest.raises(InvalidArgumentError):
-        split(ds, "bogus")
-    with pytest.raises(InvalidArgumentError):
-        split(ds, "loso")  # subject required
+    ds = make_ds([[float(i)] for i in range(16)], subjects=["s1"] * 10 + ["s2"] * 6)
+    want = split_random(ds, 4, 0.25)
+    got = split(ds, "random", seed=4, fraction=0.25)
+    assert [part.X.tolist() for part in got] == [part.X.tolist() for part in want]
+    # "random" is the only strategy: the subject splits are gone
+    for strategy in ("subject-half", "loso", "bogus"):
+        with pytest.raises(InvalidArgumentError, match="strategy"):
+            split(ds, strategy)
+    with pytest.raises(TypeError):
+        split(ds, "random", subject="s1")
 
 
 # ------------------------------------------------------------- build_dataset
@@ -979,6 +1047,10 @@ def test_build_dataset_bad_geometry(window, stride):
         build_dataset([], ["a"], window, stride)
     with pytest.raises(InvalidArgumentError):
         build_dataset([rec(n=10)], ["a"], window, stride)
+    # a dataset built by hand is checked too: split_personalize divides by the stride
+    with pytest.raises(InvalidArgumentError):
+        WindowedDataset(X=np.zeros((1, 1)), y=np.array(["x"]), subjects=np.array(["s"]),
+                        window_samples=window, stride=stride)
 
 
 def test_build_dataset_labels_feed_model_round_trip():

@@ -19,7 +19,7 @@ from hdwear.errors import (
     BadMagicError,
     ChecksumError,
     DimensionMismatchError,
-    EmptyDatasetError,
+    EmptyInputError,
     InvalidArgumentError,
     InvalidSampleError,
     ModelIOError,
@@ -185,7 +185,8 @@ def test_online_unknown_label():
         train_online(make_model(), [(hv_accum(7, 2), "mystery")])
 
 
-@pytest.mark.parametrize(
+# the four calls that take (H, label) pairs through labelled_blocks
+ON_PAIRS = pytest.mark.parametrize(
     "call",
     [
         train_online,
@@ -195,12 +196,38 @@ def test_online_unknown_label():
     ],
     ids=["train_online", "train_iterative", "evaluate", "robustness_sweep"],
 )
+
+
+@ON_PAIRS
 @pytest.mark.parametrize("label", [["c0"], {"c0": 0}, np.array(["c0"])], ids=repr)
 def test_unhashable_label_is_an_unknown_class(call, label):
     m = train_online(make_model(dim=256), [(hv_accum(7, i, 256), f"c{i}") for i in range(2)])
     before = m.class_matrix.copy()
     with pytest.raises(UnknownClassError, match="unknown class"):
         call(m, [(hv_accum(7, 0, 256), "c0"), (hv_accum(7, 1, 256), label)])
+    assert np.array_equal(m.class_matrix, before)
+
+
+@ON_PAIRS
+@pytest.mark.parametrize(
+    "bad",
+    [None, 5, np.array(0.5), "single", "triple", "bare", "ragged"],
+    ids=["None", "int", "0-d-array", "single", "triple", "bare", "ragged"],
+)
+def test_malformed_labelled_data_is_typed(call, bad):
+    m = train_online(make_model(dim=256), [(hv_accum(7, i, 256), f"c{i}") for i in range(2)])
+    before = m.class_matrix.copy()
+    h = hv_accum(7, 1, 256)
+    # a stream that is not iterable, or good pairs (each a miss) then a bad element
+    elements = {
+        "single": (h,),
+        "triple": (h, "c0", 1),
+        "bare": h,  # a query without its label
+        "ragged": ([[1.0, 2.0], [3.0]], "c0"),
+    }
+    stream = [(h, "c0")] * 3 + [elements[bad]] if isinstance(bad, str) else bad
+    with pytest.raises(InvalidArgumentError):
+        call(m, stream)
     assert np.array_equal(m.class_matrix, before)
 
 
@@ -713,16 +740,20 @@ def test_evaluate_rejects_wrong_query_dim(dims):
         evaluate(m, [(np.ones(d), "c0") for d in dims])
 
 
-@pytest.mark.parametrize("shape", [(2, 255), (256,)])
-def test_predict_rejects_wrong_batch_shape(shape):
+@pytest.mark.parametrize(
+    "batch",
+    [np.ones((2, 255)), np.ones(256), [[1.0] * 256, [1.0] * 255]],
+    ids=["shape0", "shape1", "ragged"],
+)
+def test_predict_rejects_wrong_batch_shape(batch):
     with pytest.raises(DimensionMismatchError):
-        predict(block_edge_model(), np.ones(shape))
+        predict(block_edge_model(), batch)
 
 
 def test_evaluate_empty_dataset():
     m = make_model()
     train_online(m, [(hv_accum(19, 0), "c0")])
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(EmptyInputError):
         evaluate(m, [])
 
 

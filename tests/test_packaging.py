@@ -7,12 +7,11 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_console_scripts_import():
+    tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
     scripts = tomllib.loads(PYPROJECT.read_text())["project"].get("scripts", {})
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
@@ -28,9 +27,12 @@ def test_all_exports_resolve():
     assert not missing, f"hdwear.__all__ names missing attributes: {missing}"
 
 
-# the stage calls the benchmark makes (hdbench/hdapi.py CALLS), by layer
+# the stage calls the benchmark makes (hdbench/hdapi.py CALLS), plus
+# split_personalize and predict, by layer
 STAGE_CALLS = {
-    "datapipe": ("CsvSchema", "load_csv", "build_dataset", "split", "fit_stats"),
+    "datapipe": (
+        "CsvSchema", "load_csv", "build_dataset", "split", "split_personalize", "fit_stats",
+    ),
     "encoding": ("EncoderConfig", "FeatureEncoder"),
     "learning": (
         "Model", "train_online", "train_iterative", "evaluate", "save_model", "load_model",
@@ -62,6 +64,23 @@ def test_package_exports_the_pipeline():
 )
 def test_test_only_helpers_are_not_in_the_package(module, name):
     assert not hasattr(importlib.import_module(f"hdwear.{module}"), name)
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        ("datapipe", "split_subject_half"),
+        ("datapipe", "split_leave_one_subject_out"),
+        ("datapipe.WindowedDataset", "subject_ids"),
+        ("errors", "EmptyDatasetError"),
+    ],
+)
+def test_removed_splits_and_errors_are_gone(owner, name):
+    # split_personalize replaced both subject splits; EmptyInputError is the
+    # one error for "no rows to work on"
+    module, _, cls = owner.partition(".")
+    obj = importlib.import_module(f"hdwear.{module}")
+    assert not hasattr(getattr(obj, cls) if cls else obj, name)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hdwear import reference as ref
 from hdwear.encoding import EncoderConfig
 from hdwear.errors import (
     DimensionMismatchError,
-    EmptyDatasetError,
+    EmptyInputError,
     InvalidArgumentError,
     InvalidSampleError,
     ModelNotTrainedError,
@@ -141,7 +141,7 @@ def test_unknown_label_and_empty_set_rejected_alike(score):
     m, data = trained_model(n_classes=2, dim=130)
     with pytest.raises(UnknownClassError):
         score(m, data + [(data[0][0], "zzz")])
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(EmptyInputError):
         score(m, [])
 
 
@@ -247,8 +247,9 @@ def test_sweep_rate_out_of_range():
         with pytest.raises(InvalidArgumentError):
             robustness_sweep(m, data, rates=[bad], trials=1)
     assert np.array_equal(m.class_matrix, before)
-    # a real, None, or a str or bytes (a sequence, but not of rates)
-    for rates in ([0.1, "x"], [True], 0.1, None, "0.1", b"\x00"):
+    # a real, None, a 0-d array (Iterable by type only), or a str or bytes
+    # (a sequence, but not of rates)
+    for rates in ([0.1, "x"], [True], 0.1, None, np.array(0.1), "0.1", b"\x00"):
         with pytest.raises(InvalidArgumentError):
             robustness_sweep(m, data, rates=rates, trials=1)
         # checked before any work: an empty test set is never looked at
