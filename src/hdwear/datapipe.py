@@ -115,6 +115,12 @@ class WindowedDataset:
     stride: int = 1
 
     def __post_init__(self):
+        n = len(self.X) if np.ndim(self.X) == 2 else -1
+        if np.shape(self.y) != (n,) or np.shape(self.subjects) != (n,):
+            raise SchemaError(
+                f"X must be (N, F) with y and subjects (N,), got shapes {np.shape(self.X)}, "
+                f"{np.shape(self.y)} and {np.shape(self.subjects)}"
+            )
         _check_window(self.window_samples, self.stride)
 
     def __len__(self):
@@ -140,7 +146,7 @@ def load_csv(path, schema: CsvSchema) -> list:
     finite fails with its data-row number (1-based, excluding the header).
     Labels are str arrays, one per subject.  A file that is not UTF-8, or a
     cell longer than csv.field_size_limit(), raises CsvParseError; a path
-    that cannot be opened or read raises DataError.
+    that cannot be opened or read (or holds a NUL byte) raises DataError.
 
     The data rows are read first by one pass of numpy's C reader
     (np.loadtxt), which tokenizes each row once for its channel, label and
@@ -160,13 +166,19 @@ def load_csv(path, schema: CsvSchema) -> list:
     file written subject by subject in label segments has few runs however
     many rows it holds.
     """
+    # ValueError is caught at the open only (a path with a NUL byte), since
+    # _read's typed errors may be ValueErrors too
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
+    try:
+        with fh:
             return _read(fh, path, schema)
     except UnicodeDecodeError as exc:
         # decoding runs ahead of the rows in chunks, so no row can be named
         raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from None
-    except OSError as exc:  # also the long-cell scan's own open
+    except OSError as exc:  # a failed read, or the long-cell scan's own open
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
@@ -453,6 +465,8 @@ def build_dataset(
     _check_window(window_samples, stride)
     if isinstance(channel_order, str) or len(channel_order) == 0:
         raise SchemaError(f"channel_order must be a non-empty list of names, got {channel_order!r}")
+    if len(set(channel_order)) != len(channel_order):
+        raise SchemaError(f"duplicate names in channel_order {channel_order!r}")
     recordings = list(recordings)
     for rec in recordings:
         missing = [ch for ch in channel_order if ch not in rec.channels]

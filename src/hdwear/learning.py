@@ -68,8 +68,12 @@ classes and each query's margin) are taken once, from the first epoch's
 float64 copy of each block.  It keeps no float64 copy of the training set.
 
 Inputs are checked once, where they enter.  :class:`Model` is frozen, so
-its fields are checked only at construction and cannot be rebound later;
-training changes the class matrix in place and nothing else.
+its fields are checked only at construction and cannot be rebound later.
+Training works on one model in place and returns that same object:
+:func:`train_online` changes only its class matrix, and
+:func:`train_iterative` leaves in it the class matrix of its best epoch
+(kept as one copy of the matrix) and the misses of every epoch in its
+``retrain_curve`` list.
 :func:`labelled_blocks` is the one boundary for (H, label) pairs: the
 training loops, :func:`evaluate` and the robustness sweep all take their
 pairs through it, and it checks every pair (an iterable of 2-item pairs,
@@ -130,15 +134,16 @@ class Model:
     cast to float32.  The fields are frozen once checked; training updates
     ``class_matrix`` in place.
 
-    ``retrain_curve`` (misses per retraining epoch) is runtime metadata, not
-    persisted.
+    ``retrain_curve`` (misses per epoch of the last train_iterative call,
+    which fills it in place) is runtime output, neither a constructor
+    argument nor persisted.
     """
 
     classes: tuple
     encoder: EncoderConfig
     eta: float = 0.5
     class_matrix: np.ndarray = None  # type: ignore[assignment]
-    retrain_curve: list = field(default_factory=list)
+    retrain_curve: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if isinstance(self.classes, str):  # it would split into one class per character
@@ -188,9 +193,9 @@ class Model:
             raise UnknownClassError(f"unknown class {label!r}") from None
 
     def copy(self) -> "Model":
-        return replace(
-            self, class_matrix=self.class_matrix.copy(), retrain_curve=list(self.retrain_curve)
-        )
+        twin = replace(self, class_matrix=self.class_matrix.copy())
+        twin.retrain_curve.extend(self.retrain_curve)
+        return twin
 
     def __eq__(self, other):
         return (
@@ -286,47 +291,36 @@ def train_online(model: Model, stream) -> Model:
 
 def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int = 3) -> Model:
     """Retrain until the training misprediction count stops improving for
-    `patience` consecutive epochs (or max_epochs); returns the epoch-end
-    snapshot with the fewest mispredictions.
+    `patience` consecutive epochs (or max_epochs), then restore the epoch
+    with the fewest mispredictions (the earliest of equals) into model.
 
     An epoch is one pass updating only on mispredictions; it visits the
     samples in dataset order, and later samples see earlier updates.  The
     pairs are checked once, before the first epoch (also when max_epochs
-    is 0).
+    is 0).  Mutates and returns model, as train_online does: its class
+    matrix ends as the best epoch left it and its retrain_curve holds the
+    misses of every epoch run.
     """
     check_int(max_epochs, "max_epochs")
     check_int(patience, "patience")
-    blocks = _retrain_blocks(model, dataset)
-    best = model.copy()
-    best_misses = None
-    bad_epochs = 0
-    curve = []
+    truth, blocks = labelled_blocks(model, dataset)
+    edges = range(_BLOCK_ROWS, len(truth), _BLOCK_ROWS)
+    blocks = [[t, H, None] for t, H in zip(np.split(truth, edges), blocks)]
+    best = model.class_matrix.copy()
+    best_misses, bad_epochs, curve = math.inf, 0, []
     for _ in range(max_epochs):
         misses = _retrain_pass(model, blocks)
         curve.append(misses)
-        if best_misses is None or misses < best_misses:
-            best_misses = misses
-            best = model.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs > patience:
+        if misses < best_misses:
+            best[...] = model.class_matrix
+            best_misses, bad_epochs = misses, 0
+            if misses == 0:
                 break
-        if misses == 0:
+        elif (bad_epochs := bad_epochs + 1) > patience:
             break
-    return replace(best, retrain_curve=curve)
-
-
-def _retrain_blocks(model: Model, pairs) -> list:
-    """[class indices, queries in their own dtype, screen constants] per
-    block of labelled_blocks: what every retraining epoch reads.  The
-    screen constants (query norms, the (K, n) one-hot of the true classes,
-    and each query's margin for _settled) are None until the first
-    _retrain_pass takes them from the float64 copy it makes of the block
-    anyway."""
-    truth, blocks = labelled_blocks(model, pairs)
-    edges = range(_BLOCK_ROWS, len(truth), _BLOCK_ROWS)
-    return [[t, H, None] for t, H in zip(np.split(truth, edges), blocks)]
+    model.class_matrix[...] = best
+    model.retrain_curve[:] = curve
+    return model
 
 
 # The screen settles only queries whose norm lies in this range.  There no
@@ -368,7 +362,12 @@ def _settled(C: np.ndarray, own: np.ndarray, margins: np.ndarray) -> np.ndarray:
 
 
 def _retrain_pass(model: Model, blocks: list) -> int:
-    """One retraining epoch over _retrain_blocks; returns the miss count.
+    """One retraining epoch; returns the miss count.  blocks holds [class
+    indices, queries in their own dtype, screen constants] per block of
+    labelled_blocks; the screen constants (query norms, the (K, n) one-hot
+    of the true classes, and each query's margin for _settled) are None
+    until the first epoch takes them from the float64 copy it makes of the
+    block anyway.
 
     Each block is screened with one matrix product; only the queries it
     does not settle take the exact per-sample step, and after an update
@@ -479,40 +478,35 @@ def _best(model: Model, blocks) -> np.ndarray:
 
 
 class EvalReport(NamedTuple):
-    """Accuracy, confusion counts (row = true class, column = predicted),
-    and per-class recall."""
+    """Confusion counts (row = true class, column = predicted) over
+    classes; accuracy, per-class recall and the sample count are read from
+    them."""
 
     classes: list
-    accuracy: float
     confusion: np.ndarray
-    per_class_recall: np.ndarray
-    n_samples: int
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.confusion.sum())
+
+    @property
+    def accuracy(self) -> float:
+        return int(np.trace(self.confusion)) / self.n_samples
+
+    @property
+    def per_class_recall(self) -> np.ndarray:
+        """Hits over samples per true class; 0 for a class with none."""
+        rows = self.confusion.sum(axis=1)
+        return np.divide(np.diag(self.confusion), rows, out=np.zeros(len(rows)), where=rows > 0)
 
 
 def evaluate(model: Model, dataset) -> EvalReport:
     truth, blocks = labelled_blocks(model, dataset)
     if not len(truth):
         raise EmptyInputError("no (H, label) pairs to score")
-    pred = _best(model, blocks)
     k = model.n_classes
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (truth, pred), 1)
-    total = int(confusion.sum())
-    correct = int(np.trace(confusion))
-    row_sums = confusion.sum(axis=1)
-    recall = np.divide(
-        np.diag(confusion),
-        row_sums,
-        out=np.zeros(k, dtype=np.float64),
-        where=row_sums > 0,
-    )
-    return EvalReport(
-        classes=list(model.classes),
-        accuracy=correct / total,
-        confusion=confusion,
-        per_class_recall=recall,
-        n_samples=total,
-    )
+    counts = np.bincount(truth * k + _best(model, blocks), minlength=k * k)
+    return EvalReport(classes=list(model.classes), confusion=counts.reshape(k, k))
 
 
 # ------------------------------------------------------------- serialization
@@ -618,8 +612,9 @@ def model_from_bytes(blob: bytes) -> Model:
 def save_model(model: Model, path) -> None:
     """Write atomically and durably: temp file in the target directory,
     fsync, rename, then fsync the directory so the rename survives a crash.
-    An OSError (no such directory, a directory at path, ...) raises
-    ModelIOError naming path; the temp file never outlives the call."""
+    An OSError (no such directory, a directory at path, ...) or a path
+    with a NUL byte raises ModelIOError naming path; the temp file never
+    outlives the call."""
     blob = model_to_bytes(model)
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -636,8 +631,9 @@ def save_model(model: Model, path) -> None:
             os.fsync(dir_fd)
         finally:
             os.close(dir_fd)
-    except OSError as exc:
-        raise ModelIOError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
+        reason = getattr(exc, "strerror", None) or exc
+        raise ModelIOError(f"{path}: cannot write: {reason}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -647,6 +643,7 @@ def load_model(path) -> Model:
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except OSError as exc:
-        raise ModelIOError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
+        reason = getattr(exc, "strerror", None) or exc
+        raise ModelIOError(f"{path}: cannot read: {reason}") from exc
     return model_from_bytes(blob)

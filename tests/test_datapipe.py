@@ -180,13 +180,17 @@ def test_load_overlapping_schema_columns(tmp_path, monkeypatch, label, subject):
         assert [r.labels.tolist() for r in got] == [["1", "1"], ["2"], ["3"]]
 
 
-@pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
-def test_load_unreadable_path_is_typed(tmp_path, name):
+@pytest.mark.parametrize(
+    "name, cause",
+    [("missing.csv", OSError), (".", OSError), ("bad\0name.csv", ValueError)],
+    ids=["missing", "directory", "nul-byte"],
+)
+def test_load_unreadable_path_is_typed(tmp_path, name, cause):
     path = tmp_path / name
     with pytest.raises(DataError, match="cannot read") as info:
         load_csv(path, CsvSchema(channels=["v"]))
     assert str(path) in str(info.value)
-    assert isinstance(info.value.__cause__, OSError)
+    assert isinstance(info.value.__cause__, cause)
 
 
 def test_load_file_gone_before_the_long_cell_scan_is_typed(tmp_path, monkeypatch):
@@ -762,6 +766,25 @@ def make_ds(vectors, subjects=None, labels=None):
     )
 
 
+# columns a dataset built by hand is refused, each named by how it breaks
+# the (N, F) X with (N,) y and subjects
+BAD_COLUMNS = {
+    # fit_stats would return scalar bounds
+    "X-1d": dict(X=np.zeros(4), y=np.array(["a"] * 4), subjects=np.array(["s"] * 4)),
+    # split_random and split_personalize would raise a raw IndexError
+    "y-short": dict(
+        X=np.zeros((4, 1)), y=np.array(["a"]), subjects=np.array(["s1", "s1", "s2", "s2"])
+    ),
+    "subjects-long": dict(X=np.zeros((2, 1)), y=np.array(["a", "b"]), subjects=np.array(["s"] * 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COLUMNS))
+def test_windowed_dataset_rejects_columns_of_other_shapes(case):
+    with pytest.raises(SchemaError, match="N, F"):
+        WindowedDataset(**BAD_COLUMNS[case])
+
+
 def test_fit_stats_single_window_degenerate():
     ds = make_ds([[1.0, 2.0]])
     stats = fit_stats(ds)
@@ -1031,6 +1054,12 @@ def test_build_dataset_rejects_empty_channel_order():
         build_dataset([Recording("s", {"a": np.arange(10.0)})], [], 4, 2)
     with pytest.raises(SchemaError):
         build_dataset([], [], 4, 2)
+
+
+def test_build_dataset_rejects_duplicate_channel_order():
+    # as CsvSchema rejects duplicate channels; the features would repeat
+    with pytest.raises(SchemaError, match="duplicate"):
+        build_dataset([rec(n=10)], ["a", "a"], 4, 2)
 
 
 def test_build_dataset_rejects_str_channel_order():

@@ -34,7 +34,6 @@ from hdwear.learning import (
     _add,
     _class_rows,
     _margin,
-    _retrain_blocks,
     _retrain_pass,
     evaluate,
     labelled_blocks,
@@ -386,14 +385,18 @@ def naive_training(model, data, epochs=1, online=True):
     return missed, snapshots
 
 
-def test_cached_class_rows_match_per_sample_recompute_bit_for_bit():
-    # overlapping classes, so retraining misses often and moves two rows
-    # per miss; int16 queries, as the encoder gives
-    rng = np.random.default_rng(5)
+def overlapping_int16_set(seed):
+    """300 int16 queries (as the encoder gives) of 5 overlapping classes at
+    D = 257, so retraining misses often and moves two rows per miss."""
+    rng = np.random.default_rng(seed)
     protos = rng.integers(-1, 2, (5, 257))
     labels = rng.integers(0, 5, 300)
     H = (protos[labels] + rng.integers(-30, 31, (300, 257))).astype(np.int16)
-    data = [(h, f"c{c}") for h, c in zip(H, labels)]
+    return [(h, f"c{c}") for h, c in zip(H, labels)]
+
+
+def test_cached_class_rows_match_per_sample_recompute_bit_for_bit():
+    data = overlapping_int16_set(5)
     expect = make_model(n_classes=5, dim=257, eta=0.25)
     missed, _ = naive_training(expect, data)
     got = train_online(make_model(n_classes=5, dim=257, eta=0.25), data)
@@ -510,7 +513,9 @@ def test_screen_settles_no_query_outside_its_norm_range():
     m = make_model(n_classes=2, dim=64)
     m.class_matrix[:] = [np.ones(64), -np.ones(64)]
     H = np.ones((3, 64)) * np.array([[1.0], [2.0**-420], [2.0**420]])
-    blocks = _retrain_blocks(m, zip(H, ["c0"] * 3))
+    # one block as train_iterative builds it: class indices, queries, and
+    # the screen constants the first epoch fills in
+    blocks = [[np.zeros(3, dtype=np.intp), H, None]]
     assert _retrain_pass(m, blocks) == 0
     hn, own, margins = blocks[0][2]
     assert own.tolist() == [[True] * 3, [False] * 3]
@@ -654,6 +659,20 @@ def test_iterative_patience_zero_stops_at_first_non_improvement():
         assert curve[-1] >= min(curve[:-1])
 
 
+def test_iterative_restores_its_best_epoch_into_the_model_it_was_given():
+    # on this set the curve rises after its first epoch, so the best epoch
+    # (the earliest of the fewest misses) is not the last one
+    data = overlapping_int16_set(0)
+    m = train_online(make_model(n_classes=5, dim=257, eta=0.25), data)
+    missed, snapshots = naive_training(m.copy(), data, epochs=6, online=False)
+    curve = [len(rows) for rows in missed]
+    assert curve == [50, 50, 50, 52, 52, 51]
+    assert not np.array_equal(snapshots[0], snapshots[-1])
+    assert train_iterative(m, data, max_epochs=6, patience=6) is m
+    assert m.retrain_curve == curve
+    assert np.array_equal(m.class_matrix.view(np.uint32), snapshots[0].view(np.uint32))
+
+
 def test_iterative_keeps_best_epoch():
     m = make_model(dim=512)
     data = linearly_separable(15)
@@ -787,13 +806,17 @@ def test_save_load_roundtrip(tmp_path):
     assert model_to_bytes(loaded) == path.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["missing.hdwm", "."], ids=["missing", "directory"])
-def test_load_model_unreadable_path_is_typed(tmp_path, name):
+@pytest.mark.parametrize(
+    "name, cause",
+    [("missing.hdwm", OSError), (".", OSError), ("bad\0name.hdwm", ValueError)],
+    ids=["missing", "directory", "nul-byte"],
+)
+def test_load_model_unreadable_path_is_typed(tmp_path, name, cause):
     path = tmp_path / name
     with pytest.raises(ModelIOError, match="cannot read") as info:
         load_model(path)
     assert str(path) in str(info.value)
-    assert isinstance(info.value.__cause__, OSError)
+    assert isinstance(info.value.__cause__, cause)
 
 
 def test_corrupt_payload_byte_rejected(tmp_path):
@@ -849,10 +872,17 @@ def test_save_fsyncs_file_before_rename_and_directory_after(tmp_path, monkeypatc
     assert events == ["fsync file", "replace", "fsync dir"]
 
 
+# a NUL byte in the file name fails at the rename, one in the directory
+# name at the temp file; both are a ValueError, not an OSError
 @pytest.mark.parametrize(
     "target, error",
-    [("no_such_dir/m.hdwm", FileNotFoundError), ("a_dir", IsADirectoryError)],
-    ids=["missing-directory", "directory"],
+    [
+        ("no_such_dir/m.hdwm", FileNotFoundError),
+        ("a_dir", IsADirectoryError),
+        ("bad\0name.hdwm", ValueError),
+        ("bad\0dir/m.hdwm", ValueError),
+    ],
+    ids=["missing-directory", "directory", "nul-byte-name", "nul-byte-directory"],
 )
 def test_save_os_error_is_typed_and_leaves_no_temp(tmp_path, target, error):
     (tmp_path / "a_dir").mkdir()
@@ -1020,6 +1050,19 @@ def test_model_classes_cannot_change_in_place():
 def test_model_rejects_bad_eta(eta):
     with pytest.raises(InvalidArgumentError):
         make_model(eta=eta)
+
+
+def test_retrain_curve_is_output_not_an_argument():
+    # train_iterative fills the model's own list in place, after its epochs
+    # have run, so no caller can hand it a tuple; copy() copies the list
+    with pytest.raises(TypeError):
+        Model(classes=["a"], encoder=EncoderConfig(dim=8), retrain_curve=[])
+    data = overlapping_int16_set(0)
+    m = train_online(make_model(n_classes=5, dim=257, eta=0.25), data)
+    train_iterative(m, data, max_epochs=2, patience=2)
+    twin = m.copy()
+    assert twin.retrain_curve == m.retrain_curve == [50, 50]
+    assert twin.retrain_curve is not m.retrain_curve
 
 
 def test_exact_reals_of_other_types_round_trip():

@@ -5,6 +5,7 @@ out of it."""
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -87,10 +88,7 @@ def test_removed_splits_and_errors_are_gone(owner, name):
     "module, record, fields",
     [
         ("datapipe", "FeatureStats", ("mins", "maxs")),
-        (
-            "learning", "EvalReport",
-            ("classes", "accuracy", "confusion", "per_class_recall", "n_samples"),
-        ),
+        ("learning", "EvalReport", ("classes", "confusion")),
         ("robustness", "BinaryModel", ("dim", "class_words")),
         (
             "robustness", "RobustnessReport",
@@ -101,3 +99,20 @@ def test_removed_splits_and_errors_are_gone(owner, name):
 def test_result_records_are_named_tuples(module, record, fields):
     cls = getattr(importlib.import_module(f"hdwear.{module}"), record)
     assert issubclass(cls, tuple) and cls._fields == fields
+
+
+def test_eval_report_derives_its_numbers_from_its_counts():
+    # EvalReport keeps only its counts; accuracy, per-class recall and the
+    # sample count equal what it once stored, by the formulas it stored them
+    # with.  Class "b" has no samples: its recall is 0, and nothing warns.
+    from hdwear.learning import EvalReport
+
+    confusion = np.array([[3, 1, 0], [0, 0, 0], [2, 0, 4]], dtype=np.int64)
+    report = EvalReport(classes=["a", "b", "c"], confusion=confusion)
+    total, correct, rows = int(confusion.sum()), int(np.trace(confusion)), confusion.sum(axis=1)
+    recall = np.divide(np.diag(confusion), rows, out=np.zeros(3, dtype=np.float64), where=rows > 0)
+    with np.errstate(all="raise"):
+        assert type(report.n_samples) is int and report.n_samples == total == 10
+        assert type(report.accuracy) is float and report.accuracy == correct / total
+        got = report.per_class_recall
+    assert got.dtype == np.float64 and got.tolist() == recall.tolist() == [0.75, 0.0, 4 / 6]
