@@ -97,9 +97,10 @@ class FeatureStats(NamedTuple):
         return [(float(lo), float(hi)) for lo, hi in zip(self.mins, self.maxs)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindowedDataset:
     """One row per window: X is (N, F) float64, y and subjects are (N,).
+    The fields are checked once, here, and cannot be rebound.
 
     window_samples and stride are the window geometry build_dataset used:
     window i of a recording covers its samples [i * stride, i * stride +

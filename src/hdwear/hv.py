@@ -27,6 +27,7 @@ integers, never on platform, thread count, or call order.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 
 import numpy as np
@@ -117,14 +118,25 @@ _TIE_STREAM = 0
 def pack_sign(acc, tie_seed: int) -> np.ndarray:
     """Pack the majority sign of (..., D) accumulators as :func:`pack` packs
     +-1 vectors: component i is set iff it is > 0, and an exact zero takes
-    the tie coin of its index, random_hv(tie_seed, 0, D)[i] > 0, drawn once
-    and only if acc has a zero.  No +-1 array is built in between."""
+    the tie coin of its index, random_hv(tie_seed, 0, D)[i] > 0, looked up
+    only if acc has a zero.  No +-1 array is built in between."""
     acc = np.asarray(acc)
     ones = acc > 0
     zero = acc == 0
     if zero.any():
-        ones |= zero & (random_hv(tie_seed, _TIE_STREAM, acc.shape[-1]) > 0)
+        ones |= zero & _tie_coin(check_seed(tie_seed, "tie_seed"), acc.shape[-1])
     return pack(ones)
+
+
+# The robustness sweep packs its queries block by block, and at D = 10000
+# nearly every block has an exact zero; a draw costs about 21 us (2-core VM).
+@functools.lru_cache(maxsize=8)
+def _tie_coin(tie_seed: int, dim: int) -> np.ndarray:
+    """random_hv(tie_seed, 0, dim) > 0, drawn once per (tie_seed, dim) and
+    read-only, since every caller shares it."""
+    coin = random_hv(tie_seed, _TIE_STREAM, dim) > 0
+    coin.flags.writeable = False
+    return coin
 
 
 _LEVEL_BASE_STREAM = 0

@@ -19,53 +19,62 @@ component-wise negatives.
 
 Every score is a matrix product of float64 operands, scaled by
 :func:`_scaled` (0 where a class row or the query has norm 0): a block of
-at most _BLOCK_ROWS queries against all class rows for :func:`predict`,
-:func:`evaluate` and the retraining screen (the batched design follows
-Torchhd, Heddes et al., JMLR 2023), one query against all class rows for
-the per-sample steps.  Each call allocates its float64 operands once, on
-64-byte boundaries, and reuses them: the class rows (:func:`_class_rows`)
-and one (_BLOCK_ROWS, D) buffer that each block of queries is copied into.
-A per-sample step scores a row of that buffer as it is; the rows start on
-64-byte boundaries too whenever D is a multiple of 8.  The results do not
-depend on alignment, only the speed does (see _class_rows).  Every norm
-comes from one row-wise reduction, :func:`_norms`, and a row of a
-C-contiguous block reduces to the same norm as the row alone, so a
-query's norm is taken once, with its block's.
+queries against all class rows for :func:`predict`, :func:`evaluate` and
+the retraining screen (the batched design follows Torchhd, Heddes et al.,
+JMLR 2023), one query against all class rows for the per-sample steps.  A
+block holds as many float64 rows of D components as fit in _BLOCK_BYTES
+(512 KiB), at least one: :func:`_block_rows` gives 64 rows at D = 1024, 16
+at D = 4096 and 6 at D = 10000.  Each call allocates its float64 operands
+once, on 64-byte boundaries, and reuses them: the class rows
+(:func:`_class_rows`) and one block buffer that each block of queries is
+copied into.  A per-sample step scores a row of that buffer as it is; the
+rows start on 64-byte boundaries too whenever D is a multiple of 8.  The
+results do not depend on alignment, only the speed does (see
+_class_rows).  Every norm comes from one row-wise reduction, the pairwise
+np.add.reduce of the squares (:func:`_norms`), and a row of a C-contiguous
+block reduces to the same norm as the row alone, so a query's norm is taken
+once, with its block's.
 
 Training is sequential by design (each sample sees every earlier update),
-so a pass takes the float64 rows and norms once and refreshes only the
-rows it updates.  This gives the same scores as re-taking every row per
-sample: a refreshed row is the exact float64 cast of its float32 row, its
-norm comes from the same row-wise reduction as the whole-matrix norms, a
-single query is scored by the same matrix-vector product, and the norm of
-an integer encoding is exact in any summation order.  The online step
-needs only the true class's cosine.  It takes dots[l] / (norms[l] * |h|)
-from that product, or 0 when the product of the norms is not positive,
-in Python float arithmetic: the same IEEE double multiply and divide that
-_scaled applies element-wise, so the result equals _scaled's entry by
-construction.  It still computes the whole matrix-vector product, since
-a dot product with the true row alone is not promised the same summation
-order.
+so a pass (:class:`_Rows`) takes the float64 rows and norms once and
+refreshes only the rows it updates.  This gives the same scores as
+re-taking every row per sample: a refreshed row is the exact float64 cast
+of its float32 row, its norm comes from the same pairwise reduction as the
+whole-matrix norms, a single query is scored by the same matrix-vector
+product, and the norm of an integer encoding is exact in any summation
+order.  A per-sample step writes its product, its increment and the
+refreshed row's squares into buffers the pass allocates once; these are
+the IEEE operations of the allocating expressions, in the same order, so
+the results are the same bit for bit.  The online step needs only the true
+class's cosine.  It takes dots[l] / (norms[l] * |h|) from that product, or
+0 when the product of the norms is not positive, in Python float
+arithmetic: the same IEEE double multiply and divide that _scaled applies
+element-wise, so the result equals _scaled's entry by construction.  It
+still computes the whole matrix-vector product, since a dot product with
+the true row alone is not promised the same summation order.
 
-Retraining screens before it scores.  Each block of at most _BLOCK_ROWS
-queries is scored against the current rows with one matrix product; a query
-whose own-class cosine beats every other class by more than
-:func:`_margin`, 8 (D + 2) eps, is a hit under any summation order (the
-bound is in _margin's docstring), so it is settled and changes nothing.
-Every other query (a predicted miss or a near-tie) goes through the exact
-per-sample step (the matrix-vector product of its row of the block, scaled
-by its norm, argmax, two _add calls), which keeps its decision and increment
-bit for bit; after an update only the two touched rows are re-scored for
-the rest of the block.  So the class matrix and the miss counts equal those
-of scoring every sample alone, on any input.  Blocks stay at the 16 rows
-that evaluation shares: every miss re-scores the rest of its block, and on
-the benchmark's training sets (2-core VM) 64-row blocks retrained as fast
-(dense-stream) or 2.6x slower (wear-std), 256-row blocks 1.9x slower
-(dense-stream).  :func:`train_iterative` checks its pairs once and keeps the
-checked blocks, in their own dtype, with their class indices for every
-epoch; the screen's constants (the query norms, the one-hot of the true
-classes and each query's margin) are taken once, from the first epoch's
-float64 copy of each block.  It keeps no float64 copy of the training set.
+Retraining screens before it scores.  Each block of queries is scored
+against the current rows with one matrix product; a query whose own-class
+cosine beats every other class by more than :func:`_margin`, 8 (D + 2)
+eps, is a hit under any summation order (the bound is in _margin's
+docstring), so it is settled and changes nothing.  Every other query (a
+predicted miss or a near-tie) goes through the exact per-sample step (the
+matrix-vector product of its row of the block, scaled by its norm, argmax,
+one increment added to the true row and subtracted from the predicted
+one), which keeps its decision and increment bit for bit; after an update
+only the two touched rows are re-scored for the rest of the block.  So
+the class matrix and the miss counts equal those of scoring every sample
+alone, on any input and at any block size.  A miss re-scores the rest of
+its block, so a larger block costs more per miss and less per row; on the
+dense-stream benchmark's training set (D = 1024, 2083 rows, about 31
+misses per epoch; 2-core VM) ten epochs took 34.9 ms in 16-row blocks
+(131 block set-ups per epoch) and 25.9 ms in the 64-row blocks of the
+byte budget.
+:func:`train_iterative` checks its pairs once and keeps the checked
+blocks, in their own dtype, with their class indices for every epoch; the
+screen's constants (the query norms, the one-hot of the true classes and
+each query's margin) are taken once, from the first epoch's float64 copy
+of each block.  It keeps no float64 copy of the training set.
 
 Inputs are checked once, where they enter.  :class:`Model` is frozen, so
 its fields are checked only at construction and cannot be rebound later.
@@ -234,10 +243,10 @@ def _aligned(shape: tuple) -> np.ndarray:
 
 
 def _float_blocks(dim: int, blocks) -> Iterator[np.ndarray]:
-    """Each (n, D) block of at most _BLOCK_ROWS queries as float64, copied
-    into one aligned buffer that is reused; a block is valid until the next
-    one is drawn."""
-    buf = _aligned((_BLOCK_ROWS, dim))
+    """Each (n, D) block of at most _block_rows(D) queries as float64,
+    copied into one aligned buffer that is reused; a block is valid until
+    the next one is drawn."""
+    buf = _aligned((_block_rows(dim), dim))
     for H in blocks:
         Hf = buf[: len(H)]
         Hf[...] = H
@@ -258,12 +267,39 @@ def _scaled(dots: np.ndarray, norms: np.ndarray, hn) -> np.ndarray:
     return np.divide(dots, den, out=np.zeros(den.shape), where=den > 0)
 
 
-def _add(model: Model, M: np.ndarray, norms: np.ndarray, row: int, inc: np.ndarray) -> None:
-    """Add a float32 increment to one class row and refresh its float64 copy
-    and norm, by the same row-wise reduction as _class_rows."""
-    model.class_matrix[row] += inc
-    M[row] = model.class_matrix[row]
-    norms[row] = _norms(M[row])
+class _Rows:
+    """The float64 class rows M and their norms (from _class_rows) that one
+    training pass keeps, and the buffers its exact per-sample steps write
+    into.
+
+    dots(h) is M @ h; increment(h, scale) casts scale * h to float32, as
+    (scale * h).astype(np.float32) does; apply(row, op) adds (np.add) or
+    subtracts (np.subtract) that increment in the float32 class row, as
+    `row += inc` and `row -= inc` do, and refreshes the row's float64 copy
+    and its norm, by the pairwise reduction _norms takes.  Each result is
+    valid until the next call that writes it."""
+
+    def __init__(self, model: Model):
+        self.class_matrix = model.class_matrix
+        self.M, self.norms = _class_rows(model)
+        self._dots = np.empty(model.n_classes)
+        self._inc = np.empty(model.dim)
+        self._inc32 = np.empty(model.dim, dtype=np.float32)
+        self._sq = np.empty(model.dim)
+
+    def dots(self, h: np.ndarray) -> np.ndarray:
+        return np.matmul(self.M, h, out=self._dots)
+
+    def increment(self, h: np.ndarray, scale: float) -> None:
+        np.multiply(h, scale, out=self._inc)
+        self._inc32[...] = self._inc
+
+    def apply(self, row: int, op) -> None:
+        row32, row64 = self.class_matrix[row], self.M[row]
+        op(row32, self._inc32, out=row32)
+        row64[...] = row32
+        np.multiply(row64, row64, out=self._sq)
+        self.norms[row] = math.sqrt(np.add.reduce(self._sq))
 
 
 def train_online(model: Model, stream) -> Model:
@@ -273,19 +309,17 @@ def train_online(model: Model, stream) -> Model:
     new information it carries: eta * (1 - delta).  An empty stream is a
     no-op.  Mutates and returns model."""
     truth, blocks = labelled_blocks(model, stream)
-    M, norms = _class_rows(model)
+    rows = _Rows(model)
     eta = float(model.eta)
-    # Norms are taken per block: for 16 rows at D = 1024 that took 25 us,
-    # against 89 us row by row (copy and norm; one thread, 2-core VM).  At
-    # D = 10000 the block leaves the L2 cache and is the slower, 239 us
-    # against 218 us.
-    edges = range(_BLOCK_ROWS, len(truth), _BLOCK_ROWS)
-    for t, Hf in zip(np.split(truth, edges), _float_blocks(model.dim, blocks)):
+    # Query norms are taken per block: for 16 rows at D = 1024 that took
+    # 25 us, against 89 us row by row (copy and norm; one thread, 2-core VM).
+    for t, Hf in zip(_split(truth, model.dim), _float_blocks(model.dim, blocks)):
         for li, hn, h in zip(t.tolist(), _norms(Hf).tolist(), Hf):
-            den = float(norms[li]) * hn
-            delta = float((M @ h)[li]) / den if den > 0 else 0.0
+            den = float(rows.norms[li]) * hn
+            delta = float(rows.dots(h)[li]) / den if den > 0 else 0.0
             if delta != 1.0:
-                _add(model, M, norms, li, (eta * (1.0 - delta) * h).astype(np.float32))
+                rows.increment(h, eta * (1.0 - delta))
+                rows.apply(li, np.add)
     return model
 
 
@@ -304,8 +338,7 @@ def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int =
     check_int(max_epochs, "max_epochs")
     check_int(patience, "patience")
     truth, blocks = labelled_blocks(model, dataset)
-    edges = range(_BLOCK_ROWS, len(truth), _BLOCK_ROWS)
-    blocks = [[t, H, None] for t, H in zip(np.split(truth, edges), blocks)]
+    blocks = [[t, H, None] for t, H in zip(_split(truth, model.dim), blocks)]
     best = model.class_matrix.copy()
     best_misses, bad_epochs, curve = math.inf, 0, []
     for _ in range(max_epochs):
@@ -374,7 +407,9 @@ def _retrain_pass(model: Model, blocks: list) -> int:
     only the two touched rows are re-scored for the rest of the block."""
     if not model.is_trained:
         raise ModelNotTrainedError("retraining starts from a trained model")
-    M, norms = _class_rows(model)
+    rows = _Rows(model)
+    M, norms = rows.M, rows.norms
+    eta = float(model.eta)
     margin = _margin(model.dim)
     lo, hi = _SCREEN_NORMS
     misses = 0
@@ -390,26 +425,43 @@ def _retrain_pass(model: Model, blocks: list) -> int:
         while len(flagged := np.flatnonzero(~_settled(C[:, j:], own[:, j:], margins[j:]))):
             j += int(flagged[0])
             li, h = int(truth[j]), Hf[j]
-            sims = _scaled(M @ h, norms, hn[j])
+            sims = _scaled(rows.dots(h), norms, hn[j])
             pi = int(np.argmax(sims))
             if pi != li:
                 misses += 1
-                inc = (model.eta * (sims[pi] - sims[li]) * h).astype(np.float32)
-                _add(model, M, norms, li, inc)
-                _add(model, M, norms, pi, -inc)
-                rows = [li, pi]
-                C[rows, j + 1 :] = _scaled(M[rows] @ Hf[j + 1 :].T, norms[rows], hn[j + 1 :])
+                rows.increment(h, eta * float(sims[pi] - sims[li]))
+                rows.apply(li, np.add)
+                rows.apply(pi, np.subtract)
+                pair = [li, pi]
+                C[pair, j + 1 :] = _scaled(M[pair] @ Hf[j + 1 :].T, norms[pair], hn[j + 1 :])
             j += 1
     return misses
 
 
-# Rows scored per matrix product; each call copies every block into one
-# aligned (_BLOCK_ROWS, D) float64 buffer (1.25 MiB at D = 10000) instead
-# of casting it afresh.  Casting the whole wide-highdim benchmark test set
-# (D = 10000) to float64 at once raised peak RSS from about 73.5 to
-# 81.7-95.3 MiB, past the benchmark's 10% bound; 16-row blocks measured
-# 74.4-74.9 MiB.
-_BLOCK_ROWS = 16
+# Bytes of the float64 query block that each call copies its queries into
+# (one aligned buffer, reused) instead of casting them afresh.  A fixed 16
+# rows made it 128 KiB at D = 1024, where a retraining epoch on the
+# dense-stream benchmark paid 131 block set-ups to find about 31 misses,
+# and 1.25 MiB at D = 10000, where the block left the L2 cache: copying and
+# norming 16 int16 queries took 174 us as one block, 129 us row by row and
+# 109 us in 6-row blocks (timeit, 2-core VM).  512 KiB gives 64, 16 and 6
+# rows at D = 1024, 4096 and 10000.  Casting the whole
+# wide-highdim test set (D = 10000) to float64 at once raised peak RSS from
+# about 73.5 to 81.7-95.3 MiB, past the benchmark's 10% bound.
+_BLOCK_BYTES = 512 << 10
+
+
+def _block_rows(dim: int) -> int:
+    """Queries per block: as many float64 rows of dim components as fit in
+    _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * dim))
+
+
+def _split(a: np.ndarray, dim: int) -> list[np.ndarray]:
+    """a cut along its first axis into the blocks of _block_rows(dim) rows
+    (the last may be shorter) that labelled_blocks stacks."""
+    rows = _block_rows(dim)
+    return np.split(a, range(rows, len(a), rows))
 
 
 def _check_real(h: np.ndarray) -> None:
@@ -424,8 +476,9 @@ def _check_real(h: np.ndarray) -> None:
 def labelled_blocks(model: Model, pairs) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Check every (H, label) pair against model, then return (truth,
     blocks): truth holds the class index of every label, and blocks yields
-    the queries in order, in their own dtype, as stacked (n, D) arrays of at
-    most _BLOCK_ROWS rows.  No pairs give an empty truth and no blocks.
+    the queries in order, in their own dtype, as stacked (n, D) arrays of
+    _block_rows(D) rows (the last may be shorter).  No pairs give an empty
+    truth and no blocks.
 
     Raises InvalidArgumentError for pairs that cannot be iterated, an
     element that is not a 2-item pair or an H that is ragged,
@@ -442,9 +495,10 @@ def labelled_blocks(model: Model, pairs) -> tuple[np.ndarray, Iterator[np.ndarra
         if h.shape != (model.dim,):
             raise DimensionMismatchError(f"query dim {h.shape} != ({model.dim},)")
         _check_real(h)
+    rows = _block_rows(model.dim)
     blocks = (
-        np.array([H for H, _ in pairs[start : start + _BLOCK_ROWS]])
-        for start in range(0, len(pairs), _BLOCK_ROWS)
+        np.array([H for H, _ in pairs[start : start + rows]])
+        for start in range(0, len(pairs), rows)
     )
     return truth, blocks
 
@@ -461,13 +515,13 @@ def predict(model: Model, H) -> np.ndarray:
     if h.ndim != 2 or h.shape[1] != model.dim:
         raise DimensionMismatchError(f"query batch shape {h.shape} != (N, {model.dim})")
     _check_real(h)
-    return _best(model, np.split(h, range(_BLOCK_ROWS, len(h), _BLOCK_ROWS)))
+    return _best(model, _split(h, model.dim))
 
 
 def _best(model: Model, blocks) -> np.ndarray:
     """Most similar class index per row of checked query blocks of at most
-    _BLOCK_ROWS rows, as (N,) int64; each block is scored from one aligned
-    float64 buffer."""
+    _block_rows(D) rows, as (N,) int64; each block is scored from one
+    aligned float64 buffer."""
     if not model.is_trained:
         raise ModelNotTrainedError("model has not been trained")
     M, norms = _class_rows(model)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -785,6 +786,15 @@ def test_windowed_dataset_rejects_columns_of_other_shapes(case):
         WindowedDataset(**BAD_COLUMNS[case])
 
 
+def test_windowed_dataset_fields_cannot_be_rebound():
+    # rebinding a field would skip the shape check above
+    ds = make_ds([[1.0], [2.0]])
+    for f in fields(ds):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ds, f.name, getattr(ds, f.name))
+    assert len(ds.select([1, 0, 1])) == 3
+
+
 def test_fit_stats_single_window_degenerate():
     ds = make_ds([[1.0, 2.0]])
     stats = fit_stats(ds)
@@ -809,7 +819,7 @@ def test_fit_stats_ignores_test_split():
     stats1 = fit_stats(train)
     # each split owns a copy: mutating the test split in place cannot
     # affect training statistics or the dataset it came from
-    test.X *= 1e9
+    test.X[...] *= 1e9
     stats2 = fit_stats(train)
     assert np.array_equal(stats1.mins, stats2.mins)
     assert np.array_equal(stats1.maxs, stats2.maxs)

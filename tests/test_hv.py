@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from hdwear import reference as ref
 from hdwear.errors import InvalidArgumentError, InvalidDimensionError
-from hdwear.hv import level_flips, pack, pack_sign, random_hv, random_hvs, rng, rngs
-from oracles import make_level_memory
+from hdwear.hv import _tie_coin, level_flips, pack, pack_sign, random_hv, random_hvs, rng, rngs
+from oracles import make_level_memory, sign_quantize
 
 D = 4096
 
@@ -227,6 +227,21 @@ def test_sign_quantize_tie_deterministic():
     assert np.array_equal(a, pack(random_hv(42, 0, 128)))
     # a different tie seed resolves ties differently somewhere
     assert not np.array_equal(a, pack_sign(acc, tie_seed=43))
+
+
+def test_tie_coin_is_drawn_once_and_read_only():
+    coin = _tie_coin(42, 130)
+    assert coin is _tie_coin(42, 130)
+    assert np.array_equal(coin, random_hv(42, 0, 130) > 0)
+    with pytest.raises(ValueError):
+        coin[0] = not coin[0]
+    # the shared coin leaves later calls unchanged
+    acc = np.stack([random_hv(31, i, 130) + random_hv(32, i, 130) for i in range(3)])
+    want = pack(sign_quantize(acc, 42))
+    for _ in range(2):
+        assert np.array_equal(pack_sign(acc, tie_seed=42), want)
+    with pytest.raises(InvalidArgumentError):
+        pack_sign(acc, tie_seed=[42])
 
 
 def test_sign_quantize_matches_reference():

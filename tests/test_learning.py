@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdwear import learning
 from hdwear import reference as ref
 from hdwear.encoding import EncoderConfig
 from hdwear.errors import (
@@ -31,8 +32,9 @@ from hdwear.errors import (
 from hdwear.hv import random_hv
 from hdwear.learning import (
     Model,
-    _add,
+    _block_rows,
     _class_rows,
+    _Rows,
     _margin,
     _retrain_pass,
     evaluate,
@@ -395,6 +397,25 @@ def overlapping_int16_set(seed):
     return [(h, f"c{c}") for h, c in zip(H, labels)]
 
 
+def test_block_size_cannot_change_learning(monkeypatch):
+    # budgets of 1 row, 16 rows and the whole set: the screen, the exact
+    # steps and prediction must not see where the blocks end
+    data = overlapping_int16_set(5)
+    H = np.array([h for h, _ in data])
+    results = []
+    for rows in [1, 16, len(data)]:
+        monkeypatch.setattr(learning, "_BLOCK_BYTES", rows * 8 * 257)
+        assert _block_rows(257) == rows
+        m = train_online(make_model(n_classes=5, dim=257, eta=0.25), data)
+        train_iterative(m, data, max_epochs=3)
+        results.append((m.class_matrix.view(np.uint32).tobytes(), m.retrain_curve, predict(m, H)))
+    (matrix, curve, labels), *others = results
+    assert curve[0] > 20
+    for other in others:
+        assert other[0] == matrix and other[1] == curve
+        assert np.array_equal(other[2], labels)
+
+
 def test_cached_class_rows_match_per_sample_recompute_bit_for_bit():
     data = overlapping_int16_set(5)
     expect = make_model(n_classes=5, dim=257, eta=0.25)
@@ -414,8 +435,8 @@ SCREEN_DIM = 256
 
 def _screen_block_edges(dtype):
     # +-1 rows around three prototypes; rows 15, 16 and 17 (either side of
-    # the first block edge) and 31 (the end of the second block) carry the
-    # wrong label, so the first epoch misses exactly there
+    # the first block edge at 16-row blocks) and 31 (the end of the second
+    # block) carry the wrong label, so the first epoch misses exactly there
     rng = np.random.default_rng(31)
     protos = rng.choice(np.array([-1, 1]), (3, SCREEN_DIM))
     labels = np.arange(48) % 3
@@ -487,7 +508,10 @@ SCREEN_EPOCHS = 4
 
 
 @pytest.mark.parametrize("case", list(SCREEN_CASES))
-def test_screened_retraining_equals_per_sample_oracle(case):
+def test_screened_retraining_equals_per_sample_oracle(case, monkeypatch):
+    # 16-row blocks, so that every case crosses the block edges it was built
+    # around (the byte budget alone gives one block at D = 256)
+    monkeypatch.setattr(learning, "_BLOCK_BYTES", 16 * 8 * SCREEN_DIM)
     model, data, first_misses = SCREEN_CASES[case]()
     expect = model.copy()
     missed, snapshots = naive_training(expect, data, SCREEN_EPOCHS, online=False)
@@ -537,16 +561,28 @@ def test_one_class_retraining_raises_no_invalid_value():
 
 def test_row_refresh_equals_a_fresh_cast_bit_for_bit():
     # the invariant the training cache rests on: after each update the
-    # float64 rows and norms equal a fresh cast of the float32 matrix
+    # float64 rows and norms equal a fresh cast of the float32 matrix, and
+    # the buffered step moves the float32 row as the allocating
+    # `row += (scale * h).astype(np.float32)` (or -=) moves it
     m = make_model(n_classes=3, dim=1000)
     rng = np.random.default_rng(6)
     m.class_matrix[:] = rng.normal(0, 100, (3, 1000)).astype(np.float32)
-    M, norms = _class_rows(m)
-    for row in [0, 2, 0, 1, 2, 1]:
-        _add(m, M, norms, row, rng.normal(0, 1, 1000).astype(np.float32))
+    expect = m.class_matrix.copy()
+    rows = _Rows(m)
+    for row, op in [(0, np.add), (2, np.subtract), (0, np.subtract), (1, np.add), (2, np.add)]:
+        h, scale = rng.normal(0, 1, 1000), float(rng.normal(0, 0.5))
+        inc = (scale * h).astype(np.float32)
+        if op is np.add:
+            expect[row] += inc
+        else:
+            expect[row] -= inc
+        rows.increment(h, scale)
+        rows.apply(row, op)
+        assert np.array_equal(m.class_matrix.view(np.uint32), expect.view(np.uint32))
         fresh_M, fresh_norms = _class_rows(m)
-        assert np.array_equal(M, fresh_M)
-        assert np.array_equal(norms.view(np.uint64), fresh_norms.view(np.uint64))
+        assert np.array_equal(rows.M, fresh_M)
+        assert np.array_equal(rows.norms.view(np.uint64), fresh_norms.view(np.uint64))
+        assert np.array_equal(rows.dots(h).view(np.uint64), (fresh_M @ h).view(np.uint64))
 
 
 def offset_copy(H, offset):
@@ -724,7 +760,8 @@ def block_edge_model():
 
 
 @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
-def test_predict_matches_per_row_similarities_at_block_edges(n):
+def test_predict_matches_per_row_similarities_at_block_edges(n, monkeypatch):
+    monkeypatch.setattr(learning, "_BLOCK_BYTES", 16 * 8 * 256)  # 16-row blocks
     m = block_edge_model()
     H = np.array([hv_accum(22, i, 256) + hv_accum(23, i, 256) for i in range(n)]).reshape(n, 256)
     if n:
@@ -740,14 +777,23 @@ def test_predict_matches_per_row_similarities_at_block_edges(n):
         assert np.array_equal(evaluate(m, list(zip(H, labels))).confusion, expect)
 
 
-def test_labelled_blocks_stack_at_most_16_rows_in_order():
+def test_labelled_blocks_stack_at_most_16_rows_in_order(monkeypatch):
+    # a block holds as many float64 rows as fit in the byte budget, at least one
+    assert [_block_rows(d) for d in (1024, 4096, 10000, 2**20)] == [64, 16, 6, 1]
     m = make_model(n_classes=3, dim=8)
     H = [np.full(8, i, dtype=np.int8) for i in range(33)]
-    truth, blocks = labelled_blocks(m, iter([(h, f"c{i % 3}") for i, h in enumerate(H)]))
-    assert truth.tolist() == [i % 3 for i in range(33)]
-    blocks = list(blocks)
-    assert [len(b) for b in blocks] == [16, 16, 1]
-    assert np.array_equal(np.concatenate(blocks), np.stack(H))
+    for budget, lengths in [
+        (16 * 8 * 8, [16, 16, 1]),
+        (17 * 8 * 8 - 1, [16, 16, 1]),
+        (11 * 8 * 8, [11, 11, 11]),
+        (7, [1] * 33),
+    ]:
+        monkeypatch.setattr(learning, "_BLOCK_BYTES", budget)
+        truth, blocks = labelled_blocks(m, iter([(h, f"c{i % 3}") for i, h in enumerate(H)]))
+        assert truth.tolist() == [i % 3 for i in range(33)]
+        blocks = list(blocks)
+        assert [len(b) for b in blocks] == lengths
+        assert np.array_equal(np.concatenate(blocks), np.stack(H))
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from hdwear.errors import (
     ModelNotTrainedError,
     UnknownClassError,
 )
-from hdwear import hv, robustness
+from hdwear import hv, learning, robustness
 from hdwear.hv import pack, random_hv, rng
 from hdwear.learning import Model, evaluate, predict, train_iterative, train_online
 from hdwear.robustness import TABLE4_RATES, RobustnessReport, quantize_model, robustness_sweep
@@ -103,7 +103,8 @@ def test_similarities_match_reference_hamming_at_odd_dim(dim):
 
 
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
-def test_sweep_acc_clean_matches_reference_at_block_edges(n):
+def test_sweep_acc_clean_matches_reference_at_block_edges(n, monkeypatch):
+    monkeypatch.setattr(learning, "_BLOCK_BYTES", 16 * 8 * 77)  # 16-row blocks
     check_clean_accuracy_against_reference(trained_model(n_classes=3, dim=77)[0], n)
 
 
