@@ -23,7 +23,6 @@ of windows, and evaluated on its later windows, before and after adapting.
 from __future__ import annotations
 
 import csv
-import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
@@ -64,6 +63,8 @@ class CsvSchema:
             raise SchemaError("duplicate channel columns")
         if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
             raise SchemaError(f"delimiter must be one character, got {self.delimiter!r}")
+        if self.delimiter in '"\r\n':  # the delimiters numpy's reader does not take
+            raise SchemaError(f"delimiter cannot be a quote or line break, got {self.delimiter!r}")
 
 
 @dataclass
@@ -140,32 +141,30 @@ def load_csv(path, schema: CsvSchema) -> list:
     schema's delimiter: a cell that starts with '"' is quoted up to the next
     lone '"' (a doubled '""' inside is one literal quote), and may hold the
     delimiter or a line break; a '"' anywhere else and a '#' are plain
-    characters.  Every cell is stripped of surrounding whitespace.  The
-    header must contain every schema column.  Empty rows and rows whose
-    cells are all whitespace are skipped; any other row needs every schema
-    column, and a channel cell that float() cannot parse or that is not
-    finite fails with its data-row number (1-based, excluding the header).
-    Labels are str arrays, one per subject.  A file that is not UTF-8, or a
-    cell longer than csv.field_size_limit(), raises CsvParseError; a path
-    that cannot be opened or read (or holds a NUL byte) raises DataError.
+    characters.  The header is read by csv.reader; its cells are stripped,
+    it must contain every schema column, and a header cell longer than
+    csv.field_size_limit() raises CsvParseError.
 
-    The data rows are read first by one pass of numpy's C reader
-    (np.loadtxt), which tokenizes each row once for its channel, label and
-    subject cells.  It may only decline, never reject: a ValueError from
-    numpy, a non-finite value, a cell in any column longer than
-    csv.field_size_limit() (checked with csv.reader only when a byte scan
-    finds a long line or a '"') or no data rows at all hand the file to the
-    per-cell csv.reader + float() loop, which raises CsvParseError (row and
-    column named), SchemaError or EmptyInputError, or accepts what float()
-    accepts and numpy does not (such as "1_0" or non-ASCII digits).  Both
-    read the same text from the same open file, numpy's float parser gives
-    float()'s values, and both yield the same columns: the (N, C) float64
-    channel matrix and the raw label and subject cells.  One function,
-    _recordings, strips those cells and groups the rows into Recordings, so
-    the result does not depend on which reader read the file.  The grouping
-    costs per run of rows with equal label and subject cells, not per row: a
-    file written subject by subject in label segments has few runs however
-    many rows it holds.
+    The data rows are read by one pass of numpy's C reader (np.loadtxt),
+    which tokenizes each row once for its channel, label and subject cells;
+    a data cell may be of any length.  Blank lines are skipped.  Every other
+    row needs every schema column, and each channel cell must be a number
+    numpy's float parser reads, padded or not: a row of whitespace or of
+    delimiters only, "1_0" and non-ASCII digits are not.  A row numpy
+    rejects raises CsvParseError with numpy's message, whose row and column
+    numbers are numpy's own: on numpy 2.4 they count data rows without the
+    blank lines, a cell that does not parse from row 0 and a short row from
+    row 1, and the file's columns from 1.  A non-finite channel value
+    raises CsvParseError naming its data record (1-based, blank lines not
+    counted) and channel; no data rows raise EmptyInputError.  Labels are
+    str arrays, one per subject.  A file that is not UTF-8 raises
+    CsvParseError; a path that cannot be opened or read (or holds a NUL
+    byte) raises DataError.
+
+    _recordings strips the label and subject cells and groups the rows into
+    Recordings.  The grouping costs per run of rows with equal label and
+    subject cells, not per row: a file written subject by subject in label
+    segments has few runs however many rows it holds.
     """
     # ValueError is caught at the open only (a path with a NUL byte), since
     # _read's typed errors may be ValueErrors too
@@ -179,16 +178,19 @@ def load_csv(path, schema: CsvSchema) -> list:
     except UnicodeDecodeError as exc:
         # decoding runs ahead of the rows in chunks, so no row can be named
         raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from None
-    except OSError as exc:  # a failed read, or the long-cell scan's own open
+    except OSError as exc:  # a failed read
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
 def _read(fh, path, schema: CsvSchema) -> list:
-    """load_csv on its open file."""
-    # readline keeps fh.tell() usable, so both readers start after the header
-    reader = csv.reader(iter(fh.readline, ""), delimiter=schema.delimiter)
+    """load_csv on its open file.
+
+    Each data row is one structured record: a (C,) float64 field for the
+    channels in schema order, then one object field per label and subject
+    column, so a column the schema names twice is read twice from the same
+    cell.  The channel matrix is a strided view of the records."""
     try:
-        header = next(reader)
+        header = next(csv.reader(fh, delimiter=schema.delimiter))
     except StopIteration:
         raise EmptyInputError(f"{path}: file is empty") from None
     except csv.Error as exc:
@@ -198,57 +200,36 @@ def _read(fh, path, schema: CsvSchema) -> list:
     missing = [c for c in wanted if c not in header]
     if missing:
         raise SchemaError(f"{path}: missing columns {missing}; header {header}")
-    col = {name: header.index(name) for name in wanted}
-    first_row = fh.tell()
-    columns = _read_columns(fh, path, schema, col)
-    if columns is None:
-        fh.seek(first_row)
-        columns = _read_cells(fh, path, schema, col)
-    return _recordings(*columns, schema)
-
-
-def _read_columns(fh, path, schema: CsvSchema, col: dict) -> tuple | None:
-    """load_csv's fast path: the rows from fh's position on, read by one
-    np.loadtxt pass, as _read_cells returns them, or None to leave the file
-    to _read_cells.
-
-    Each row is one structured record: a (C,) float64 field for the
-    channels in schema order, then one object field per label and subject
-    column, so a column the schema names twice is read twice from the same
-    cell.  The channel matrix returned is a strided view of the records."""
-    if schema.delimiter in '"\r\n':  # delimiters numpy's reader does not take
-        return None
-    if _may_hold_long_cell(path):
-        # csv.reader refuses a cell longer than its limit in any column,
-        # while numpy takes it; the per-cell loop reports it
-        start = fh.tell()
-        try:
-            for _ in csv.reader(fh, delimiter=schema.delimiter):
-                pass
-        except csv.Error:
-            return None
-        fh.seek(start)
-    text_cols = [col[c] for c in (schema.label, schema.subject) if c]
+    text_cols = [header.index(c) for c in (schema.label, schema.subject) if c]
     texts = [(f"t{i}", object) for i in range(len(text_cols))]
     record = np.dtype([("v", np.float64, (len(schema.channels),)), *texts])
     try:
         with warnings.catch_warnings():
-            # no data rows is declined below; _read_cells raises EmptyInputError
+            # no data rows raise EmptyInputError below, without numpy's warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(
                 fh, dtype=record, delimiter=schema.delimiter, comments=None, quotechar='"',
-                ndmin=1, usecols=[*(col[ch] for ch in schema.channels), *text_cols],
+                ndmin=1, usecols=[*(header.index(ch) for ch in schema.channels), *text_cols],
             )
-    except ValueError:
-        return None
+    except UnicodeDecodeError:
+        raise  # a ValueError too; load_csv reports it
+    except ValueError as exc:
+        raise CsvParseError(f"{path}: {exc}") from None
     values = rows["v"]
-    if not len(values) or not np.isfinite(values).all():
-        return None
-    return values, [rows[name] for name in record.names[1:]]  # label, then subject
+    if not len(values):
+        raise EmptyInputError(f"{path}: no data rows")
+    finite = np.isfinite(values)
+    if not finite.all():  # argwhere only on the error path: it costs 4x the check
+        row, j = np.argwhere(~finite)[0]
+        raise CsvParseError(
+            f"{path}: row {row + 1}, column {schema.channels[j]!r}: "
+            f"non-finite value {values[row, j]}"
+        )
+    return _recordings(values, [rows[name] for name in record.names[1:]], schema)
 
 
 def _recordings(values: np.ndarray, text, schema: CsvSchema) -> list:
-    """Group the rows of both readers into Recordings.
+    """Group the rows numpy's reader read into Recordings.
 
     values is the (N, C) float64 channel matrix, channels in schema order;
     text holds the raw label and subject cells as (N,) object arrays (in
@@ -296,79 +277,6 @@ def _groups(codes: np.ndarray) -> list:
     return np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
 
 
-# The long-cell pre-check reads the file in chunks of about this many bytes.
-_SCAN_BYTES = 1 << 20
-
-
-def _may_hold_long_cell(path) -> bool:
-    """False only when no cell of the file can be longer than
-    csv.field_size_limit() characters.
-
-    A cell's value is no longer than its text, in characters or in UTF-8
-    bytes, and a cell that is not quoted lies within one line.  So a file
-    without a '"' in which every aligned span of limit // 2 bytes holds a
-    line break has no such cell: a line longer than the limit covers one of
-    those spans whole.  The scan is a few byte searches per MiB."""
-    limit = csv.field_size_limit()
-    span = limit // 2
-    if span < 4096:  # too many spans to scan cheaply: let the exact check run
-        return True
-    with open(path, "rb") as raw:
-        while chunk := raw.read(span * max(1, _SCAN_BYTES // span)):
-            if b'"' in chunk:
-                return True
-            for i in range(0, len(chunk) - span + 1, span):
-                if chunk.find(b"\n", i, i + span) < 0 and chunk.find(b"\r", i, i + span) < 0:
-                    return True
-    return False
-
-
-def _read_cells(fh, path, schema: CsvSchema, col: dict) -> tuple:
-    """load_csv's per-cell loop and its only error path: the rows from fh's
-    position on as the (N, C) float64 channel matrix and the label and
-    subject cells, or the error that names the bad row."""
-    n_cells = max(col.values()) + 1
-    text_cols = [col[c] for c in (schema.label, schema.subject) if c]
-    values, text = [], []
-    for row_no, row in _numbered_rows(fh, path, schema.delimiter):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < n_cells:
-            raise CsvParseError(
-                f"{path}: row {row_no}: {len(row)} cells, the schema needs {n_cells}"
-            )
-        for ch in schema.channels:
-            cell = row[col[ch]].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: row {row_no}, column {ch!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            if not math.isfinite(value):
-                raise CsvParseError(
-                    f"{path}: row {row_no}, column {ch!r}: non-finite value {cell!r}"
-                )
-            values.append(value)
-        text.append([row[c] for c in text_cols])
-    if not text:
-        raise EmptyInputError(f"{path}: no data rows")
-    return np.array(values).reshape(len(text), -1), np.array(text, dtype=object).T
-
-
-def _numbered_rows(fh, path, delimiter: str):
-    """csv.reader's records from fh's position on, numbered from 1; a record
-    the reader refuses (a cell longer than csv.field_size_limit()) raises
-    CsvParseError naming it."""
-    row_no = 0
-    try:
-        for row_no, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
-            yield row_no, row
-    except csv.Error as exc:
-        raise CsvParseError(f"{path}: row {row_no + 1}: {exc}") from None
-
-
 def moving_average(signal, window_len: int) -> np.ndarray:
     """Centered moving average; windows truncate at the edges, so output
     length equals input length.  For even lengths the window extends one
@@ -407,9 +315,9 @@ def _window_stats(S: np.ndarray, n: int, stride: int, out: np.ndarray) -> np.nda
     _BLOCK_BYTES, so memory stays flat however long the recording.  Each
     reduction runs along the contiguous last axis, one window at a time, as
     numpy's 1-D reductions of that window do, so every statistic equals
-    reference.channel_features bit for bit; std is sqrt(add.reduce(d * d) /
-    n) over d = window - mean, the operations of numpy's var, and d also
-    gives the zero-crossing signs."""
+    channel_features in tests/reference.py bit for bit; std is
+    sqrt(add.reduce(d * d) / n) over d = window - mean, the operations of
+    numpy's var, and d also gives the zero-crossing signs."""
     if not len(out):  # also when the windows are longer than S
         return out
     V = sliding_window_view(S, n, axis=-1)[:, ::stride].transpose(1, 0, 2)

@@ -11,14 +11,14 @@ array of the same shape:
     dot       sum of products         np.dot (cast int8 operands up first)
     bundle    a + b
 
-:mod:`hdwear.reference` holds per-component oracles for each of these.  The
+``tests/reference.py`` holds per-component oracles for each of these.  The
 1-bit model stores bipolar vectors packed by :func:`pack`, 64 components
 per uint64 word, so that for packed operands
 
     dot(a, b) = D - 2 * popcount(pack(a) XOR pack(b)).
 
 :func:`pack_sign` packs the majority sign of bundles straight into words
-(its per-component oracle is :func:`hdwear.reference.sign_quantize`).
+(its per-component oracle is ``sign_quantize`` in ``tests/reference.py``).
 
 All randomness in hdwear comes from :func:`rng`, a counter-based Philox
 stream keyed by (seed, stream): what it draws depends only on those two

@@ -7,7 +7,8 @@ They exist as the correctness oracle for the array fast paths in
 :mod:`hdwear.datapipe`, and share no code with them.  Slow on purpose:
 obviously correct beats fast here.  The window statistics use numpy's 1-D
 reductions, because the batched features must match their summation order
-bit for bit.
+bit for bit.  Only the tests import it, so it lives beside them and not in
+the package.
 """
 
 import math
@@ -15,7 +16,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidSampleError
+from hdwear.errors import InvalidArgumentError, InvalidSampleError
 
 
 def random_components(rng_bytes: bytes, dim: int) -> list[int]:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from hdwear import encoding
-from hdwear import reference as ref
 from hdwear.datapipe import Recording, build_dataset
 from hdwear.encoding import EncoderConfig, FeatureEncoder, encode_records, quantize, record_tables
 from hdwear.errors import InvalidArgumentError, InvalidDimensionError, InvalidSampleError

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdwear import reference as ref
+import reference as ref
 from hdwear.errors import InvalidArgumentError, InvalidDimensionError
 from hdwear.hv import _tie_coin, level_flips, pack, pack_sign, random_hv, random_hvs, rng, rngs
 from oracles import make_level_memory, sign_quantize

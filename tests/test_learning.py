@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from hdwear import learning
-from hdwear import reference as ref
 from hdwear.encoding import EncoderConfig
 from hdwear.errors import (
     BadMagicError,

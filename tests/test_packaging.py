@@ -3,6 +3,7 @@ name resolves, the package exports the pipeline, and test-only helpers stay
 out of it."""
 
 import importlib
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +62,17 @@ def test_package_exports_the_pipeline():
         ("hv", "_sign_bits"),
         ("robustness", "inject_bitflips"),
         ("encoding", "_in_range"),
+        ("datapipe", "_read_cells"),
+        ("datapipe", "_may_hold_long_cell"),
     ],
 )
 def test_test_only_helpers_are_not_in_the_package(module, name):
     assert not hasattr(importlib.import_module(f"hdwear.{module}"), name)
+
+
+def test_reference_oracles_are_not_in_the_package():
+    # they live in tests/reference.py, beside the tests that import them
+    assert importlib.util.find_spec("hdwear.reference") is None
 
 
 @pytest.mark.parametrize(

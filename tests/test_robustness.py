@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hdwear import reference as ref
+import reference as ref
 from hdwear.encoding import EncoderConfig
 from hdwear.errors import (
     DimensionMismatchError,
