@@ -23,6 +23,7 @@ of windows, and evaluated on its later windows, before and after adapting.
 from __future__ import annotations
 
 import csv
+import encodings.utf_8_sig  # noqa: F401  load_csv's codec, loaded with the module, not by a call
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
@@ -137,7 +138,8 @@ def load_csv(path, schema: CsvSchema) -> list:
     """Parse one CSV into per-subject Recordings (subjects keep the order of
     their first row, even when their rows interleave).
 
-    The file is UTF-8 text in the csv module's default dialect with the
+    The file is UTF-8 text (a leading byte-order mark, as spreadsheet
+    exports write, is skipped) in the csv module's default dialect with the
     schema's delimiter: a cell that starts with '"' is quoted up to the next
     lone '"' (a doubled '""' inside is one literal quote), and may hold the
     delimiter or a line break; a '"' anywhere else and a '#' are plain
@@ -169,7 +171,7 @@ def load_csv(path, schema: CsvSchema) -> list:
     # ValueError is caught at the open only (a path with a NUL byte), since
     # _read's typed errors may be ValueErrors too
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
     try:

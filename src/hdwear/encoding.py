@@ -61,14 +61,24 @@ _BLOCK_BYTES = 1 << 20
 _COPY_COLUMNS = 64
 
 
+def _check_real(a: np.ndarray, what: str, error=InvalidSampleError) -> None:
+    """Raise error, naming a as what, unless every value of a is a finite
+    real.  Only the dtype kinds b, i, u and f are real (complex, str and
+    object arrays are not); integer arrays are finite by type and skip the
+    scan."""
+    kind = a.dtype.kind
+    if kind not in "biuf" or (kind == "f" and not np.isfinite(a).all()):
+        raise error(f"{what} holds a value that is not a finite real (dtype {a.dtype})")
+
+
 def quantize(X, bounds, q: int) -> np.ndarray:
     """Clamp each column j of (N, F) values X to bounds[j] = (v_min, v_max)
     and map it to a level index in [0, q-1]; a degenerate range
-    (v_min >= v_max) maps everything to level 0."""
-    X = np.asarray(X, dtype=np.float64)
-    bad = ~np.isfinite(X)
-    if bad.any():
-        raise InvalidSampleError(f"non-finite sample value: {float(X[bad][0])!r}")
+    (v_min >= v_max) maps everything to level 0.  X must hold finite reals
+    (:func:`_check_real`)."""
+    X = np.asarray(X)
+    _check_real(X, "feature matrix")
+    X = X.astype(np.float64, copy=False)
     lo, hi = np.asarray(bounds, dtype=np.float64).reshape(-1, 2).T
     span = hi > lo
     with np.errstate(over="ignore"):  # an overflow to +-inf clamps like the scalar form
@@ -113,7 +123,10 @@ def encode_records(X, bounds, tables: tuple) -> np.ndarray:
     out _COPY_COLUMNS columns at a time."""
     order, segments, q, W, fixed = tables
     n_feat, dim = W.shape[1] - 1, len(order)
-    X = np.asarray(X, dtype=np.float64)
+    try:
+        X = np.asarray(X)
+    except ValueError:  # numpy refuses ragged features
+        raise InvalidArgumentError(f"ragged features, not one (N, {n_feat}) array") from None
     if X.size == 0:
         X = X.reshape(0, n_feat)
     if X.ndim != 2 or X.shape[1] != n_feat:

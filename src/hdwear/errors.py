@@ -54,7 +54,9 @@ class UnknownSubjectError(DataError, KeyError):
 
 
 class InvalidSampleError(DataError, ValueError):
-    """A sample value is NaN or infinite."""
+    """A sample or query value is not a finite real (NaN, infinite, complex
+    or not a number at all), or training on it would take a class component
+    past the float32 range."""
 
 
 class ModelIOError(HDWearError):

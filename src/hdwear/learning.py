@@ -24,16 +24,23 @@ the retraining screen (the batched design follows Torchhd, Heddes et al.,
 JMLR 2023), one query against all class rows for the per-sample steps.  A
 block holds as many float64 rows of D components as fit in _BLOCK_BYTES
 (512 KiB), at least one: :func:`_block_rows` gives 64 rows at D = 1024, 16
-at D = 4096 and 6 at D = 10000.  Each call allocates its float64 operands
-once, on 64-byte boundaries, and reuses them: the class rows
-(:func:`_class_rows`) and one block buffer that each block of queries is
-copied into.  A per-sample step scores a row of that buffer as it is; the
-rows start on 64-byte boundaries too whenever D is a multiple of 8.  The
-results do not depend on alignment, only the speed does (see
-_class_rows).  Every norm comes from one row-wise reduction, the pairwise
-np.add.reduce of the squares (:func:`_norms`), and a row of a C-contiguous
-block reduces to the same norm as the row alone, so a query's norm is taken
-once, with its block's.
+at D = 4096 and 6 at D = 10000.  :func:`_float_blocks` is the one place
+that cuts queries into blocks: it takes a list of (D,) rows or one (N, D)
+array and casts each block straight into one float64 buffer of
+min(_block_rows(D), N) rows, so a query is copied once, into float64, and
+the callers slice their class indices by each block's start.  Each call
+allocates its float64 operands once, on 64-byte boundaries, and reuses
+them: the class rows (:func:`_class_rows`) and that block buffer.  A
+per-sample step scores a row of the buffer as it is; the rows start on
+64-byte boundaries too whenever D is a multiple of 8.  The results do not
+depend on alignment, only the speed does (see _class_rows).  Every norm
+comes from one row-wise reduction, the pairwise np.add.reduce of the
+squares (:func:`_norms`), and a row of a C-contiguous block reduces to the
+same norm as the row alone, so a query's norm is taken once, with its
+block's.  Casting a row on its own gives the float64 values that casting
+a stack of mixed-dtype rows gives: numpy promotes them to a dtype that
+either holds every bool, integer and float component exactly or is
+float64, which rounds a component as its own cast does.
 
 Training is sequential by design (each sample sees every earlier update),
 so a pass (:class:`_Rows`) takes the float64 rows and norms once and
@@ -71,10 +78,12 @@ misses per epoch; 2-core VM) ten epochs took 34.9 ms in 16-row blocks
 (131 block set-ups per epoch) and 25.9 ms in the 64-row blocks of the
 byte budget.
 :func:`train_iterative` checks its pairs once and keeps the checked
-blocks, in their own dtype, with their class indices for every epoch; the
-screen's constants (the query norms, the one-hot of the true classes and
-each query's margin) are taken once, from the first epoch's float64 copy
-of each block.  It keeps no float64 copy of the training set.
+queries as one (N, D) array in their own dtype (promoted as np.array
+stacks them), with their class indices, for every epoch; the screen's
+constants (the query norms, the one-hot of the true classes and each
+query's margin) are kept in a list with one entry per block, taken once
+from the first epoch's float64 copy of each block.  It keeps no float64
+copy of the training set.
 
 Inputs are checked once, where they enter.  :class:`Model` is frozen, so
 its fields are checked only at construction and cannot be rebound later.
@@ -86,9 +95,14 @@ Training works on one model in place and returns that same object:
 :func:`labelled_blocks` is the one boundary for (H, label) pairs: the
 training loops, :func:`evaluate` and the robustness sweep all take their
 pairs through it, and it checks every pair (an iterable of 2-item pairs,
-known label, shape (D,), finite components) before the first one is
+known label, shape (D,), finite real components) before the first one is
 scored or learned, so a bad pair anywhere in a stream leaves the model
-unchanged.
+unchanged.  It only checks: it returns the class indices and the queries
+as they came, and _float_blocks cuts and casts them.  An update that
+would take a class component past the float32 range is caught once per
+online pass and once per retraining epoch (np.isfinite over the class
+matrix; numpy's overflow warnings are off inside training), raises
+InvalidSampleError and leaves the class matrix as the call received it.
 """
 
 from __future__ import annotations
@@ -104,7 +118,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import EncoderConfig, _is_float64
+from .encoding import EncoderConfig, _check_real, _is_float64
 from .errors import (
     BadMagicError,
     ChecksumError,
@@ -155,10 +169,16 @@ class Model:
     retrain_curve: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
-        if isinstance(self.classes, str):  # it would split into one class per character
+        try:  # a str would split into one class per character
+            classes = None if isinstance(self.classes, str) else tuple(self.classes)
+        except TypeError:  # not iterable
+            classes = None
+        if classes is None:
             raise InvalidArgumentError(f"classes must be a list of labels, got {self.classes!r}")
         # a tuple, so that the class count the model file records cannot change
-        object.__setattr__(self, "classes", tuple(self.classes))
+        object.__setattr__(self, "classes", classes)
+        if not isinstance(self.encoder, EncoderConfig):
+            raise InvalidArgumentError(f"encoder must be an EncoderConfig, got {self.encoder!r}")
         if not self.classes:
             raise UnknownClassError("model needs at least one class")
         if not all(isinstance(c, str) and _utf8_encodable(c) for c in self.classes):
@@ -170,12 +190,14 @@ class Model:
         if not (_is_float64(self.eta) and self.eta > 0):
             raise InvalidArgumentError(f"eta must be a finite real > 0, got {self.eta!r}")
         shape = (len(self.classes), self.encoder.dim)
+        matrix = np.zeros(shape, np.float32) if self.class_matrix is None else self.class_matrix
+        try:
+            matrix = np.asarray(matrix)
+        except ValueError:  # numpy refuses a ragged class matrix
+            raise DimensionMismatchError(f"ragged class matrix, not one {shape} array") from None
+        _check_real(matrix, "class matrix", InvalidArgumentError)
         with np.errstate(over="ignore"):  # a component float32 cannot hold turns inf
-            matrix = (
-                np.zeros(shape, dtype=np.float32)
-                if self.class_matrix is None
-                else np.asarray(self.class_matrix, dtype=np.float32)
-            )
+            matrix = matrix.astype(np.float32, copy=False)
         if matrix.shape != shape:
             raise DimensionMismatchError(f"class matrix shape {matrix.shape} != {shape}")
         if not np.isfinite(matrix).all():
@@ -242,15 +264,18 @@ def _aligned(shape: tuple) -> np.ndarray:
     return raw[start : start + math.prod(shape)].reshape(shape)
 
 
-def _float_blocks(dim: int, blocks) -> Iterator[np.ndarray]:
-    """Each (n, D) block of at most _block_rows(D) queries as float64,
-    copied into one aligned buffer that is reused; a block is valid until
-    the next one is drawn."""
-    buf = _aligned((_block_rows(dim), dim))
-    for H in blocks:
-        Hf = buf[: len(H)]
-        Hf[...] = H
-        yield Hf
+def _float_blocks(dim: int, rows) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, block) for each run of at most _block_rows(D) queries of
+    rows, a list of checked (D,) queries or one (N, D) array, in order:
+    block holds rows[start : start + len(block)] as float64.  Each row is
+    cast straight into one aligned buffer of min(_block_rows(D), N) rows
+    that is reused, so a block is valid until the next one is drawn."""
+    step = _block_rows(dim)
+    buf = _aligned((min(step, len(rows)), dim))
+    for start in range(0, len(rows), step):
+        Hf = buf[: min(step, len(rows) - start)]
+        Hf[...] = rows[start : start + step]
+        yield start, Hf
 
 
 def _norms(A: np.ndarray) -> np.ndarray:
@@ -307,19 +332,25 @@ def train_online(model: Model, stream) -> Model:
 
     Each (H, label) moves only the true class row, by H scaled by how much
     new information it carries: eta * (1 - delta).  An empty stream is a
-    no-op.  Mutates and returns model."""
-    truth, blocks = labelled_blocks(model, stream)
+    no-op.  Mutates and returns model; a pass that would leave a class
+    component outside the float32 range raises InvalidSampleError and
+    leaves the class matrix as it was."""
+    truth, queries = labelled_blocks(model, stream)
+    received = model.class_matrix.copy()
     rows = _Rows(model)
     eta = float(model.eta)
     # Query norms are taken per block: for 16 rows at D = 1024 that took
     # 25 us, against 89 us row by row (copy and norm; one thread, 2-core VM).
-    for t, Hf in zip(_split(truth, model.dim), _float_blocks(model.dim, blocks)):
-        for li, hn, h in zip(t.tolist(), _norms(Hf).tolist(), Hf):
-            den = float(rows.norms[li]) * hn
-            delta = float(rows.dots(h)[li]) / den if den > 0 else 0.0
-            if delta != 1.0:
-                rows.increment(h, eta * (1.0 - delta))
-                rows.apply(li, np.add)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        for start, Hf in _float_blocks(model.dim, queries):
+            t = truth[start : start + len(Hf)].tolist()
+            for li, hn, h in zip(t, _norms(Hf).tolist(), Hf):
+                den = float(rows.norms[li]) * hn
+                delta = float(rows.dots(h)[li]) / den if den > 0 else 0.0
+                if delta != 1.0:
+                    rows.increment(h, eta * (1.0 - delta))
+                    rows.apply(li, np.add)
+    _undo_overflow(model, received)
     return model
 
 
@@ -333,27 +364,45 @@ def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int =
     pairs are checked once, before the first epoch (also when max_epochs
     is 0).  Mutates and returns model, as train_online does: its class
     matrix ends as the best epoch left it and its retrain_curve holds the
-    misses of every epoch run.
+    misses of every epoch run.  An epoch that would leave a class component
+    outside the float32 range raises InvalidSampleError and leaves the
+    class matrix (and retrain_curve) as the call received them.
     """
     check_int(max_epochs, "max_epochs")
     check_int(patience, "patience")
-    truth, blocks = labelled_blocks(model, dataset)
-    blocks = [[t, H, None] for t, H in zip(_split(truth, model.dim), blocks)]
-    best = model.class_matrix.copy()
-    best_misses, bad_epochs, curve = math.inf, 0, []
-    for _ in range(max_epochs):
-        misses = _retrain_pass(model, blocks)
-        curve.append(misses)
-        if misses < best_misses:
-            best[...] = model.class_matrix
-            best_misses, bad_epochs = misses, 0
-            if misses == 0:
+    truth, queries = labelled_blocks(model, dataset)
+    H = np.array(queries)
+    received = model.class_matrix.copy()
+    best = received.copy()
+    best_misses, bad_epochs, curve, screens = math.inf, 0, [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once per epoch
+        for _ in range(max_epochs):
+            misses = _retrain_pass(model, truth, H, screens)
+            _undo_overflow(model, received)
+            curve.append(misses)
+            if misses < best_misses:
+                best[...] = model.class_matrix
+                best_misses, bad_epochs = misses, 0
+                if misses == 0:
+                    break
+            elif (bad_epochs := bad_epochs + 1) > patience:
                 break
-        elif (bad_epochs := bad_epochs + 1) > patience:
-            break
     model.class_matrix[...] = best
     model.retrain_curve[:] = curve
     return model
+
+
+def _undo_overflow(model: Model, received: np.ndarray) -> None:
+    """If training left a class component outside the float32 range (an
+    update overflowed; training runs with numpy's overflow and
+    invalid-value warnings off and checks here instead), put received back
+    into the class matrix and raise InvalidSampleError."""
+    if not np.isfinite(model.class_matrix).all():
+        model.class_matrix[...] = received
+        raise InvalidSampleError(
+            "training overflowed float32: an update took a class component past "
+            "the float32 range; the class matrix is left as it was"
+        )
 
 
 # The screen settles only queries whose norm lies in this range.  There no
@@ -394,12 +443,12 @@ def _settled(C: np.ndarray, own: np.ndarray, margins: np.ndarray) -> np.ndarray:
     return C.T[own.T] > np.where(own, -np.inf, C).max(axis=0) + margins
 
 
-def _retrain_pass(model: Model, blocks: list) -> int:
-    """One retraining epoch; returns the miss count.  blocks holds [class
-    indices, queries in their own dtype, screen constants] per block of
-    labelled_blocks; the screen constants (query norms, the (K, n) one-hot
-    of the true classes, and each query's margin for _settled) are None
-    until the first epoch takes them from the float64 copy it makes of the
+def _retrain_pass(model: Model, truth: np.ndarray, H: np.ndarray, screens: list) -> int:
+    """One retraining epoch over the (N, D) queries H with class indices
+    truth; returns the miss count.  screens holds the screen constants of
+    each block of _float_blocks (the query norms, the (K, n) one-hot of the
+    true classes, and each query's margin for _settled); the first epoch
+    finds it empty and fills it from the float64 copy it makes of each
     block anyway.
 
     Each block is screened with one matrix product; only the queries it
@@ -413,18 +462,18 @@ def _retrain_pass(model: Model, blocks: list) -> int:
     margin = _margin(model.dim)
     lo, hi = _SCREEN_NORMS
     misses = 0
-    for block, Hf in zip(blocks, _float_blocks(model.dim, (H for _, H, _ in blocks))):
-        truth, _, screen = block
-        if screen is None:
+    for b, (start, Hf) in enumerate(_float_blocks(model.dim, H)):
+        t = truth[start : start + len(Hf)]
+        if b == len(screens):
             hn = _norms(Hf)
-            own = truth == np.arange(model.n_classes)[:, None]
-            screen = block[2] = (hn, own, np.where((hn >= lo) & (hn <= hi), margin, np.nan))
-        hn, own, margins = screen
+            own = t == np.arange(model.n_classes)[:, None]
+            screens.append((hn, own, np.where((hn >= lo) & (hn <= hi), margin, np.nan)))
+        hn, own, margins = screens[b]
         C = _scaled(M @ Hf.T, norms, hn)
         j = 0
         while len(flagged := np.flatnonzero(~_settled(C[:, j:], own[:, j:], margins[j:]))):
             j += int(flagged[0])
-            li, h = int(truth[j]), Hf[j]
+            li, h = int(t[j]), Hf[j]
             sims = _scaled(rows.dots(h), norms, hn[j])
             pi = int(np.argmax(sims))
             if pi != li:
@@ -457,28 +506,11 @@ def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * dim))
 
 
-def _split(a: np.ndarray, dim: int) -> list[np.ndarray]:
-    """a cut along its first axis into the blocks of _block_rows(dim) rows
-    (the last may be shorter) that labelled_blocks stacks."""
-    rows = _block_rows(dim)
-    return np.split(a, range(rows, len(a), rows))
-
-
-def _check_real(h: np.ndarray) -> None:
-    """Raise InvalidSampleError unless every query in h is real and finite.
-    Integer rows (what the encoder emits) are finite by type and skip the
-    scan."""
-    kind = h.dtype.kind
-    if kind not in "biuf" or (kind == "f" and not np.isfinite(h).all()):
-        raise InvalidSampleError(f"query is not a finite real vector (dtype {h.dtype})")
-
-
-def labelled_blocks(model: Model, pairs) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+def labelled_blocks(model: Model, pairs) -> tuple[np.ndarray, list[np.ndarray]]:
     """Check every (H, label) pair against model, then return (truth,
-    blocks): truth holds the class index of every label, and blocks yields
-    the queries in order, in their own dtype, as stacked (n, D) arrays of
-    _block_rows(D) rows (the last may be shorter).  No pairs give an empty
-    truth and no blocks.
+    rows): truth holds the class index of every label and rows the queries
+    in order, as the (D,) arrays they came as, in their own dtype, for
+    _float_blocks to cut and cast.  No pairs give an empty truth and rows.
 
     Raises InvalidArgumentError for pairs that cannot be iterated, an
     element that is not a 2-item pair or an H that is ragged,
@@ -494,13 +526,8 @@ def labelled_blocks(model: Model, pairs) -> tuple[np.ndarray, Iterator[np.ndarra
     for h, _ in pairs:
         if h.shape != (model.dim,):
             raise DimensionMismatchError(f"query dim {h.shape} != ({model.dim},)")
-        _check_real(h)
-    rows = _block_rows(model.dim)
-    blocks = (
-        np.array([H for H, _ in pairs[start : start + rows]])
-        for start in range(0, len(pairs), rows)
-    )
-    return truth, blocks
+        _check_real(h, "query")
+    return truth, [h for h, _ in pairs]
 
 
 def predict(model: Model, H) -> np.ndarray:
@@ -514,21 +541,21 @@ def predict(model: Model, H) -> np.ndarray:
         raise DimensionMismatchError(f"ragged queries, not one (N, {model.dim}) array") from None
     if h.ndim != 2 or h.shape[1] != model.dim:
         raise DimensionMismatchError(f"query batch shape {h.shape} != (N, {model.dim})")
-    _check_real(h)
-    return _best(model, _split(h, model.dim))
+    _check_real(h, "query batch")
+    return _best(model, h)
 
 
-def _best(model: Model, blocks) -> np.ndarray:
-    """Most similar class index per row of checked query blocks of at most
-    _block_rows(D) rows, as (N,) int64; each block is scored from one
-    aligned float64 buffer."""
+def _best(model: Model, queries) -> np.ndarray:
+    """Most similar class index per checked query (a list of (D,) rows or
+    one (N, D) array), as (N,) int64; each block of _float_blocks is scored
+    with one matrix product."""
     if not model.is_trained:
         raise ModelNotTrainedError("model has not been trained")
     M, norms = _class_rows(model)
-    best = [np.empty(0, dtype=np.int64)]
-    for Hf in _float_blocks(model.dim, blocks):
-        best.append(_scaled(M @ Hf.T, norms, _norms(Hf)).argmax(axis=0))
-    return np.concatenate(best)
+    best = np.empty(len(queries), dtype=np.int64)
+    for start, Hf in _float_blocks(model.dim, queries):
+        best[start : start + len(Hf)] = _scaled(M @ Hf.T, norms, _norms(Hf)).argmax(axis=0)
+    return best
 
 
 class EvalReport(NamedTuple):
@@ -555,11 +582,11 @@ class EvalReport(NamedTuple):
 
 
 def evaluate(model: Model, dataset) -> EvalReport:
-    truth, blocks = labelled_blocks(model, dataset)
+    truth, queries = labelled_blocks(model, dataset)
     if not len(truth):
         raise EmptyInputError("no (H, label) pairs to score")
     k = model.n_classes
-    counts = np.bincount(truth * k + _best(model, blocks), minlength=k * k)
+    counts = np.bincount(truth * k + _best(model, queries), minlength=k * k)
     return EvalReport(classes=list(model.classes), confusion=counts.reshape(k, k))
 
 

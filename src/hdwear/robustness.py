@@ -12,11 +12,12 @@ rates are checked before any work, and a bad one raises
 
 Ranking reduces to popcounts, dot = D - 2 * popcount(query XOR class), so
 the nearest class in Hamming distance wins, ties to the lowest index.  The
-sweep packs the queries once, block by block with the model's tie seed,
-and keeps them transposed as (W, N) words, so that each class word meets
-all N queries in one contiguous row: per class, one XOR and one popcount
-into reused (W, N) buffers, then a sum over the W rows into a (K, N)
-distance buffer.  The distances accumulate in the narrowest unsigned type
+sweep packs the checked queries once, with the model's tie seed, in blocks
+of :func:`hdwear.learning._block_rows` rows stacked in their own dtype (the
+sign needs no float64 copy), and keeps them transposed as (W, N) words, so
+that each class word meets all N queries in one contiguous row: per class,
+one XOR and one popcount into reused (W, N) buffers, then a sum over the W
+rows into a (K, N) distance buffer.  The distances accumulate in the narrowest unsigned type
 that holds D, which no distance exceeds because padding bits are zero on
 both sides.
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidArgumentError, ModelNotTrainedError
 from .hv import check_int, check_seed, pack, pack_sign, rngs
-from .learning import Model, labelled_blocks
+from .learning import Model, _block_rows, labelled_blocks
 
 TABLE4_RATES = (0.01, 0.02, 0.04, 0.06, 0.10, 0.12)
 
@@ -132,12 +133,15 @@ def robustness_sweep(
         if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and 0.0 <= rate <= 1.0):
             raise InvalidArgumentError(f"rate must be a real in [0, 1], got {rate!r}")
     bm = quantize_model(model)
-    truth, blocks = labelled_blocks(model, test_set)
+    truth, rows = labelled_blocks(model, test_set)
     if not len(truth):
         raise EmptyInputError("no (H, label) pairs to score")
-    # the queries as (W, N) words and the buffers every trial reuses
+    # the queries as (W, N) words, packed block by block in their own
+    # dtype, and the buffers every trial reuses
     qt = np.empty((bm.class_words.shape[1], len(truth)), dtype=np.uint64)
-    np.concatenate([pack_sign(H, model.encoder.tie_seed).T for H in blocks], axis=1, out=qt)
+    step = _block_rows(model.dim)
+    for s in range(0, len(rows), step):
+        qt[:, s : s + step] = pack_sign(rows[s : s + step], model.encoder.tie_seed).T
     xor = np.empty_like(qt)
     count = np.empty(qt.shape, dtype=np.uint8)
     dist = np.empty((len(bm.class_words), len(truth)), dtype=np.min_scalar_type(bm.dim))

@@ -455,6 +455,23 @@ def test_load_takes_cell_at_csv_field_limit(tmp_path):
         assert load(p, schema)[0].labels.tolist() == [label]
 
 
+def test_load_skips_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one; it is not part of the
+    # first column's name
+    text = "v,act,subj\n1.5,walk,s1\n-2,run,s2\n3,walk,s1\n"
+    plain = tmp_path / "plain.csv"
+    marked = tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    schema = CsvSchema(channels=["v"], label="act", subject="subj")
+    got, want = load_csv(marked, schema), load_csv(plain, schema)
+    assert [r.subject_id for r in got] == [r.subject_id for r in want] == ["s1", "s2"]
+    for a, b in zip(got, want):
+        assert a.channels.keys() == b.channels.keys() == {"v"}
+        assert np.array_equal(a.channels["v"], b.channels["v"])
+        assert np.array_equal(a.labels, b.labels)
+
+
 @pytest.mark.parametrize(
     "blob",
     [b"v,act\n1,\xff\n", b"v\xff,act\n1,walk\n", b"v,act\n" + b"1,walk\n" * 5000 + b"2,\xe9\n"],

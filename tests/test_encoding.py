@@ -364,6 +364,24 @@ def test_feature_encoder_roundtrip_config():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "X, error",
+    [
+        (np.full((2, 4), 0.5 + 0.5j), InvalidSampleError),
+        ([[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4j]], InvalidSampleError),
+        ([["0.1", "0.2", "0.3", "0.4"]], InvalidSampleError),
+        ([[0.1, 0.2, 0.3, None]], InvalidSampleError),
+        ([[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3]], InvalidArgumentError),
+    ],
+    ids=["complex", "one-complex", "str", "object", "ragged"],
+)
+def test_feature_encoder_rejects_features_that_are_not_real(X, error):
+    # complex features would lose their imaginary part in the float64 cast
+    enc = FeatureEncoder(EncoderConfig(dim=256, feature_bounds=[(0.0, 1.0)] * 4))
+    with pytest.raises(error):
+        enc.encode_matrix(X)
+
+
 def test_feature_encoder_requires_bounds():
     with pytest.raises(InvalidArgumentError):
         FeatureEncoder(EncoderConfig())

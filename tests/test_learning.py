@@ -34,6 +34,7 @@ from hdwear.learning import (
     Model,
     _block_rows,
     _class_rows,
+    _float_blocks,
     _Rows,
     _margin,
     _retrain_pass,
@@ -537,11 +538,12 @@ def test_screen_settles_no_query_outside_its_norm_range():
     m = make_model(n_classes=2, dim=64)
     m.class_matrix[:] = [np.ones(64), -np.ones(64)]
     H = np.ones((3, 64)) * np.array([[1.0], [2.0**-420], [2.0**420]])
-    # one block as train_iterative builds it: class indices, queries, and
-    # the screen constants the first epoch fills in
-    blocks = [[np.zeros(3, dtype=np.intp), H, None]]
-    assert _retrain_pass(m, blocks) == 0
-    hn, own, margins = blocks[0][2]
+    # one block, as train_iterative passes it: class indices, queries, and
+    # the list of screen constants the first epoch fills in
+    screens = []
+    assert _retrain_pass(m, np.zeros(3, dtype=np.intp), H, screens) == 0
+    assert len(screens) == 1
+    hn, own, margins = screens[0]
     assert own.tolist() == [[True] * 3, [False] * 3]
     assert margins[0] == _margin(64) and np.isnan(margins[1:]).all()
 
@@ -557,6 +559,35 @@ def test_one_class_retraining_raises_no_invalid_value():
         out = train_iterative(m, zip(H, ["c0"] * 3), max_epochs=2)
     assert out.retrain_curve == [0]
     assert (out.class_matrix == 1.0).all()
+
+
+def test_training_that_overflows_raises_and_leaves_the_model():
+    # no update may leave a class component outside the float32 range (its
+    # model file could not be loaded back); numpy's overflow warnings stay
+    # inside (they are errors here), and the class matrix stays as received
+    enc = EncoderConfig(dim=64)
+    huge = np.full(64, 1e300)
+    H = np.full(64, 3e38, np.float32)
+    fresh = Model(classes=["a", "b"], encoder=enc)
+    with pytest.raises(InvalidSampleError, match="overflow"):
+        train_online(fresh, [(huge, "a"), (huge, "b")])
+    assert not fresh.class_matrix.any()
+
+    m = Model(classes=["a", "b"], encoder=enc, eta=1.0)
+    with pytest.raises(InvalidSampleError, match="overflow"):
+        train_online(m, [(H, "a"), (-H, "a"), (H, "b")])
+    assert not m.class_matrix.any()
+
+    # a trained model whose one miss moves both rows by 2 * 3e38
+    m.class_matrix[:] = [np.ones(64), -np.ones(64)]
+    m.retrain_curve[:] = [7]
+    with pytest.raises(InvalidSampleError, match="overflow"):
+        train_iterative(m, [(H, "b")], max_epochs=3)
+    assert np.array_equal(m.class_matrix, [np.ones(64), -np.ones(64)])
+    assert m.retrain_curve == [7]
+    # a finite update still lands
+    train_online(m, [(np.ones(64), "b")])
+    assert np.array_equal(m.class_matrix, np.ones((2, 64)))
 
 
 def test_row_refresh_equals_a_fresh_cast_bit_for_bit():
@@ -777,7 +808,7 @@ def test_predict_matches_per_row_similarities_at_block_edges(n, monkeypatch):
         assert np.array_equal(evaluate(m, list(zip(H, labels))).confusion, expect)
 
 
-def test_labelled_blocks_stack_at_most_16_rows_in_order(monkeypatch):
+def test_float_blocks_cut_labelled_rows_at_most_16_rows_in_order(monkeypatch):
     # a block holds as many float64 rows as fit in the byte budget, at least one
     assert [_block_rows(d) for d in (1024, 4096, 10000, 2**20)] == [64, 16, 6, 1]
     m = make_model(n_classes=3, dim=8)
@@ -789,11 +820,54 @@ def test_labelled_blocks_stack_at_most_16_rows_in_order(monkeypatch):
         (7, [1] * 33),
     ]:
         monkeypatch.setattr(learning, "_BLOCK_BYTES", budget)
-        truth, blocks = labelled_blocks(m, iter([(h, f"c{i % 3}") for i, h in enumerate(H)]))
+        truth, rows = labelled_blocks(m, iter([(h, f"c{i % 3}") for i, h in enumerate(H)]))
         assert truth.tolist() == [i % 3 for i in range(33)]
-        blocks = list(blocks)
-        assert [len(b) for b in blocks] == lengths
-        assert np.array_equal(np.concatenate(blocks), np.stack(H))
+        assert all(r is h for r, h in zip(rows, H)) and len(rows) == 33
+        blocks = [(start, block.copy()) for start, block in _float_blocks(8, rows)]
+        assert [len(b) for _, b in blocks] == lengths
+        assert [start for start, _ in blocks] == np.cumsum([0, *lengths[:-1]]).tolist()
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), np.stack(H))
+
+
+@pytest.mark.parametrize(
+    "rows_of_step",
+    [lambda s: 0, lambda s: 1, lambda s: s - 1, lambda s: s, lambda s: s + 1],
+    ids=["0", "1", "step-1", "step", "step+1"],
+)
+def test_float_blocks_cut_row_lists_and_arrays_alike(rows_of_step):
+    # the same (start, block) sequence from a list of rows and from their
+    # (N, D) array, on every block edge; blocks are float64 buffers that the
+    # next block overwrites, so they are copied as they come
+    dim = 1024
+    step = _block_rows(dim)
+    n = rows_of_step(step)
+    rng = np.random.default_rng(5)
+    A = rng.integers(-100, 100, (n, dim)).astype(np.int16)
+
+    def cut(rows):
+        return [(start, block.copy()) for start, block in _float_blocks(dim, rows)]
+
+    from_list, from_array = cut(list(A)), cut(A)
+    assert [s for s, _ in from_list] == [s for s, _ in from_array] == list(range(0, n, step))
+    for (_, a), (_, b) in zip(from_list, from_array):
+        assert a.dtype == b.dtype == np.float64 and np.array_equal(a, b)
+    assert np.array_equal(np.concatenate([b for _, b in from_list] or [np.empty((0, dim))]), A)
+
+
+def test_float_blocks_cast_mixed_rows_as_their_stack():
+    # each row is cast to float64 on its own; numpy stacks these rows as
+    # float64 (int64 and float32 promote to it), whose cast of each value
+    # is the row's own, so the values are the same bit for bit
+    rows = [
+        np.array([True, False, True, False]),
+        np.array([-128, 127, 0, -1], dtype=np.int8),
+        np.array([2**62 + 1, -(2**53) - 1, 2**63 - 1, -5], dtype=np.int64),
+        np.array([1.5, 1e-40, -3.4e38, 0.1], dtype=np.float32),
+    ]
+    ((start, block),) = _float_blocks(4, rows)
+    assert start == 0
+    expect = np.array(rows).astype(np.float64)
+    assert np.array_equal(block.view(np.uint64), expect.view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -1065,6 +1139,29 @@ def test_model_rejects_non_finite_class_matrix(component):
     assert model_from_bytes(one_class_blob(8, 16, component=-2.5)).class_matrix[0, 0] == -2.5
     with pytest.raises(ModelIOError):
         model_from_bytes(one_class_blob(8, 16, component=component))
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"classes": None}, InvalidArgumentError),
+        ({"classes": 5}, InvalidArgumentError),
+        ({"encoder": None}, InvalidArgumentError),
+        ({"encoder": {"dim": 64}}, InvalidArgumentError),
+        ({"class_matrix": [[1.0] * 64, [1.0] * 63]}, DimensionMismatchError),
+        ({"class_matrix": [["a"] * 64] * 2}, InvalidArgumentError),
+        ({"class_matrix": np.ones((2, 64), dtype=complex)}, InvalidArgumentError),
+        ({"class_matrix": [[None] * 64] * 2}, InvalidArgumentError),
+    ],
+    ids=[
+        "classes-None", "classes-int", "encoder-None", "encoder-dict",
+        "ragged-matrix", "str-matrix", "complex-matrix", "object-matrix",
+    ],
+)
+def test_model_fields_of_the_wrong_kind_are_typed(kwargs, error):
+    fields = {"classes": ["a", "b"], "encoder": EncoderConfig(dim=64), **kwargs}
+    with pytest.raises(error):
+        Model(**fields)
 
 
 def test_model_classes_cannot_change_in_place():
