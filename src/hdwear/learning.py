@@ -24,23 +24,24 @@ the retraining screen (the batched design follows Torchhd, Heddes et al.,
 JMLR 2023), one query against all class rows for the per-sample steps.  A
 block holds as many float64 rows of D components as fit in _BLOCK_BYTES
 (512 KiB), at least one: :func:`_block_rows` gives 64 rows at D = 1024, 16
-at D = 4096 and 6 at D = 10000.  :func:`_float_blocks` is the one place
-that cuts queries into blocks: it takes a list of (D,) rows or one (N, D)
-array and casts each block straight into one float64 buffer of
-min(_block_rows(D), N) rows, so a query is copied once, into float64, and
-the callers slice their class indices by each block's start.  Each call
-allocates its float64 operands once, on 64-byte boundaries, and reuses
-them: the class rows (:func:`_class_rows`) and that block buffer.  A
-per-sample step scores a row of the buffer as it is; the rows start on
-64-byte boundaries too whenever D is a multiple of 8.  The results do not
-depend on alignment, only the speed does (see _class_rows).  Every norm
-comes from one row-wise reduction, the pairwise np.add.reduce of the
-squares (:func:`_norms`), and a row of a C-contiguous block reduces to the
-same norm as the row alone, so a query's norm is taken once, with its
-block's.  Casting a row on its own gives the float64 values that casting
-a stack of mixed-dtype rows gives: numpy promotes them to a dtype that
-either holds every bool, integer and float component exactly or is
-float64, which rounds a component as its own cast does.
+at D = 4096 and 6 at D = 10000; it is the one block-size rule, which the
+robustness sweep also packs its queries by.  :func:`_float_blocks` is the
+one place that cuts scored queries into blocks: it takes a list of (D,)
+rows or one (N, D) array and casts each block straight into one float64
+buffer of min(_block_rows(D), N) rows, so a query is copied once, into
+float64, and the callers slice their class indices by each block's
+start.  Each call allocates its float64 operands once, on 64-byte
+boundaries, and reuses them: the class rows (:func:`_class_rows`) and that
+block buffer.  A per-sample step scores a row of the buffer as it is; the
+rows start on 64-byte boundaries too whenever D is a multiple of 8.  The
+results do not depend on alignment, only the speed does (see
+_class_rows).  Every norm comes from one row-wise reduction, the pairwise
+np.add.reduce of the squares (:func:`_norms`), and a row of a C-contiguous
+block reduces to the same norm as the row alone, so a query's norm is
+taken once, with its block's.  Casting a row on its own gives the float64
+values that casting a stack of mixed-dtype rows gives: numpy promotes them
+to a dtype that either holds every bool, integer and float component
+exactly or is float64, which rounds a component as its own cast does.
 
 Training is sequential by design (each sample sees every earlier update),
 so a pass (:class:`_Rows`) takes the float64 rows and norms once and
@@ -99,10 +100,10 @@ known label, shape (D,), finite real components) before the first one is
 scored or learned, so a bad pair anywhere in a stream leaves the model
 unchanged.  It only checks: it returns the class indices and the queries
 as they came, and _float_blocks cuts and casts them.  An update that
-would take a class component past the float32 range is caught once per
-online pass and once per retraining epoch (np.isfinite over the class
-matrix; numpy's overflow warnings are off inside training), raises
-InvalidSampleError and leaves the class matrix as the call received it.
+would take a class component past the float32 range raises
+InvalidSampleError and leaves the class matrix as the call received it:
+_Rows.apply finds it from the refreshed row's norm, which it takes anyway,
+and only the update itself runs with numpy's overflow warnings off.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ import struct
 import tempfile
 import zlib
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -195,7 +197,8 @@ class Model:
             matrix = np.asarray(matrix)
         except ValueError:  # numpy refuses a ragged class matrix
             raise DimensionMismatchError(f"ragged class matrix, not one {shape} array") from None
-        _check_real(matrix, "class matrix", InvalidArgumentError)
+        if matrix.dtype.kind not in "biuf":  # only these are real; finiteness is checked below
+            raise InvalidArgumentError(f"class matrix must be real, got dtype {matrix.dtype}")
         with np.errstate(over="ignore"):  # a component float32 cannot hold turns inf
             matrix = matrix.astype(np.float32, copy=False)
         if matrix.shape != shape:
@@ -301,8 +304,11 @@ class _Rows:
     (scale * h).astype(np.float32) does; apply(row, op) adds (np.add) or
     subtracts (np.subtract) that increment in the float32 class row, as
     `row += inc` and `row -= inc` do, and refreshes the row's float64 copy
-    and its norm, by the pairwise reduction _norms takes.  Each result is
-    valid until the next call that writes it."""
+    and its norm, by the pairwise reduction _norms takes; a row that left
+    the float32 range raises InvalidSampleError (its norm is then inf or
+    NaN, so the check costs no scan).  Each result is valid until the next
+    call that writes it.  The updates run under _updating, which keeps
+    numpy's warnings about that overflow inside."""
 
     def __init__(self, model: Model):
         self.class_matrix = model.class_matrix
@@ -324,7 +330,12 @@ class _Rows:
         op(row32, self._inc32, out=row32)
         row64[...] = row32
         np.multiply(row64, row64, out=self._sq)
-        self.norms[row] = math.sqrt(np.add.reduce(self._sq))
+        self.norms[row] = norm = math.sqrt(np.add.reduce(self._sq))
+        if not math.isfinite(norm):  # exactly when the float32 row is not finite
+            raise InvalidSampleError(
+                "training overflowed float32: an update took a class component past "
+                "the float32 range; the class matrix is left as it was"
+            )
 
 
 def train_online(model: Model, stream) -> Model:
@@ -336,21 +347,20 @@ def train_online(model: Model, stream) -> Model:
     component outside the float32 range raises InvalidSampleError and
     leaves the class matrix as it was."""
     truth, queries = labelled_blocks(model, stream)
-    received = model.class_matrix.copy()
-    rows = _Rows(model)
     eta = float(model.eta)
-    # Query norms are taken per block: for 16 rows at D = 1024 that took
-    # 25 us, against 89 us row by row (copy and norm; one thread, 2-core VM).
-    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+    with _restored_on_overflow(model):
+        rows = _Rows(model)
+        # Query norms are taken per block: for 16 rows at D = 1024 that took
+        # 25 us, against 89 us row by row (copy and norm; one thread, 2-core VM).
         for start, Hf in _float_blocks(model.dim, queries):
             t = truth[start : start + len(Hf)].tolist()
             for li, hn, h in zip(t, _norms(Hf).tolist(), Hf):
                 den = float(rows.norms[li]) * hn
                 delta = float(rows.dots(h)[li]) / den if den > 0 else 0.0
                 if delta != 1.0:
-                    rows.increment(h, eta * (1.0 - delta))
-                    rows.apply(li, np.add)
-    _undo_overflow(model, received)
+                    with _updating():
+                        rows.increment(h, eta * (1.0 - delta))
+                        rows.apply(li, np.add)
     return model
 
 
@@ -372,13 +382,11 @@ def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int =
     check_int(patience, "patience")
     truth, queries = labelled_blocks(model, dataset)
     H = np.array(queries)
-    received = model.class_matrix.copy()
-    best = received.copy()
+    best = model.class_matrix.copy()
     best_misses, bad_epochs, curve, screens = math.inf, 0, [], []
-    with np.errstate(over="ignore", invalid="ignore"):  # checked once per epoch
+    with _restored_on_overflow(model):
         for _ in range(max_epochs):
             misses = _retrain_pass(model, truth, H, screens)
-            _undo_overflow(model, received)
             curve.append(misses)
             if misses < best_misses:
                 best[...] = model.class_matrix
@@ -392,17 +400,25 @@ def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int =
     return model
 
 
-def _undo_overflow(model: Model, received: np.ndarray) -> None:
-    """If training left a class component outside the float32 range (an
-    update overflowed; training runs with numpy's overflow and
-    invalid-value warnings off and checks here instead), put received back
-    into the class matrix and raise InvalidSampleError."""
-    if not np.isfinite(model.class_matrix).all():
+@contextmanager
+def _restored_on_overflow(model: Model) -> Iterator[None]:
+    """Run a training call; if one of its updates overflows (_Rows.apply
+    raises InvalidSampleError), put back the class matrix the call received
+    (kept as one copy) before the error propagates."""
+    received = model.class_matrix.copy()
+    try:
+        yield
+    except InvalidSampleError:
         model.class_matrix[...] = received
-        raise InvalidSampleError(
-            "training overflowed float32: an update took a class component past "
-            "the float32 range; the class matrix is left as it was"
-        )
+        raise
+
+
+def _updating():
+    """The numpy error state of one update (_Rows.increment and apply):
+    an overflow, and an invalid value from a non-finite step size, are not
+    reported, since apply checks the rows they change.  Scoring runs
+    outside it, so its warnings stay live."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 # The screen settles only queries whose norm lies in this range.  There no
@@ -478,9 +494,10 @@ def _retrain_pass(model: Model, truth: np.ndarray, H: np.ndarray, screens: list)
             pi = int(np.argmax(sims))
             if pi != li:
                 misses += 1
-                rows.increment(h, eta * float(sims[pi] - sims[li]))
-                rows.apply(li, np.add)
-                rows.apply(pi, np.subtract)
+                with _updating():
+                    rows.increment(h, eta * float(sims[pi] - sims[li]))
+                    rows.apply(li, np.add)
+                    rows.apply(pi, np.subtract)
                 pair = [li, pi]
                 C[pair, j + 1 :] = _scaled(M[pair] @ Hf[j + 1 :].T, norms[pair], hn[j + 1 :])
             j += 1

@@ -13,13 +13,13 @@ rates are checked before any work, and a bad one raises
 Ranking reduces to popcounts, dot = D - 2 * popcount(query XOR class), so
 the nearest class in Hamming distance wins, ties to the lowest index.  The
 sweep packs the checked queries once, with the model's tie seed, in blocks
-of :func:`hdwear.learning._block_rows` rows stacked in their own dtype (the
-sign needs no float64 copy), and keeps them transposed as (W, N) words, so
-that each class word meets all N queries in one contiguous row: per class,
-one XOR and one popcount into reused (W, N) buffers, then a sum over the W
-rows into a (K, N) distance buffer.  The distances accumulate in the narrowest unsigned type
-that holds D, which no distance exceeds because padding bits are zero on
-both sides.
+of :func:`hdwear.learning._block_rows` rows stacked in their own dtype
+(the sign needs no float64 copy), and keeps them transposed as (W, N)
+words, so that each class word meets all N queries in one contiguous row:
+per class, one XOR and one popcount into reused (W, N) buffers, then a sum
+over the W rows into a (K, N) distance buffer.  The distances accumulate in
+the narrowest unsigned type that holds D, which no distance exceeds
+because padding bits are zero on both sides.
 
 An injection negates an exact number of uniformly chosen (class,
 component) positions, round(rate * K * D), sampled without replacement by

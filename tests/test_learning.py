@@ -563,14 +563,21 @@ def test_one_class_retraining_raises_no_invalid_value():
 
 def test_training_that_overflows_raises_and_leaves_the_model():
     # no update may leave a class component outside the float32 range (its
-    # model file could not be loaded back); numpy's overflow warnings stay
-    # inside (they are errors here), and the class matrix stays as received
+    # model file could not be loaded back); numpy's warnings about the
+    # update's overflow stay inside (they are errors here), and the class
+    # matrix stays as received
     enc = EncoderConfig(dim=64)
-    huge = np.full(64, 1e300)
     H = np.full(64, 3e38, np.float32)
     fresh = Model(classes=["a", "b"], encoder=enc)
     with pytest.raises(InvalidSampleError, match="overflow"):
-        train_online(fresh, [(huge, "a"), (huge, "b")])
+        train_online(fresh, [(np.full(64, 1e100), "a"), (np.ones(64), "b")])
+    assert not fresh.class_matrix.any()
+    # 1e300 also overflows the float64 squares of its norm: that warning is
+    # scoring's and stays live; the update then raises all the same
+    huge = np.full(64, 1e300)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+        with pytest.raises(InvalidSampleError, match="overflow"):
+            train_online(fresh, [(huge, "a"), (huge, "b")])
     assert not fresh.class_matrix.any()
 
     m = Model(classes=["a", "b"], encoder=enc, eta=1.0)
