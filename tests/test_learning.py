@@ -584,6 +584,13 @@ def test_training_that_overflows_raises_and_leaves_the_model():
     with pytest.raises(InvalidSampleError, match="overflow"):
         train_online(m, [(H, "a"), (-H, "a"), (H, "b")])
     assert not m.class_matrix.any()
+    # one component just past the float32 range: the update's bound on its
+    # components (_updating's reach) lies between 2**127 and 2**128
+    edge = np.zeros(64)
+    edge[0] = 2.0**128 * (1 - 2.0**-26)
+    with pytest.raises(InvalidSampleError, match="overflow"):
+        train_online(m, [(edge, "a")])
+    assert not m.class_matrix.any()
 
     # a trained model whose one miss moves both rows by 2 * 3e38
     m.class_matrix[:] = [np.ones(64), -np.ones(64)]
@@ -592,9 +599,12 @@ def test_training_that_overflows_raises_and_leaves_the_model():
         train_iterative(m, [(H, "b")], max_epochs=3)
     assert np.array_equal(m.class_matrix, [np.ones(64), -np.ones(64)])
     assert m.retrain_curve == [7]
-    # a finite update still lands
+    # a finite update still lands, also one whose bound passes 2**127
     train_online(m, [(np.ones(64), "b")])
     assert np.array_equal(m.class_matrix, np.ones((2, 64)))
+    m.class_matrix[1] = 2.0**124  # norm 2**127
+    train_online(m, [(np.eye(64)[0], "b")])
+    assert np.array_equal(m.class_matrix[1], np.full(64, 2.0**124))
 
 
 def test_row_refresh_equals_a_fresh_cast_bit_for_bit():
