@@ -103,7 +103,8 @@ as they came, and _float_blocks cuts and casts them.  An update that
 would take a class component past the float32 range raises
 InvalidSampleError and leaves the class matrix as the call received it:
 _Rows.apply finds it from the refreshed row's norm, which it takes anyway,
-and only the update itself runs with numpy's overflow warnings off.
+and only an update that could overflow runs with numpy's overflow warnings
+off (:func:`_updating`), so scoring's warnings stay live.
 """
 
 from __future__ import annotations
@@ -415,6 +416,9 @@ def _restored_on_overflow(model: Model) -> Iterator[None]:
         raise
 
 
+_CALLERS_STATE = nullcontext()
+
+
 def _updating(reach: float) -> AbstractContextManager:
     """The numpy error state of one update (_Rows.increment and apply).
 
@@ -430,9 +434,6 @@ def _updating(reach: float) -> AbstractContextManager:
     train_online 13% slower.  Scoring runs outside it, so its warnings stay
     live."""
     return _CALLERS_STATE if reach < 2.0**127 else np.errstate(over="ignore", invalid="ignore")
-
-
-_CALLERS_STATE = nullcontext()
 
 
 # The screen settles only queries whose norm lies in this range.  There no
