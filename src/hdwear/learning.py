@@ -17,31 +17,79 @@ round-trips bit-exactly); each retrain increment is computed once and
 applied with both signs, so the two touched rows move by exact
 component-wise negatives.
 
-Every score is a matrix product of float64 operands, scaled by
-:func:`_scaled` (0 where a class row or the query has norm 0): a block of
-queries against all class rows for :func:`predict`, :func:`evaluate` and
-the retraining screen (the batched design follows Torchhd, Heddes et al.,
-JMLR 2023), one query against all class rows for the per-sample steps.  A
-block holds as many float64 rows of D components as fit in _BLOCK_BYTES
-(512 KiB), at least one: :func:`_block_rows` gives 64 rows at D = 1024, 16
-at D = 4096 and 6 at D = 10000; it is the one block-size rule, which the
-robustness sweep also packs its queries by.  :func:`_float_blocks` is the
-one place that cuts scored queries into blocks: it takes a list of (D,)
-rows or one (N, D) array and casts each block straight into one float64
-buffer of min(_block_rows(D), N) rows, so a query is copied once, into
-float64, and the callers slice their class indices by each block's
-start.  Each call allocates its float64 operands once, on 64-byte
-boundaries, and reuses them: the class rows (:func:`_class_rows`) and that
-block buffer.  A per-sample step scores a row of the buffer as it is; the
-rows start on 64-byte boundaries too whenever D is a multiple of 8.  The
+Every block of queries is scored first by a float32 screen, and a float64
+product confirms only what the screen leaves open (the batched design
+follows Torchhd, Heddes et al., JMLR 2023).  :func:`_block_rows` is the
+one block size: as many float64 rows of D components as fit in
+_BLOCK_BYTES (512 KiB), at least one, so 64 rows at D = 1024, 16 at
+D = 4096 and 6 at D = 10000; the robustness sweep packs its queries by it
+too.  :func:`_float_blocks` is the one place that cuts scored queries into
+blocks: it takes a list of (D,) rows or one (N, D) array and casts each
+block straight into one reused buffer of min(_block_rows(D), N) rows,
+float32 for the screen and float64 for exact scores, and the callers slice
+their class indices by each block's start.  Each call allocates its
+operands once, on 64-byte boundaries, and reuses them: the float64 class
+rows (:func:`_class_rows`) and the block buffers.  train_online's
+per-sample step scores a row of its float64 block as it is; the rows
+start on 64-byte boundaries too whenever D is a multiple of 8.  The
 results do not depend on alignment, only the speed does (see
-_class_rows).  Every norm comes from one row-wise reduction, the pairwise
-np.add.reduce of the squares (:func:`_norms`), and a row of a C-contiguous
-block reduces to the same norm as the row alone, so a query's norm is
-taken once, with its block's.  Casting a row on its own gives the float64
-values that casting a stack of mixed-dtype rows gives: numpy promotes them
-to a dtype that either holds every bool, integer and float component
-exactly or is float64, which rounds a component as its own cast does.
+_class_rows).  Every float64 norm comes from one row-wise reduction, the
+pairwise np.add.reduce of the squares (:func:`_norms`), and a row of a
+C-contiguous block reduces to the same norm as the row alone.  Casting a
+row on its own gives the float64 values that casting a stack of
+mixed-dtype rows gives: numpy promotes them to a dtype that either holds
+every bool, integer and float component exactly or is float64, which
+rounds a component as its own cast does.  Exact scores are scaled by
+:func:`_scaled` (0 where a class row or the query has norm 0).
+
+The screen (:func:`_screened`) multiplies a float32 block by
+``model.class_matrix``, which is float32 already, in one product, and
+scales it in float64 by the reciprocals of the float64 class norms and of
+the query norms, which it takes in float32.  A query is settled
+(:func:`_settled`) when one class, its argmax in predict and evaluate or
+its true class in retraining, beats every other by more than
+:func:`_margin`, 8 (D + 2) eps32: the float64 scorer then picks the same
+class, under any summation order of either product.
+
+The bound, with u = eps32 / 2.  Any summation order computes a dot
+product of length D within gamma_D |m||h| of the exact one
+(Cauchy-Schwarz; gamma_D = D u / (1 - D u)) and a sum of squares within
+gamma_D relative, so a norm is within gamma_D / 2 + u.  The float32 cast
+of h is exact for integers up to 2**24 and within u relative otherwise
+(plus one float64 rounding where a list of mixed rows stacks as float64
+first), which moves the dot product by u |m||h| and the norm by u.  The
+float64 class norm, the reciprocals and the scaling add a few float64
+roundings.  So a screened cosine is within (3 D / 2 + 3) u of the exact
+one, up to a factor below 1 + 4 D eps32, and a float64 cosine within
+(D + 2) eps64 likewise; on the gap between two classes the screen and the
+float64 scorer differ by less than (3 D + 9) eps32, with the underflow
+below, so by less than the margin.  From 4 D eps32 >= 1 (D >= 2**21)
+gamma_D's premise fades and the margin would exceed 2, the widest gap of
+two cosines, so _margin is NaN there and nothing settles; the model file
+holds any D < 2**32.  The bound also needs no overflow and little
+underflow, so a query or a nonzero class row whose norm lies outside
+_SCREEN_NORMS, [2**-40, 2**40], gets a NaN scale and settles nothing.
+Inside that range no float32 product, square or partial sum passes 2**84,
+and underflow, at most 2**-126 per component, product or square whether
+rounded or flushed, moves a cosine by less than u.  The screen's casts and
+products run with numpy's warnings off, since only a query or row out of
+range can overflow there; the float64 path keeps numpy's error state as
+the caller set it.  The screen's blocks keep _block_rows(D) rows rather
+than a float32 byte budget: with one OpenBLAS thread (2-core VM),
+(10, 10000) @ (10000, 6) in float32 took 23 us, but with 13 columns
+204 us, where OpenBLAS leaves its small-matrix path.
+
+:func:`predict` and :func:`evaluate` (:func:`_best`) keep a block's
+screened argmax when every query in it is settled, and cast any other
+block to float64 and score it whole (:func:`_exact_best`), with the
+screen's block boundaries and shapes, so ties and BLAS-order effects
+resolve exactly as in the float64 block path.  On the benchmark's sets the
+top-1/top-2 cosine gap has a median of about 0.1, against margins of 1e-3
+(D = 1024) to 1e-2 (D = 10000).  _exact_best also scores a finite query
+whose float64 norm is not finite, above 2**500, or 0 though the query is
+not zero, by its direction: it scales the query by an exact power of two
+first, so that no square or product overflows or vanishes; every other
+query is scored as it is.
 
 Training is sequential by design (each sample sees every earlier update),
 so a pass (:class:`_Rows`) takes the float64 rows and norms once and
@@ -61,30 +109,24 @@ element-wise, so the result equals _scaled's entry by construction.  It
 still computes the whole matrix-vector product, since a dot product with
 the true row alone is not promised the same summation order.
 
-Retraining screens before it scores.  Each block of queries is scored
-against the current rows with one matrix product; a query whose own-class
-cosine beats every other class by more than :func:`_margin`, 8 (D + 2)
-eps, is a hit under any summation order (the bound is in _margin's
-docstring), so it is settled and changes nothing.  Every other query (a
-predicted miss or a near-tie) goes through the exact per-sample step (the
-matrix-vector product of its row of the block, scaled by its norm, argmax,
-one increment added to the true row and subtracted from the predicted
-one), which keeps its decision and increment bit for bit; after an update
-only the two touched rows are re-scored for the rest of the block.  So
-the class matrix and the miss counts equal those of scoring every sample
-alone, on any input and at any block size.  A miss re-scores the rest of
-its block, so a larger block costs more per miss and less per row; on the
-dense-stream benchmark's training set (D = 1024, 2083 rows, about 31
-misses per epoch; 2-core VM) ten epochs took 34.9 ms in 16-row blocks
-(131 block set-ups per epoch) and 25.9 ms in the 64-row blocks of the
-byte budget.
-:func:`train_iterative` checks its pairs once and keeps the checked
-queries as one (N, D) array in their own dtype (promoted as np.array
-stacks them), with their class indices, for every epoch; the screen's
-constants (the query norms, the one-hot of the true classes and each
-query's margin) are kept in a list with one entry per block, taken once
-from the first epoch's float64 copy of each block.  It keeps no float64
-copy of the training set.
+Retraining screens each block against the current rows, with each query's
+true class as its winner: a settled query is a hit and changes nothing.
+Every other query (a predicted miss or a near-tie) goes through the exact
+per-sample step: its row is cast to float64 into one reused aligned
+buffer, its norm is taken by _norms (a row reduces as it does inside a
+block), and it is scored by the matrix-vector product, argmax, one
+increment added to the true row and subtracted from the predicted one; so
+its decision and increment are those of scoring it alone, bit for bit.
+After an update only the two touched rows are re-scored, from the float32
+matrix, for the rest of the block.  So the class matrix and the miss
+counts equal those of scoring every sample alone, on any input and at any
+block size; a miss re-scores the rest of its block, so a larger block
+costs more per miss and less per row.  :func:`train_iterative` checks its
+pairs once and keeps the checked queries as one (N, D) array in their own
+dtype (promoted as np.array stacks them), with their class indices, for
+every epoch; the screen's constants (the query scales and the one-hot of
+the true classes) are kept in a list with one entry per block, taken once
+by the first epoch.  It keeps no float64 copy of the training set.
 
 Inputs are checked once, where they enter.  :class:`Model` is frozen, so
 its fields are checked only at construction and cannot be rebound later.
@@ -260,33 +302,43 @@ def _class_rows(model: Model) -> tuple[np.ndarray, np.ndarray]:
     return M, _norms(M)
 
 
-def _aligned(shape: tuple) -> np.ndarray:
-    """Uninitialised C-contiguous float64 array of the given shape whose data
-    starts on a 64-byte boundary (numpy's own data start on 8 at least)."""
-    raw = np.empty(math.prod(shape) + 8)
-    start = -raw.ctypes.data % 64 // 8
-    return raw[start : start + math.prod(shape)].reshape(shape)
+def _aligned(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """Uninitialised C-contiguous array of the given shape and float dtype
+    whose data starts on a 64-byte boundary (numpy's own data start on 8
+    at least)."""
+    size, item = math.prod(shape), np.dtype(dtype).itemsize
+    raw = np.empty(size + 64 // item, dtype)
+    start = -raw.ctypes.data % 64 // item
+    return raw[start : start + size].reshape(shape)
 
 
-def _float_blocks(dim: int, rows) -> Iterator[tuple[int, np.ndarray]]:
+def _float_blocks(dim: int, rows, dtype=np.float64) -> Iterator[tuple[int, np.ndarray]]:
     """(start, block) for each run of at most _block_rows(D) queries of
     rows, a list of checked (D,) queries or one (N, D) array, in order:
-    block holds rows[start : start + len(block)] as float64.  Each row is
-    cast straight into one aligned buffer of min(_block_rows(D), N) rows
-    that is reused, so a block is valid until the next one is drawn."""
+    block holds rows[start : start + len(block)] cast to dtype, float64 or
+    (for the screen) float32.  Each row is cast straight into one aligned
+    buffer of min(_block_rows(D), N) rows that is reused, so a block is
+    valid until the next one is drawn.  A float32 cast runs with numpy's
+    warnings off: a component it takes out of range makes its query's
+    screen scores NaN, which settles nothing."""
     step = _block_rows(dim)
-    buf = _aligned((min(step, len(rows)), dim))
+    buf = _aligned((min(step, len(rows)), dim), dtype)
+    screen = dtype == np.float32
     for start in range(0, len(rows), step):
         Hf = buf[: min(step, len(rows) - start)]
-        Hf[...] = rows[start : start + step]
+        with np.errstate(all="ignore") if screen else nullcontext():
+            Hf[...] = rows[start : start + step]
         yield start, Hf
 
 
-def _norms(A: np.ndarray) -> np.ndarray:
+def _norms(A: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
     """Euclidean norms along the last axis of float64 A, reduced exactly as
     np.linalg.norm(A, axis=-1) reduces them; a row of a C-contiguous block
-    reduces as the same row alone."""
-    return np.sqrt(np.add.reduce(A * A, axis=-1))
+    reduces as the same row alone.  The squares go to sq, a float64 buffer
+    of A's shape, when it is given: the same IEEE operations, the same
+    bits."""
+    sq = A * A if sq is None else np.multiply(A, A, out=sq)
+    return np.sqrt(np.add.reduce(sq, axis=-1))
 
 
 def _scaled(dots: np.ndarray, norms: np.ndarray, hn) -> np.ndarray:
@@ -353,9 +405,10 @@ def train_online(model: Model, stream) -> Model:
         rows = _Rows(model)
         # Query norms are taken per block: for 16 rows at D = 1024 that took
         # 25 us, against 89 us row by row (copy and norm; one thread, 2-core VM).
+        sq = np.empty((min(_block_rows(model.dim), len(queries)), model.dim))
         for start, Hf in _float_blocks(model.dim, queries):
             t = truth[start : start + len(Hf)].tolist()
-            for li, hn, h in zip(t, _norms(Hf).tolist(), Hf):
+            for li, hn, h in zip(t, _norms(Hf, sq[: len(Hf)]).tolist(), Hf):
                 nl = float(rows.norms[li])
                 den = nl * hn
                 delta = float(rows.dots(h)[li]) / den if den > 0 else 0.0
@@ -436,86 +489,97 @@ def _updating(reach: float) -> AbstractContextManager:
     return _CALLERS_STATE if reach < 2.0**127 else np.errstate(over="ignore", invalid="ignore")
 
 
-# The screen settles only queries whose norm lies in this range.  There no
-# product, square or sum in either score overflows, and underflow (at most
-# 2**-1075 per product or square) moves a dot product or a sum of squares by
-# less than D * 2**-270 of its scale (a nonzero float32 class row has norm
-# >= 2**-149), far inside the slack that _margin leaves.
-_SCREEN_NORMS = (2.0**-400, 2.0**400)
+# The screen settles only queries and nonzero class rows whose norm lies in
+# this range (the module docstring says why).
+_SCREEN_NORMS = (2.0**-40, 2.0**40)
 
 
 def _margin(dim: int) -> float:
-    """How far a screened own-class cosine must beat every other class for
-    the query to be a hit under the exact per-sample scorer.
-
-    Any summation order (blocked, pairwise or fused) computes a dot product
-    of length D within gamma_D * sum|m_i h_i| <= gamma_D |m||h| of the exact
-    one (Cauchy-Schwarz), with gamma_D = D u / (1 - D u) and u = eps / 2.
-    A sum of squares is within gamma_D relative, so a norm is within
-    gamma_D / 2 + u.  With one more rounding each for the product of the
-    norms and for the division, any way of scoring gives a cosine within
-    (2D + 4) u = (D + 2) eps of the exact cosine, up to a factor below
-    1 + 4 D eps.  The screen and the exact scorer differ by at most twice
-    that per class, so a screened gap above 4 (D + 2) eps (1 + 4 D eps) is
-    a strict gap with the same winner in the exact scorer.  The margin,
-    8 (D + 2) eps, exceeds that for every D the model file can hold
-    (D < 2**32, so D eps < 2**-20).
-    """
-    return 8.0 * (dim + 2) * float(np.finfo(np.float64).eps)
+    """How far a screened cosine must beat every rival for the float64
+    scorer to pick the same class: 8 (D + 2) eps32, or NaN, which settles
+    nothing, from 4 D eps32 >= 1 on (the module docstring gives the bound)."""
+    eps = float(np.finfo(np.float32).eps)
+    return 8.0 * (dim + 2) * eps if 4 * dim * eps < 1 else math.nan
 
 
-def _settled(C: np.ndarray, own: np.ndarray, margins: np.ndarray) -> np.ndarray:
-    """Which queries (columns of the screened cosines C) are sure hits: their
+def _reciprocals(norms: np.ndarray) -> np.ndarray:
+    """The screen's float64 scale of each norm: 1 / norm inside
+    _SCREEN_NORMS, 0 for a zero norm (a cosine of 0, as _scaled gives), and
+    NaN elsewhere, so that the class row or query it scales settles
+    nothing."""
+    lo, hi = _SCREEN_NORMS
+    out = np.where(norms == 0, 0.0, np.nan)
+    return np.divide(1.0, norms, out=out, where=(norms >= lo) & (norms <= hi), dtype=np.float64)
+
+
+def _screened(M32: np.ndarray, inv: np.ndarray, B: np.ndarray, scales=None) -> tuple:
+    """(C, scales): the screened cosines C of the float32 class rows M32
+    (scaled by inv) with the float32 queries B, one float32 product scaled
+    in float64, and the queries' scales, _reciprocals of their norms taken
+    in float32 unless given.  C is NaN where a scale is NaN.  It runs with
+    numpy's warnings off: only a row or query out of range can overflow,
+    and its scale is NaN."""
+    with np.errstate(all="ignore"):
+        if scales is None:
+            scales = _reciprocals(np.sqrt(np.vecdot(B, B)))
+        return (M32 @ B.T) * np.multiply.outer(inv, scales), scales
+
+
+def _settled(C: np.ndarray, own: np.ndarray, margin: float) -> np.ndarray:
+    """Which queries (columns of the screened cosines C) are settled: their
     own class (the True entry of their column of own) beats every other by
-    more than their margin, which is _margin where the query's norm lies in
-    _SCREEN_NORMS and NaN elsewhere.  A NaN score or margin settles nothing;
-    a NaN margin, unlike inf, also adds to a rival of -inf (the only rival
-    of a one-class model) without an invalid-value warning."""
-    return C.T[own.T] > np.where(own, -np.inf, C).max(axis=0) + margins
+    more than margin.  A NaN score or margin settles nothing; a NaN margin,
+    unlike inf, also adds to a rival of -inf (the only rival of a one-class
+    model) without an invalid-value warning."""
+    return C.T[own.T] > np.where(own, -np.inf, C).max(axis=0) + margin
 
 
 def _retrain_pass(model: Model, truth: np.ndarray, H: np.ndarray, screens: list) -> int:
     """One retraining epoch over the (N, D) queries H with class indices
-    truth; returns the miss count.  screens holds the screen constants of
-    each block of _float_blocks (the query norms, the (K, n) one-hot of the
-    true classes, and each query's margin for _settled); the first epoch
-    finds it empty and fills it from the float64 copy it makes of each
-    block anyway.
+    truth; returns the miss count.  screens holds, for each block of
+    _float_blocks, the screen's query scales (from _screened) and the (K, n)
+    one-hot of the true classes; the first epoch finds it empty and fills
+    it.
 
-    Each block is screened with one matrix product; only the queries it
-    does not settle take the exact per-sample step, and after an update
-    only the two touched rows are re-scored for the rest of the block."""
+    Each float32 block is screened with one product; only the queries it
+    does not settle take the exact per-sample step, on their row cast to
+    float64, and after an update only the two touched rows are re-scored
+    for the rest of the block."""
     if not model.is_trained:
         raise ModelNotTrainedError("retraining starts from a trained model")
     rows = _Rows(model)
-    M, norms = rows.M, rows.norms
+    M32, norms = model.class_matrix, rows.norms
+    inv = _reciprocals(norms)
     eta = float(model.eta)
     margin = _margin(model.dim)
-    lo, hi = _SCREEN_NORMS
+    h, sq = _aligned((model.dim,)), np.empty(model.dim)
     misses = 0
-    for b, (start, Hf) in enumerate(_float_blocks(model.dim, H)):
-        t = truth[start : start + len(Hf)]
+    for b, (start, B) in enumerate(_float_blocks(model.dim, H, np.float32)):
+        t = truth[start : start + len(B)]
         if b == len(screens):
-            hn = _norms(Hf)
-            own = t == np.arange(model.n_classes)[:, None]
-            screens.append((hn, own, np.where((hn >= lo) & (hn <= hi), margin, np.nan)))
-        hn, own, margins = screens[b]
-        C = _scaled(M @ Hf.T, norms, hn)
+            C, scales = _screened(M32, inv, B)
+            screens.append((scales, t == np.arange(model.n_classes)[:, None]))
+        else:
+            C, _ = _screened(M32, inv, B, screens[b][0])
+        scales, own = screens[b]
         j = 0
-        while len(flagged := np.flatnonzero(~_settled(C[:, j:], own[:, j:], margins[j:]))):
+        while len(flagged := np.flatnonzero(~_settled(C[:, j:], own[:, j:], margin))):
             j += int(flagged[0])
-            li, h = int(t[j]), Hf[j]
-            sims = _scaled(rows.dots(h), norms, hn[j])
+            li = int(t[j])
+            h[...] = H[start + j]
+            hn = _norms(h, sq)
+            sims = _scaled(rows.dots(h), norms, hn)
             pi = int(np.argmax(sims))
             if pi != li:
                 misses += 1
                 scale = eta * float(sims[pi] - sims[li])
-                with _updating(max(norms[li], norms[pi]) + abs(scale) * hn[j]):
+                with _updating(max(norms[li], norms[pi]) + abs(scale) * hn):
                     rows.increment(h, scale)
                     rows.apply(li, np.add)
                     rows.apply(pi, np.subtract)
                 pair = [li, pi]
-                C[pair, j + 1 :] = _scaled(M[pair] @ Hf[j + 1 :].T, norms[pair], hn[j + 1 :])
+                inv[pair] = _reciprocals(norms[pair])
+                C[pair, j + 1 :] = _screened(M32[pair], inv[pair], B[j + 1 :], scales[j + 1 :])[0]
             j += 1
     return misses
 
@@ -529,7 +593,9 @@ def _retrain_pass(model: Model, truth: np.ndarray, H: np.ndarray, screens: list)
 # 109 us in 6-row blocks (timeit, 2-core VM).  512 KiB gives 64, 16 and 6
 # rows at D = 1024, 4096 and 10000.  Casting the whole
 # wide-highdim test set (D = 10000) to float64 at once raised peak RSS from
-# about 73.5 to 81.7-95.3 MiB, past the benchmark's 10% bound.
+# about 73.5 to 81.7-95.3 MiB, past the benchmark's 10% bound.  The
+# screen's float32 blocks keep the same row count (the module docstring
+# says why), so a block it leaves open is re-scored in the same shape.
 _BLOCK_BYTES = 512 << 10
 
 
@@ -580,15 +646,48 @@ def predict(model: Model, H) -> np.ndarray:
 
 def _best(model: Model, queries) -> np.ndarray:
     """Most similar class index per checked query (a list of (D,) rows or
-    one (N, D) array), as (N,) int64; each block of _float_blocks is scored
-    with one matrix product."""
+    one (N, D) array), as (N,) int64.  Each float32 block of _float_blocks
+    is screened with one product and keeps the screen's argmax when every
+    query in it is settled; any other block is cast to float64 and scored
+    whole by _exact_best."""
     if not model.is_trained:
         raise ModelNotTrainedError("model has not been trained")
     M, norms = _class_rows(model)
+    inv = _reciprocals(norms)
+    margin = _margin(model.dim)
+    classes = np.arange(model.n_classes)[:, None]
     best = np.empty(len(queries), dtype=np.int64)
-    for start, Hf in _float_blocks(model.dim, queries):
-        best[start : start + len(Hf)] = _scaled(M @ Hf.T, norms, _norms(Hf)).argmax(axis=0)
+    exact = ()
+    for start, B in _float_blocks(model.dim, queries, np.float32):
+        C, _ = _screened(model.class_matrix, inv, B)
+        top = C.argmax(axis=0)
+        if not _settled(C, top == classes, margin).all():
+            # shaped as the first block left open: only the last block is shorter
+            exact = exact or (_aligned(B.shape), np.empty(B.shape))
+            Hf, sq = (a[: len(B)] for a in exact)
+            Hf[...] = queries[start : start + len(B)]
+            top = _exact_best(M, norms, Hf, sq)
+        best[start : start + len(B)] = top
     return best
+
+
+def _exact_best(M: np.ndarray, norms: np.ndarray, Hf: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Most similar class index per row of the float64 block Hf, from the
+    float64 class rows M and their norms (_class_rows), with sq a buffer of
+    Hf's shape for the squares of the norms.
+
+    A row whose norm is not finite, above 2**500, or 0 though the row is
+    not zero is first scaled in place by an exact power of two, the
+    exponent of its largest |component|, so that it is scored by its
+    direction; no other row changes, so their scores are those of the
+    float64 block path bit for bit."""
+    with np.errstate(over="ignore", under="ignore"):  # squares out of range: the row is scaled
+        hn = _norms(Hf, sq)
+    for i in np.flatnonzero(~(hn <= 2.0**500) | (hn == 0)):
+        if Hf[i].any():
+            np.ldexp(Hf[i], -np.frexp(np.abs(Hf[i]).max())[1], out=Hf[i])
+            hn[i] = _norms(Hf[i], sq[i])
+    return _scaled(M @ Hf.T, norms, hn).argmax(axis=0)
 
 
 class EvalReport(NamedTuple):

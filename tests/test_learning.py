@@ -532,20 +532,147 @@ def test_screened_retraining_equals_per_sample_oracle(case, monkeypatch):
     assert np.array_equal(out.class_matrix.view(np.uint32), best.view(np.uint32))
 
 
-def test_screen_settles_no_query_outside_its_norm_range():
-    # three hits far from any tie; only the first has a norm inside
-    # _SCREEN_NORMS, so the other two must take the exact step
+def test_screen_settles_no_query_outside_its_norm_range(monkeypatch):
+    # five hits far from any tie; the three whose norm lies inside
+    # _SCREEN_NORMS (two of them at 2**-39 and 2**39, by its edges) are
+    # settled, and the two just outside it (2**-41, 2**41) must take the
+    # exact step
     m = make_model(n_classes=2, dim=64)
     m.class_matrix[:] = [np.ones(64), -np.ones(64)]
-    H = np.ones((3, 64)) * np.array([[1.0], [2.0**-420], [2.0**420]])
+    norms = 2.0 ** np.array([3, -39, 39, -41, 41])
+    H = np.ones((5, 64)) * (norms / 8)[:, None]
+    exact = []
+    dots = _Rows.dots
+
+    def counted(self, h):
+        exact.append(float(h[0] * 8))  # the norm of the row it scores
+        return dots(self, h)
+
+    monkeypatch.setattr(_Rows, "dots", counted)
     # one block, as train_iterative passes it: class indices, queries, and
     # the list of screen constants the first epoch fills in
     screens = []
-    assert _retrain_pass(m, np.zeros(3, dtype=np.intp), H, screens) == 0
+    assert _retrain_pass(m, np.zeros(5, dtype=np.intp), H, screens) == 0
     assert len(screens) == 1
-    hn, own, margins = screens[0]
-    assert own.tolist() == [[True] * 3, [False] * 3]
-    assert margins[0] == _margin(64) and np.isnan(margins[1:]).all()
+    scales, own = screens[0]
+    assert own.tolist() == [[True] * 5, [False] * 5]
+    assert np.array_equal(scales[:3], 1 / norms[:3]) and np.isnan(scales[3:]).all()
+    assert exact == norms[3:].tolist()
+
+
+def test_margin_is_nan_where_its_bound_fails():
+    # 8 (D + 2) eps32, until 4 D eps32 reaches 1 (D = 2**21): past it the
+    # screen settles nothing
+    eps = float(np.finfo(np.float32).eps)
+    assert _margin(64) == 8 * 66 * eps
+    assert _margin(2**21 - 1) == 8 * (2**21 + 1) * eps
+    assert np.isnan(_margin(2**21)) and np.isnan(_margin(2**32 - 1))
+
+
+@pytest.mark.parametrize("value, expect", [(-1e300, 1), (-1e-300, 1), (1e150, 0), (-1e150, 1)])
+def test_predict_scores_a_finite_query_by_its_direction(value, expect):
+    # the squares of +-1e300 pass the float64 range and those of 1e-300
+    # vanish; either way the query points at a class row, and it is scored
+    # by its direction, without a warning (warnings are errors here)
+    m = make_model(n_classes=2, dim=64)
+    m.class_matrix[:] = [np.ones(64), -np.ones(64)]
+    H = np.full((1, 64), value)
+    assert predict(m, H).tolist() == [expect]
+    assert evaluate(m, [(H[0], "c0")]).confusion[0, expect] == 1
+
+
+def float64_block_path(model, H):
+    """Class indices of the rows of H as the float64 block path scores
+    them: each block of _block_rows(D) rows cast to float64, one product
+    with the float64 class rows, divided by the norms (0 where their
+    product is 0), argmax."""
+    M = model.class_matrix.astype(np.float64)
+    norms = np.sqrt(np.add.reduce(M * M, axis=1))
+    step, out = _block_rows(model.dim), []
+    for s in range(0, len(H), step):
+        Hf = np.asarray(H[s : s + step], dtype=np.float64)
+        den = np.multiply.outer(norms, np.sqrt(np.add.reduce(Hf * Hf, axis=1)))
+        C = np.divide(M @ Hf.T, den, out=np.zeros(den.shape), where=den > 0)
+        out.append(C.argmax(axis=0))
+    return np.concatenate(out or [np.empty(0, np.int64)])
+
+
+def _power_of_two_scale(rows, exponents):
+    """rows scaled by powers of two so that each norm lies within a factor
+    sqrt(2) of 2**exponent."""
+    norms = np.sqrt(np.add.reduce(rows.astype(np.float64) ** 2, axis=-1))
+    return rows * 2.0 ** (exponents - np.round(np.log2(np.where(norms > 0, norms, 1.0))))[:, None]
+
+
+@given(
+    st.sampled_from([np.int8, np.int16, np.int64, np.bool_, np.float32, np.float64]),
+    st.integers(1, 5),
+    st.sampled_from([3, 64, 130]),
+    st.integers(0, 40),
+    st.integers(1, 8),
+    st.sampled_from(["separated", "exact-tie", "ulp-tie", "zero-class", "norm-edges"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_screened_predict_equals_the_float64_block_path(dtype, k, dim, n, rows, case, seed):
+    # the float32 screen keeps only decisions the float64 block path takes
+    # too, and leaves every other block to it, so predict equals that path
+    # bit for bit: on exact two-class ties, on ties broken by one float32
+    # ulp, on zero rows, on one-class models and on norms either side of
+    # the screen's range (2**+-39 inside it, 2**+-41 outside)
+    r = np.random.default_rng(seed)
+    C = r.normal(0, 1, (k, dim)).astype(np.float32)
+    if case in ("exact-tie", "ulp-tie") and k > 1:
+        C[1] = C[0]
+        if case == "ulp-tie":
+            i = r.integers(dim)
+            C[1, i] = np.nextafter(C[0, i], np.float32(np.inf))
+    if case == "zero-class" and k > 1:
+        C[r.integers(k)] = 0
+    H = C[r.integers(k, size=n)] + r.normal(0, 0.7, (n, dim))
+    if case == "norm-edges":
+        C = _power_of_two_scale(C, r.choice([-41, -39, 0, 39, 41], k)).astype(np.float32)
+    m = make_model(n_classes=k, dim=dim)
+    m.class_matrix[:] = C
+
+    if case == "norm-edges" and np.dtype(dtype).kind == "f":
+        H = _power_of_two_scale(H, r.choice([-41, -39, 0, 39, 41], n))
+    if dtype == np.bool_:
+        H = H > 0
+    elif dtype == np.int64:  # past 2**24, where the float32 cast rounds
+        H = np.rint(H * 2.0**30)
+    elif np.dtype(dtype).kind == "i":
+        H = np.rint(np.clip(H * 20, -127, 127))
+    H = H.astype(dtype)
+    H[r.random(n) < 0.1] = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "_BLOCK_BYTES", rows * 8 * dim)
+        got, want = predict(m, H), float64_block_path(m, H)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_screen_settles_separated_blocks_and_leaves_ties_to_float64(monkeypatch):
+    monkeypatch.setattr(learning, "_BLOCK_BYTES", 16 * 8 * 256)  # 16-row blocks
+    m = block_edge_model()
+    protos = [hv_accum(21, i, 256) for i in range(3)]
+    rng = np.random.default_rng(7)
+    H = np.array([protos[i % 3] + rng.normal(0, 0.5, 256) for i in range(48)])
+    opened = []
+    exact_best = learning._exact_best
+
+    def spy(M, norms, Hf, sq):
+        opened.append(Hf.copy())
+        return exact_best(M, norms, Hf, sq)
+
+    monkeypatch.setattr(learning, "_exact_best", spy)
+    want = [int(np.argmax(similarities(m, h))) for h in H]
+    assert predict(m, H).tolist() == want and opened == []
+    # the rows of c0 and c1 are the prototypes scaled alike, so their sum
+    # scores both exactly alike, and argmax picks c0
+    H[20] = protos[0] + protos[1]
+    assert similarities(m, H[20])[0] == similarities(m, H[20])[1]
+    assert predict(m, H).tolist() == want[:20] + [0] + want[21:]
+    assert len(opened) == 1 and np.array_equal(opened[0], H[16:32])
 
 
 def test_one_class_retraining_raises_no_invalid_value():
