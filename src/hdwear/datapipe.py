@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import encodings.utf_8_sig  # noqa: F401  load_csv's codec, loaded with the module, not by a call
 import numbers
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -153,13 +154,13 @@ def load_csv(path, schema: CsvSchema) -> list:
     row needs every schema column, and each channel cell must be a number
     numpy's float parser reads, padded or not: a row of whitespace or of
     delimiters only, "1_0" and non-ASCII digits are not.  A row numpy
-    rejects raises CsvParseError with numpy's message, whose row and column
-    numbers are numpy's own: on numpy 2.4 they count data rows without the
-    blank lines, a cell that does not parse from row 0 and a short row from
-    row 1, and the file's columns from 1.  A non-finite channel value
-    raises CsvParseError naming its data record (1-based, blank lines not
-    counted) and channel; no data rows raise EmptyInputError.  Labels are
-    str arrays, one per subject.  A file that is not UTF-8 raises
+    rejects (a short row, a cell that does not parse) raises CsvParseError
+    with numpy's message, and a non-finite channel value raises
+    CsvParseError naming its channel; each names its data record 1-based,
+    blank lines not counted.  numpy counts the row of a cell that does not
+    parse from 0, so _read adds 1 to it (a message of any other form keeps
+    numpy's text); numpy counts the file's columns from 1.  No data rows
+    raise EmptyInputError.  Labels are str arrays, one per subject.  A file that is not UTF-8 raises
     CsvParseError; a path that cannot be opened or read (or holds a NUL
     byte) raises DataError.
 
@@ -216,7 +217,13 @@ def _read(fh, path, schema: CsvSchema) -> list:
     except UnicodeDecodeError:
         raise  # a ValueError too; load_csv reports it
     except ValueError as exc:
-        raise CsvParseError(f"{path}: {exc}") from None
+        # numpy counts the row of a cell it cannot convert from 0, the rows of
+        # its other errors from 1
+        shifted = re.sub(
+            r"(?s)(^could not convert string .* at row )(\d+)(?=, column \d+\.$)",
+            lambda m: f"{m[1]}{int(m[2]) + 1}", str(exc),
+        )
+        raise CsvParseError(f"{path}: {shifted}") from None
     values = rows["v"]
     if not len(values):
         raise EmptyInputError(f"{path}: no data rows")

@@ -29,7 +29,8 @@ block straight into one reused buffer of min(_block_rows(D), N) rows,
 float32 for the screen and float64 for exact scores, and the callers slice
 their class indices by each block's start.  Each call allocates its
 operands once, on 64-byte boundaries, and reuses them: the float64 class
-rows (:func:`_class_rows`) and the block buffers.  train_online's
+rows (:func:`_class_rows`) and the block buffers; only a block that the
+screen leaves open in predict or evaluate is cast afresh.  train_online's
 per-sample step scores a row of its float64 block as it is; the rows
 start on 64-byte boundaries too whenever D is a multiple of 8.  The
 results do not depend on alignment, only the speed does (see
@@ -92,41 +93,35 @@ first, so that no square or product overflows or vanishes; every other
 query is scored as it is.
 
 Training is sequential by design (each sample sees every earlier update),
-so a pass (:class:`_Rows`) takes the float64 rows and norms once and
-refreshes only the rows it updates.  This gives the same scores as
-re-taking every row per sample: a refreshed row is the exact float64 cast
-of its float32 row, its norm comes from the same pairwise reduction as the
-whole-matrix norms, a single query is scored by the same matrix-vector
-product, and the norm of an integer encoding is exact in any summation
-order.  A per-sample step writes its product, its increment and the
-refreshed row's squares into buffers the pass allocates once; these are
-the IEEE operations of the allocating expressions, in the same order, so
-the results are the same bit for bit.  The online step needs only the true
-class's cosine.  It takes dots[l] / (norms[l] * |h|) from that product, or
-0 when the product of the norms is not positive, in Python float
-arithmetic: the same IEEE double multiply and divide that _scaled applies
-element-wise, so the result equals _scaled's entry by construction.  It
-still computes the whole matrix-vector product, since a dot product with
-the true row alone is not promised the same summation order.
+so each training call takes its state once, not per sample or per epoch:
+a :class:`_Rows` (the float64 mirror of the class rows and their norms,
+which every update refreshes for the rows it moves) and its buffers.
+train_online scores a sample by the matrix-vector product and needs only
+the true class's cosine: dots[l] / (norms[l] * |h|), or 0 when the
+product of the norms is not positive, in Python float arithmetic, the
+same IEEE double multiply and divide that _scaled applies element-wise.
+It still computes the whole product, since a dot product with the true
+row alone is not promised the same summation order.
 
-Retraining screens each block against the current rows, with each query's
-true class as its winner: a settled query is a hit and changes nothing.
-Every other query (a predicted miss or a near-tie) goes through the exact
+:func:`train_iterative` checks its pairs once and keeps the checked
+queries as one (N, D) array in their own dtype (promoted as np.array
+stacks them), with their class indices; it keeps no float64 copy of the
+training set.  Its call state adds the screen's constants to the
+_Rows: the class norms' reciprocals, the margin, the (K, N) one-hot of
+the true classes and the (N,) query scales, filled by the first epoch.
+Each block is screened against the current rows, with each query's true
+class as its winner: a settled query is a hit and changes nothing.
+Every other query (a predicted miss or a near-tie) takes the exact
 per-sample step: its row is cast to float64 into one reused aligned
 buffer, its norm is taken by _norms (a row reduces as it does inside a
-block), and it is scored by the matrix-vector product, argmax, one
-increment added to the true row and subtracted from the predicted one; so
-its decision and increment are those of scoring it alone, bit for bit.
-After an update only the two touched rows are re-scored, from the float32
-matrix, for the rest of the block.  So the class matrix and the miss
-counts equal those of scoring every sample alone, on any input and at any
-block size; a miss re-scores the rest of its block, so a larger block
-costs more per miss and less per row.  :func:`train_iterative` checks its
-pairs once and keeps the checked queries as one (N, D) array in their own
-dtype (promoted as np.array stacks them), with their class indices, for
-every epoch; the screen's constants (the query scales and the one-hot of
-the true classes) are kept in a list with one entry per block, taken once
-by the first epoch.  It keeps no float64 copy of the training set.
+block), and it is scored by the matrix-vector product, argmax, and one
+update of the true and the predicted row; so its decision and increment
+are those of scoring it alone, bit for bit.  After an update only the
+two touched rows are re-scored, from the float32 matrix, for the rest of
+the block.  So the class matrix and the miss counts equal those of
+scoring every sample alone, on any input and at any block size; a miss
+re-scores the rest of its block, so a larger block costs more per miss
+and less per row.
 
 Inputs are checked once, where they enter.  :class:`Model` is frozen, so
 its fields are checked only at construction and cannot be rebound later.
@@ -143,10 +138,8 @@ scored or learned, so a bad pair anywhere in a stream leaves the model
 unchanged.  It only checks: it returns the class indices and the queries
 as they came, and _float_blocks cuts and casts them.  An update that
 would take a class component past the float32 range raises
-InvalidSampleError and leaves the class matrix as the call received it:
-_Rows.apply finds it from the refreshed row's norm, which it takes anyway,
-and only an update that could overflow runs with numpy's overflow warnings
-off (:func:`_updating`), so scoring's warnings stay live.
+InvalidSampleError and leaves the class matrix as the call received it
+(:meth:`_Rows.update`, :func:`_restored_on_overflow`).
 """
 
 from __future__ import annotations
@@ -157,7 +150,7 @@ import struct
 import tempfile
 import zlib
 from collections.abc import Iterator
-from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -284,13 +277,13 @@ class Model:
         )
 
 
-# Training keeps the float64 class rows and their norms across a pass and
+# Training keeps the float64 class rows and their norms across a call and
 # refreshes only the rows it updates.  Without this cache the shared kernel
 # re-casts the whole (K, D) matrix and re-takes all K norms per sample; on a
 # 2-core VM that made the dense-stream benchmark's train_s 5-18% slower than
 # a dedicated single-row scorer, and with it train_s is 0.63-0.73x of that.
-# The rows are copied into a 64-byte-aligned buffer, as every float64 query
-# operand below is.  With one OpenBLAS thread on a 2-core VM (best of 7),
+# The rows are copied into a 64-byte-aligned buffer, as training's float64
+# query operands are.  With one OpenBLAS thread on a 2-core VM (best of 7),
 # (6, 1024) @ (1024, 16) took 4.6 us with both operands 64-byte aligned and
 # 8.0-8.3 us at an 8-, 16- or 32-byte offset; (4, 4096) @ (4096, 16) took
 # 10.1 us against 18.2-21.6 us.  A fresh cast lands wherever malloc puts
@@ -349,19 +342,16 @@ def _scaled(dots: np.ndarray, norms: np.ndarray, hn) -> np.ndarray:
 
 
 class _Rows:
-    """The float64 class rows M and their norms (from _class_rows) that one
-    training pass keeps, and the buffers its exact per-sample steps write
-    into.
+    """The float64 mirror M of the class rows (_class_rows) and their norms,
+    taken once per training call, and the buffers of its updates.  dots(h)
+    is M @ h, valid until the next call.
 
-    dots(h) is M @ h; increment(h, scale) casts scale * h to float32, as
-    (scale * h).astype(np.float32) does; apply(row, op) adds (np.add) or
-    subtracts (np.subtract) that increment in the float32 class row, as
-    `row += inc` and `row -= inc` do, and refreshes the row's float64 copy
-    and its norm, by the pairwise reduction _norms takes; a row that left
-    the float32 range raises InvalidSampleError (its norm is then inf or
-    NaN, so the check costs no scan).  Each result is valid until the next
-    call that writes it.  The updates run under _updating, which keeps
-    numpy's warnings about that overflow inside."""
+    Refreshing only the rows an update moves gives the scores of re-taking
+    every row per sample: a refreshed row is the exact float64 cast of its
+    float32 row, its norm comes from the pairwise reduction _norms takes
+    over the whole matrix, a single query is scored by the same
+    matrix-vector product, and the norm of an integer encoding is exact in
+    any summation order."""
 
     def __init__(self, model: Model):
         self.class_matrix = model.class_matrix
@@ -374,21 +364,41 @@ class _Rows:
     def dots(self, h: np.ndarray) -> np.ndarray:
         return np.matmul(self.M, h, out=self._dots)
 
-    def increment(self, h: np.ndarray, scale: float) -> None:
+    def update(self, h: np.ndarray, scale: float, reach: float, *rows: int) -> None:
+        """Every training update: cast scale * h to float32, add it to the
+        class row rows[0] and subtract it from rows[1] if given, then
+        refresh each row's mirror and norm.  The buffers take the IEEE
+        operations of `row += (scale * h).astype(np.float32)` (or -=), in
+        the same order, so the bits are the same.
+
+        A row that leaves the float32 range raises InvalidSampleError: its
+        norm is then inf or NaN, so the check costs no scan.  reach, the
+        larger norm of the rows it moves plus |scale| times the norm of h,
+        bounds every component the update computes, up to a relative
+        rounding below 2**-19.  Below 2**127, half the float32 range,
+        nothing the update computes overflows or is invalid, so numpy's
+        error state stays as the caller set it.  Otherwise (also for an
+        inf or NaN reach) overflow and invalid-value warnings are off, as
+        the norm check reports what they would.  Entering that errstate
+        costs 0.8 us (2-core VM), which at one update per sample made
+        dense-stream's train_online 13% slower; scoring runs outside it,
+        so its warnings stay live."""
+        if not reach < 2.0**127:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self.update(h, scale, 0.0, *rows)  # the same update, inside it
         np.multiply(h, scale, out=self._inc)
         self._inc32[...] = self._inc
-
-    def apply(self, row: int, op) -> None:
-        row32, row64 = self.class_matrix[row], self.M[row]
-        op(row32, self._inc32, out=row32)
-        row64[...] = row32
-        np.multiply(row64, row64, out=self._sq)
-        self.norms[row] = norm = math.sqrt(np.add.reduce(self._sq))
-        if not math.isfinite(norm):  # exactly when the float32 row is not finite
-            raise InvalidSampleError(
-                "training overflowed float32: an update took a class component past "
-                "the float32 range; the class matrix is left as it was"
-            )
+        for row, op in zip(rows, (np.add, np.subtract)):
+            row32, row64 = self.class_matrix[row], self.M[row]
+            op(row32, self._inc32, out=row32)
+            row64[...] = row32
+            np.multiply(row64, row64, out=self._sq)
+            self.norms[row] = norm = math.sqrt(np.add.reduce(self._sq))
+            if not math.isfinite(norm):  # exactly when the float32 row is not finite
+                raise InvalidSampleError(
+                    "training overflowed float32: an update took a class component past "
+                    "the float32 range; the class matrix is left as it was"
+                )
 
 
 def train_online(model: Model, stream) -> Model:
@@ -414,9 +424,7 @@ def train_online(model: Model, stream) -> Model:
                 delta = float(rows.dots(h)[li]) / den if den > 0 else 0.0
                 if delta != 1.0:
                     scale = eta * (1.0 - delta)
-                    with _updating(nl + abs(scale) * hn):
-                        rows.increment(h, scale)
-                        rows.apply(li, np.add)
+                    rows.update(h, scale, nl + abs(scale) * hn, li)
     return model
 
 
@@ -438,14 +446,41 @@ def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int =
     check_int(patience, "patience")
     truth, queries = labelled_blocks(model, dataset)
     H = np.array(queries)
-    best = model.class_matrix.copy()
-    best_misses, bad_epochs, curve, screens = math.inf, 0, [], []
+    rows = _Rows(model)
+    M32, norms = model.class_matrix, rows.norms
+    inv, eta, margin = _reciprocals(norms), float(model.eta), _margin(model.dim)
+    scales, own = np.empty(len(H)), truth == np.arange(model.n_classes)[:, None]
+    h, sq = _aligned((model.dim,)), np.empty(model.dim)
+    best = M32.copy()
+    best_misses, bad_epochs, curve = math.inf, 0, []
     with _restored_on_overflow(model):
         for _ in range(max_epochs):
-            misses = _retrain_pass(model, truth, H, screens)
+            if not model.is_trained:
+                raise ModelNotTrainedError("retraining starts from a trained model")
+            misses = 0
+            for start, B in _float_blocks(model.dim, H, np.float32):
+                span = slice(start, start + len(B))
+                C, scales[span] = _screened(M32, inv, B, scales[span] if curve else None)
+                t, mine, sc = truth[span], own[:, span], scales[span]
+                j = 0
+                while len(flagged := np.flatnonzero(~_settled(C[:, j:], mine[:, j:], margin))):
+                    j += int(flagged[0])
+                    li = int(t[j])
+                    h[...] = H[start + j]
+                    hn = _norms(h, sq)
+                    sims = _scaled(rows.dots(h), norms, hn)
+                    pi = int(np.argmax(sims))
+                    if pi != li:
+                        misses += 1
+                        scale = eta * float(sims[pi] - sims[li])
+                        rows.update(h, scale, max(norms[li], norms[pi]) + abs(scale) * hn, li, pi)
+                        pair, rest = [li, pi], slice(j + 1, None)
+                        inv[pair] = _reciprocals(norms[pair])
+                        C[pair, rest] = _screened(M32[pair], inv[pair], B[rest], sc[rest])[0]
+                    j += 1
             curve.append(misses)
             if misses < best_misses:
-                best[...] = model.class_matrix
+                best[...] = M32
                 best_misses, bad_epochs = misses, 0
                 if misses == 0:
                     break
@@ -458,7 +493,7 @@ def train_iterative(model: Model, dataset, max_epochs: int = 30, patience: int =
 
 @contextmanager
 def _restored_on_overflow(model: Model) -> Iterator[None]:
-    """Run a training call; if one of its updates overflows (_Rows.apply
+    """Run a training call; if one of its updates overflows (_Rows.update
     raises InvalidSampleError), put back the class matrix the call received
     (kept as one copy) before the error propagates."""
     received = model.class_matrix.copy()
@@ -467,26 +502,6 @@ def _restored_on_overflow(model: Model) -> Iterator[None]:
     except InvalidSampleError:
         model.class_matrix[...] = received
         raise
-
-
-_CALLERS_STATE = nullcontext()
-
-
-def _updating(reach: float) -> AbstractContextManager:
-    """The numpy error state of one update (_Rows.increment and apply).
-
-    reach, the norm of the class row it moves (the larger of the two in
-    retraining) plus |scale| times the query's norm, bounds every component
-    the update computes, up to a relative rounding below 2**-19.  Below
-    2**127, half the float32 range, no product, cast, sum or square of the
-    update overflows or meets an invalid value, so numpy's error state is
-    left as the caller set it.  Otherwise (also for an inf or NaN reach)
-    overflow and invalid-value warnings are off, since apply checks the
-    rows they change.  Entering and leaving that errstate costs 0.8 us
-    (2-core VM), which at one update per sample made dense-stream's
-    train_online 13% slower.  Scoring runs outside it, so its warnings stay
-    live."""
-    return _CALLERS_STATE if reach < 2.0**127 else np.errstate(over="ignore", invalid="ignore")
 
 
 # The screen settles only queries and nonzero class rows whose norm lies in
@@ -532,56 +547,6 @@ def _settled(C: np.ndarray, own: np.ndarray, margin: float) -> np.ndarray:
     unlike inf, also adds to a rival of -inf (the only rival of a one-class
     model) without an invalid-value warning."""
     return C.T[own.T] > np.where(own, -np.inf, C).max(axis=0) + margin
-
-
-def _retrain_pass(model: Model, truth: np.ndarray, H: np.ndarray, screens: list) -> int:
-    """One retraining epoch over the (N, D) queries H with class indices
-    truth; returns the miss count.  screens holds, for each block of
-    _float_blocks, the screen's query scales (from _screened) and the (K, n)
-    one-hot of the true classes; the first epoch finds it empty and fills
-    it.
-
-    Each float32 block is screened with one product; only the queries it
-    does not settle take the exact per-sample step, on their row cast to
-    float64, and after an update only the two touched rows are re-scored
-    for the rest of the block."""
-    if not model.is_trained:
-        raise ModelNotTrainedError("retraining starts from a trained model")
-    rows = _Rows(model)
-    M32, norms = model.class_matrix, rows.norms
-    inv = _reciprocals(norms)
-    eta = float(model.eta)
-    margin = _margin(model.dim)
-    h, sq = _aligned((model.dim,)), np.empty(model.dim)
-    misses = 0
-    for b, (start, B) in enumerate(_float_blocks(model.dim, H, np.float32)):
-        t = truth[start : start + len(B)]
-        if b == len(screens):
-            C, scales = _screened(M32, inv, B)
-            screens.append((scales, t == np.arange(model.n_classes)[:, None]))
-        else:
-            C, _ = _screened(M32, inv, B, screens[b][0])
-        scales, own = screens[b]
-        j = 0
-        while len(flagged := np.flatnonzero(~_settled(C[:, j:], own[:, j:], margin))):
-            j += int(flagged[0])
-            li = int(t[j])
-            h[...] = H[start + j]
-            hn = _norms(h, sq)
-            sims = _scaled(rows.dots(h), norms, hn)
-            pi = int(np.argmax(sims))
-            if pi != li:
-                misses += 1
-                scale = eta * float(sims[pi] - sims[li])
-                with _updating(max(norms[li], norms[pi]) + abs(scale) * hn):
-                    rows.increment(h, scale)
-                    rows.apply(li, np.add)
-                    rows.apply(pi, np.subtract)
-                pair = [li, pi]
-                inv[pair] = _reciprocals(norms[pair])
-                C[pair, j + 1 :] = _screened(M32[pair], inv[pair], B[j + 1 :], scales[j + 1 :])[0]
-            j += 1
-    return misses
 
 
 # Bytes of the float64 query block that each call copies its queries into
@@ -648,8 +613,10 @@ def _best(model: Model, queries) -> np.ndarray:
     """Most similar class index per checked query (a list of (D,) rows or
     one (N, D) array), as (N,) int64.  Each float32 block of _float_blocks
     is screened with one product and keeps the screen's argmax when every
-    query in it is settled; any other block is cast to float64 and scored
-    whole by _exact_best."""
+    query in it is settled; any other block is cast to float64 afresh and
+    scored whole by _exact_best.  At seed 1 the benchmark's screen leaves
+    0 of 476, 0 of 521 and 3 of 226 test queries open, so a reused aligned
+    buffer for those blocks would buy nothing measurable."""
     if not model.is_trained:
         raise ModelNotTrainedError("model has not been trained")
     M, norms = _class_rows(model)
@@ -657,24 +624,19 @@ def _best(model: Model, queries) -> np.ndarray:
     margin = _margin(model.dim)
     classes = np.arange(model.n_classes)[:, None]
     best = np.empty(len(queries), dtype=np.int64)
-    exact = ()
     for start, B in _float_blocks(model.dim, queries, np.float32):
         C, _ = _screened(model.class_matrix, inv, B)
         top = C.argmax(axis=0)
         if not _settled(C, top == classes, margin).all():
-            # shaped as the first block left open: only the last block is shorter
-            exact = exact or (_aligned(B.shape), np.empty(B.shape))
-            Hf, sq = (a[: len(B)] for a in exact)
-            Hf[...] = queries[start : start + len(B)]
-            top = _exact_best(M, norms, Hf, sq)
+            top = _exact_best(M, norms, np.array(queries[start : start + len(B)], np.float64))
         best[start : start + len(B)] = top
     return best
 
 
-def _exact_best(M: np.ndarray, norms: np.ndarray, Hf: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Most similar class index per row of the float64 block Hf, from the
-    float64 class rows M and their norms (_class_rows), with sq a buffer of
-    Hf's shape for the squares of the norms.
+def _exact_best(M: np.ndarray, norms: np.ndarray, Hf: np.ndarray) -> np.ndarray:
+    """Most similar class index per row of the float64 block Hf, a fresh
+    copy it may change, from the float64 class rows M and their norms
+    (_class_rows).
 
     A row whose norm is not finite, above 2**500, or 0 though the row is
     not zero is first scaled in place by an exact power of two, the
@@ -682,11 +644,11 @@ def _exact_best(M: np.ndarray, norms: np.ndarray, Hf: np.ndarray, sq: np.ndarray
     direction; no other row changes, so their scores are those of the
     float64 block path bit for bit."""
     with np.errstate(over="ignore", under="ignore"):  # squares out of range: the row is scaled
-        hn = _norms(Hf, sq)
+        hn = _norms(Hf)
     for i in np.flatnonzero(~(hn <= 2.0**500) | (hn == 0)):
         if Hf[i].any():
             np.ldexp(Hf[i], -np.frexp(np.abs(Hf[i]).max())[1], out=Hf[i])
-            hn[i] = _norms(Hf[i], sq[i])
+            hn[i] = _norms(Hf[i])
     return _scaled(M @ Hf.T, norms, hn).argmax(axis=0)
 
 

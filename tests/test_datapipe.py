@@ -92,10 +92,28 @@ def test_load_rejects_infinity_naming_record_and_channel(tmp_path):
 
 
 def test_load_rejects_garbage_with_location(tmp_path):
-    # numpy's message names the cell; its row and column numbers are its own
+    # numpy's message names the cell, its data record and its file column
     p = write(tmp_path, "v,w\n1.0,2.0\n3.0,oops\n")
-    with pytest.raises(CsvParseError, match=r"'oops'.* row \d+, column \d+"):
+    with pytest.raises(CsvParseError, match=r"'oops' to float64 at row 2, column 2\.$"):
         load_csv(p, CsvSchema(channels=["v", "w"]))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("4.0,oops,s1", r"could not convert string 'oops' to float64 at row 3, column 2\.$"),
+        ("4.0", r"invalid column index 1 at row 3 with 1 columns$"),
+        ("4.0,nan,s1", r"row 3, column 'w': non-finite value nan$"),
+    ],
+    ids=["bad-cell", "short-row", "non-finite"],
+)
+def test_load_errors_name_the_same_data_record(tmp_path, row, message):
+    # the third data record, after blank lines: numpy's reader, which counts
+    # a bad cell's row from 0 and a short row's from 1, and the finite check
+    # all name it as record 3
+    p = write(tmp_path, f"v,w,subj\n\n1,2,s1\n\n\n2,3,s1\n\n{row}\n5,6,s1\n")
+    with pytest.raises(CsvParseError, match=message):
+        load_csv(p, CsvSchema(channels=["v", "w"], subject="subj"))
 
 
 def test_load_missing_column(tmp_path):

@@ -37,7 +37,6 @@ from hdwear.learning import (
     _float_blocks,
     _Rows,
     _margin,
-    _retrain_pass,
     evaluate,
     labelled_blocks,
     load_model,
@@ -541,20 +540,29 @@ def test_screen_settles_no_query_outside_its_norm_range(monkeypatch):
     m.class_matrix[:] = [np.ones(64), -np.ones(64)]
     norms = 2.0 ** np.array([3, -39, 39, -41, 41])
     H = np.ones((5, 64)) * (norms / 8)[:, None]
-    exact = []
-    dots = _Rows.dots
+    exact, screens = [], []
+    dots, screened, settled = _Rows.dots, learning._screened, learning._settled
 
     def counted(self, h):
         exact.append(float(h[0] * 8))  # the norm of the row it scores
         return dots(self, h)
 
+    def screen_spy(M32, inv, B, scales=None):
+        C, scales = screened(M32, inv, B, scales)
+        screens.append(scales.copy())
+        return C, scales
+
+    def settled_spy(C, own, margin):
+        screens.append(own.copy())
+        return settled(C, own, margin)
+
     monkeypatch.setattr(_Rows, "dots", counted)
-    # one block, as train_iterative passes it: class indices, queries, and
-    # the list of screen constants the first epoch fills in
-    screens = []
-    assert _retrain_pass(m, np.zeros(5, dtype=np.intp), H, screens) == 0
-    assert len(screens) == 1
-    scales, own = screens[0]
+    monkeypatch.setattr(learning, "_screened", screen_spy)
+    monkeypatch.setattr(learning, "_settled", settled_spy)
+    # one block and one epoch: the first epoch takes the query scales and
+    # the one-hot of the true classes once for the whole set
+    assert train_iterative(m, zip(H, ["c0"] * 5), max_epochs=1).retrain_curve == [0]
+    scales, own = screens[0], screens[1]
     assert own.tolist() == [[True] * 5, [False] * 5]
     assert np.array_equal(scales[:3], 1 / norms[:3]) and np.isnan(scales[3:]).all()
     assert exact == norms[3:].tolist()
@@ -660,9 +668,9 @@ def test_screen_settles_separated_blocks_and_leaves_ties_to_float64(monkeypatch)
     opened = []
     exact_best = learning._exact_best
 
-    def spy(M, norms, Hf, sq):
+    def spy(M, norms, Hf):
         opened.append(Hf.copy())
-        return exact_best(M, norms, Hf, sq)
+        return exact_best(M, norms, Hf)
 
     monkeypatch.setattr(learning, "_exact_best", spy)
     want = [int(np.argmax(similarities(m, h))) for h in H]
@@ -734,25 +742,65 @@ def test_training_that_overflows_raises_and_leaves_the_model():
     assert np.array_equal(m.class_matrix[1], np.full(64, 2.0**124))
 
 
+def test_overflow_in_a_later_epoch_restores_the_model_as_received():
+    # one query of class b lies along a's row (cosine 1) and almost
+    # orthogonal to b's huge row, so it stays a miss in every epoch: each
+    # one adds about 1e38 to b's first component and takes it from a's.
+    # Epochs 1-3 land and epoch 1 is the best of equals; epoch 4 takes b
+    # past the float32 range, and the call leaves the class matrix and
+    # retrain_curve as it received them, not epoch 1's
+    m = Model(classes=["a", "b"], encoder=EncoderConfig(dim=64), eta=1.0)
+    m.class_matrix[0, 0] = 3e38
+    m.class_matrix[1, 1:] = 3e38
+    m.retrain_curve[:] = [7]
+    received = m.class_matrix.copy()
+    q = np.eye(64)[0] * 1e38
+    three = train_iterative(m.copy(), [(q, "b")], max_epochs=3, patience=3)
+    assert three.retrain_curve == [1, 1, 1]
+    assert three.class_matrix[1, 0] == np.float32(1e38)
+    with pytest.raises(InvalidSampleError, match="overflow"):
+        train_iterative(m, [(q, "b")], max_epochs=4, patience=4)
+    assert np.array_equal(m.class_matrix.view(np.uint32), received.view(np.uint32))
+    assert m.retrain_curve == [7]
+
+
+def test_retraining_takes_the_class_rows_once_per_call(monkeypatch):
+    # the float64 mirror and its norms are taken once, before the first
+    # epoch, and every later epoch goes on from the rows the last one
+    # refreshed
+    data = overlapping_int16_set(0)
+    m = train_online(make_model(n_classes=5, dim=257, eta=0.25), data)
+    calls, class_rows = [], learning._class_rows
+
+    def spy(model):
+        calls.append(model.class_matrix.copy())
+        return class_rows(model)
+
+    monkeypatch.setattr(learning, "_class_rows", spy)
+    received = m.class_matrix.copy()
+    assert len(train_iterative(m, data, max_epochs=4, patience=4).retrain_curve) == 4
+    assert len(calls) == 1 and np.array_equal(calls[0], received)
+
+
 def test_row_refresh_equals_a_fresh_cast_bit_for_bit():
     # the invariant the training cache rests on: after each update the
     # float64 rows and norms equal a fresh cast of the float32 matrix, and
-    # the buffered step moves the float32 row as the allocating
-    # `row += (scale * h).astype(np.float32)` (or -=) moves it
+    # the buffered update moves its rows as the allocating
+    # `row += (scale * h).astype(np.float32)` (and -= for a second row)
+    # moves them, with the errstate of a large reach or without it
     m = make_model(n_classes=3, dim=1000)
     rng = np.random.default_rng(6)
     m.class_matrix[:] = rng.normal(0, 100, (3, 1000)).astype(np.float32)
     expect = m.class_matrix.copy()
     rows = _Rows(m)
-    for row, op in [(0, np.add), (2, np.subtract), (0, np.subtract), (1, np.add), (2, np.add)]:
+    steps = [((0,), 0.0), ((2, 0), math.inf), ((1, 2), 1e3), ((0,), 2.0**127), ((1, 0), math.nan)]
+    for moved, reach in steps:
         h, scale = rng.normal(0, 1, 1000), float(rng.normal(0, 0.5))
         inc = (scale * h).astype(np.float32)
-        if op is np.add:
-            expect[row] += inc
-        else:
-            expect[row] -= inc
-        rows.increment(h, scale)
-        rows.apply(row, op)
+        expect[moved[0]] += inc
+        if len(moved) > 1:
+            expect[moved[1]] -= inc
+        rows.update(h, scale, reach, *moved)
         assert np.array_equal(m.class_matrix.view(np.uint32), expect.view(np.uint32))
         fresh_M, fresh_norms = _class_rows(m)
         assert np.array_equal(rows.M, fresh_M)
