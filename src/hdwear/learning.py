@@ -36,76 +36,34 @@ has an infinite norm; the query norms are taken once per call.  The results
 depend on the BLAS kernel's summation order, not on where an operand
 starts in memory.
 
-Overflow.  Training's casts and products run with numpy's warnings off.  A
-query whose float32 cast is not finite, a score (an entry of M @ B.T) that
-is not, or an update that takes a class component past the float32 range
-raises InvalidSampleError naming the overflow (:func:`_finite`), and the
-call leaves the class matrix (and retrain_curve) as it received them
-(:func:`_restored_on_overflow`).  So training takes a query only if its
-float32 cast and its scores are finite; predict and evaluate score any
-finite query.
+Overflow.  Training, predict and evaluate run their casts and products
+with numpy's warnings off.  A query whose float32 cast is not finite, a
+score (an entry of M @ B.T) that is not, or a training update that takes a
+class component past the float32 range raises InvalidSampleError naming
+the overflow (:func:`_finite`), before any result is returned; a training
+call then leaves the class matrix (and retrain_curve) as it received them
+(:func:`_restored_on_overflow`).  So all four calls take exactly the
+queries whose float32 cast and scores are finite, and a query whose cast
+underflows to zero is scored as that zero.
 
-Prediction screens every block of queries in float32 first, and a float64
-product confirms only what the screen leaves open (the batched design
-follows Torchhd, Heddes et al., JMLR 2023).  :func:`_block_rows` is its
-block size: as many float64 rows of D components as fit in _BLOCK_BYTES
-(512 KiB), at least one, so 64 rows at D = 1024, 16 at D = 4096 and 6 at
-D = 10000; the robustness sweep packs its queries by it too.
+Prediction is the float32 argmax.  :func:`predict` and :func:`evaluate`
+(:func:`_best`) score each block of :func:`_block_rows` queries with one
+float32 product ``model.class_matrix @ B.T``, times the reciprocals of the
+class norms taken once per call (0 for a zero row), and take the argmax,
+the lowest index on ties (the batched design follows Torchhd, Heddes et
+al., JMLR 2023).  The query norm is left out: one positive factor per
+column cannot reorder a query's classes, and a zero query scores 0
+everywhere and takes class 0.  So a decision is the float32 one: two
+classes whose cosines lie closer than about D eps32 may resolve
+differently from a float64 scorer and between BLAS kernels, whose
+summation orders differ, and CI compares digests within one kernel only.
+Over seeds 1-10 of the benchmark's workloads the top-1/top-2 cosine gap
+has a median of about 0.1, and none of 12,230 test decisions differed from
+the float64 scorer's.
 :func:`_float_blocks` is the one place that cuts queries into blocks, for
 training and prediction: it takes a list of (D,) rows or one (N, D) array
 and casts each block straight into one reused float32 buffer, and the
-callers slice their class indices by each block's start.  Every float64
-norm of the confirm path comes from one row-wise reduction, the pairwise
-np.add.reduce of the squares (:func:`_norms`), and a row of a C-contiguous
-block reduces to the same norm as the row alone.  An exact score is a dot
-product divided by the product of the two norms (0 where that is 0).
-
-The screen (:func:`_screened`) multiplies a float32 block by
-``model.class_matrix``, which is float32 already, in one product, and
-scales it in float64 by the reciprocals of the float64 class norms and of
-the query norms, which it takes in float32.  A query is settled
-(:func:`_settled`) when its argmax beats every other class by more than
-:func:`_margin`, 8 (D + 2) eps32: the float64 scorer then picks the same
-class, under any summation order of either product.
-
-The bound, with u = eps32 / 2.  Any summation order computes a dot
-product of length D within gamma_D |m||h| of the exact one
-(Cauchy-Schwarz; gamma_D = D u / (1 - D u)) and a sum of squares within
-gamma_D relative, so a norm is within gamma_D / 2 + u.  The float32 cast
-of h is exact for integers up to 2**24 and within u relative otherwise,
-which moves the dot product by u |m||h| and the norm by u.  The float64
-class norm, the reciprocals and the scaling add a few float64 roundings.
-So a screened cosine is within (3 D / 2 + 3) u of the exact one, up to a
-factor below 1 + 4 D eps32, and a float64 cosine within (D + 2) eps64
-likewise; on the gap between two classes the screen and the float64 scorer
-differ by less than (3 D + 9) eps32, with the underflow below, so by less
-than the margin.  From 4 D eps32 >= 1 (D >= 2**21) gamma_D's premise fades
-and the margin would exceed 2, the widest gap of two cosines, so _margin is
-NaN there and nothing settles; the model file holds any D < 2**32.  The
-bound also needs no overflow and little underflow, so a query or a nonzero
-class row whose norm lies outside _SCREEN_NORMS, [2**-40, 2**40], gets a
-NaN scale and settles nothing.  Inside that range no float32 product,
-square or partial sum passes 2**84, and underflow, at most 2**-126 per
-component, product or square whether rounded or flushed, moves a cosine by
-less than u.  Prediction runs with numpy's warnings off: only a query or
-row out of range can overflow in the screen, and it settles nothing there;
-_exact_best scales a query whose squares pass the float64 range.  The
-screen's blocks keep _block_rows(D) rows rather than a float32 byte
-budget: with one OpenBLAS thread (2-core VM), (10, 10000) @ (10000, 6) in
-float32 took 23 us, but with 13 columns 204 us, where OpenBLAS leaves its
-small-matrix path.
-
-:func:`predict` and :func:`evaluate` (:func:`_best`) keep a block's
-screened argmax when every query in it is settled, and cast any other
-block to float64 and score it whole (:func:`_exact_best`), with the
-screen's block boundaries and shapes, so ties and BLAS-order effects
-resolve exactly as in the float64 block path.  On the benchmark's sets the
-top-1/top-2 cosine gap has a median of about 0.1, against margins of 1e-3
-(D = 1024) to 1e-2 (D = 10000).  _exact_best also scores a finite query
-whose float64 norm is not finite, above 2**500, or 0 though the query is
-not zero, by its direction: it scales the query by an exact power of two
-first, so that no square or product overflows or vanishes; every other
-query is scored as it is.
+callers slice their class indices by each block's start.
 
 Inputs are checked once, where they enter.  :class:`Model` is frozen, so
 its fields are checked only at construction and cannot be rebound later.
@@ -172,7 +130,9 @@ class Model:
 
     Class labels are UTF-8 encodable ``str``, so they round-trip through the
     model file, and are kept as a tuple; ``eta`` is a real > 0 that float64
-    holds exactly, so it round-trips too; the class matrix is finite once
+    holds exactly, so it round-trips too, and whose float32 cast is finite,
+    as training's weights are (a larger eta could learn no sample); the
+    class matrix is finite once
     cast to float32, and the model keeps it in a 64-byte-aligned buffer of
     its own (a copy, never the caller's array).  The fields are frozen once
     checked; training updates ``class_matrix`` in place.
@@ -207,8 +167,9 @@ class Model:
             )
         if len(set(self.classes)) != len(self.classes):
             raise UnknownClassError("duplicate class labels")
-        if not (_is_float64(self.eta) and self.eta > 0):
-            raise InvalidArgumentError(f"eta must be a finite real > 0, got {self.eta!r}")
+        with np.errstate(over="ignore"):  # an eta past the float32 range casts to inf
+            if not (_is_float64(self.eta) and self.eta > 0 and np.isfinite(np.float32(self.eta))):
+                raise InvalidArgumentError(f"eta must be a float32-finite real > 0: {self.eta!r}")
         shape = (len(self.classes), self.encoder.dim)
         matrix = np.zeros(shape, np.float32) if self.class_matrix is None else self.class_matrix
         try:
@@ -219,9 +180,9 @@ class Model:
             raise InvalidArgumentError(f"class matrix must be real, got dtype {matrix.dtype}")
         if matrix.shape != shape:
             raise DimensionMismatchError(f"class matrix shape {matrix.shape} != {shape}")
-        # The float32 products of training and of the predict screen ran
-        # 20-40% slower with the class matrix at a 16- or 32-byte offset.
-        aligned = _aligned(shape, np.float32)
+        # The float32 products of training and of prediction ran 20-40%
+        # slower with the class matrix at a 16- or 32-byte offset.
+        aligned = _aligned(shape)
         with np.errstate(over="ignore"):  # a component float32 cannot hold turns inf
             aligned[...] = matrix
         if not np.isfinite(aligned).all():
@@ -262,25 +223,13 @@ class Model:
         )
 
 
-# The float64 class rows and their norms for the confirm path of predict and
-# evaluate, copied into a 64-byte-aligned buffer.  With one OpenBLAS thread
-# on a 2-core VM (best of 7), (6, 1024) @ (1024, 16) took 4.6 us with both
-# operands 64-byte aligned and 8.0-8.3 us at an 8-, 16- or 32-byte offset;
-# (4, 4096) @ (4096, 16) took 10.1 us against 18.2-21.6 us.  The products'
-# results do not depend on the alignment, only their speed.
-def _class_rows(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    M = _aligned(model.class_matrix.shape)
-    M[...] = model.class_matrix
-    return M, _norms(M)
-
-
-def _aligned(shape: tuple, dtype=np.float64) -> np.ndarray:
-    """Uninitialised C-contiguous array of the given shape and float dtype
-    whose data starts on a 64-byte boundary (numpy's own data start on 8
-    at least)."""
-    size, item = math.prod(shape), np.dtype(dtype).itemsize
-    raw = np.empty(size + 64 // item, dtype)
-    start = -raw.ctypes.data % 64 // item
+def _aligned(shape: tuple) -> np.ndarray:
+    """Uninitialised C-contiguous float32 array of the given shape whose
+    data starts on a 64-byte boundary (numpy's own data start on 8 at
+    least)."""
+    size = math.prod(shape)
+    raw = np.empty(size + 16, np.float32)
+    start = -raw.ctypes.data % 64 // 4
     return raw[start : start + size].reshape(shape)
 
 
@@ -296,7 +245,7 @@ def _float_blocks(dim: int, rows, step: int) -> Iterator[tuple[int, np.ndarray]]
     per block cost 2 us, against about 25 us per 16-row block of training.
     A list is cast with np.concatenate, which took 5 us for 16 int8 rows of
     D = 1024 where an assignment from the list took 12 us (2-core VM)."""
-    buf = _aligned((min(step, len(rows)), dim), np.float32)
+    buf = _aligned((min(step, len(rows)), dim))
     for start in range(0, len(rows), step):
         B, chunk = buf[: min(step, len(rows) - start)], rows[start : start + step]
         if isinstance(chunk, list):
@@ -306,20 +255,13 @@ def _float_blocks(dim: int, rows, step: int) -> Iterator[tuple[int, np.ndarray]]
         yield start, B
 
 
-def _norms(A: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis of float64 A, reduced exactly as
-    np.linalg.norm(A, axis=-1) reduces them; a row of a C-contiguous block
-    reduces as the same row alone."""
-    return np.sqrt(np.add.reduce(A * A, axis=-1))
-
-
 def _finite(a: np.ndarray) -> np.ndarray:
-    """a, if every entry is finite; otherwise training overflowed float32
+    """a, if every entry is finite; otherwise the call overflowed float32
     (the module docstring gives the contract)."""
     if not np.isfinite(a).all():
         raise InvalidSampleError(
-            "training overflowed float32: a query, a score or a class component left the "
-            "float32 range; the class matrix is left as it was"
+            "float32 overflow: a query, a score or a class component left the float32 range; "
+            "the class matrix is left as it was"
         )
     return a
 
@@ -329,7 +271,8 @@ def _inverse_norms(A: np.ndarray) -> np.ndarray:
     summed in float64, so that only a row that is not finite itself has an
     infinite norm (and raises, _finite).  Each row of the float64 cast is
     reduced by one dot product, as np.dot(row, row) reduces it: 9 us for 16
-    rows of D = 1024, against 25 us for the pairwise reduction of _norms."""
+    rows of D = 1024, against 25 us for the pairwise reduction of
+    np.linalg.norm(A, axis=-1)."""
     A = A.astype(np.float64)
     norms = _finite(np.sqrt(np.vecdot(A, A)))
     return np.divide(1.0, norms, out=np.zeros(len(norms)), where=norms > 0)
@@ -443,58 +386,14 @@ def _restored_on_overflow(model: Model) -> Iterator[None]:
         raise
 
 
-# The screen settles only queries and nonzero class rows whose norm lies in
-# this range (the module docstring says why).
-_SCREEN_NORMS = (2.0**-40, 2.0**40)
-
-
-def _margin(dim: int) -> float:
-    """How far a screened cosine must beat every rival for the float64
-    scorer to pick the same class: 8 (D + 2) eps32, or NaN, which settles
-    nothing, from 4 D eps32 >= 1 on (the module docstring gives the bound)."""
-    eps = float(np.finfo(np.float32).eps)
-    return 8.0 * (dim + 2) * eps if 4 * dim * eps < 1 else math.nan
-
-
-def _reciprocals(norms: np.ndarray) -> np.ndarray:
-    """The screen's float64 scale of each norm: 1 / norm inside
-    _SCREEN_NORMS, 0 for a zero norm (a cosine of 0, as _exact_best gives),
-    and NaN elsewhere, so that the class row or query it scales settles
-    nothing."""
-    lo, hi = _SCREEN_NORMS
-    out = np.where(norms == 0, 0.0, np.nan)
-    return np.divide(1.0, norms, out=out, where=(norms >= lo) & (norms <= hi), dtype=np.float64)
-
-
-def _screened(M32: np.ndarray, inv: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The screened cosines of the float32 class rows M32 (scaled by inv)
-    with the float32 queries B: one float32 product scaled in float64 by
-    inv and by the _reciprocals of the query norms, taken in float32.  It
-    is NaN where a scale is NaN; only a row or query out of range can
-    overflow, and its scale is NaN."""
-    return (M32 @ B.T) * np.multiply.outer(inv, _reciprocals(np.sqrt(np.vecdot(B, B))))
-
-
-def _settled(C: np.ndarray, own: np.ndarray, margin: float) -> np.ndarray:
-    """Which queries (columns of the screened cosines C) are settled: their
-    own class (the True entry of their column of own) beats every other by
-    more than margin.  A NaN score or margin settles nothing; a NaN margin,
-    unlike inf, also adds to a rival of -inf (the only rival of a one-class
-    model) without an invalid-value warning."""
-    return C.T[own.T] > np.where(own, -np.inf, C).max(axis=0) + margin
-
-
-# Bytes of one float64 query block, which sets the row count of every block
-# that predict, evaluate (the screen and its float64 confirm path) and the
-# robustness sweep cut.  At a fixed 16 rows a float64 block was 1.25 MiB at
-# D = 10000, where it left the L2 cache: copying and norming 16 int16
-# queries took 174 us as one block, 129 us row by row and 109 us in 6-row
-# blocks (timeit, 2-core VM).  512 KiB gives 64, 16 and 6 rows at D = 1024,
-# 4096 and 10000.  Casting the whole wide-highdim test set (D = 10000) to
-# float64 at once raised peak RSS from about 73.5 to 81.7-95.3 MiB, past the
-# benchmark's 10% bound.  The screen's float32 blocks keep the same row count
-# (the module docstring says why), so a block it leaves open is re-scored in
-# the same shape.
+# The query blocks of predict, evaluate and the robustness sweep hold as many
+# float64 rows as fit in these bytes: 64, 16 and 6 rows at D = 1024, 4096 and
+# 10000.  The row count, not a float32 byte budget, keeps the scoring product
+# on OpenBLAS's small-matrix path: with one thread (2-core VM),
+# (10, 10000) @ (10000, 6) in float32 took 23 us, but with 13 columns
+# 204 us.  Blocks keep memory flat: casting the whole wide-highdim test set
+# (D = 10000) to float64 at once raised peak RSS from about 73.5 to
+# 81.7-95.3 MiB, past the benchmark's 10% bound.
 _BLOCK_BYTES = 512 << 10
 
 
@@ -530,9 +429,14 @@ def labelled_blocks(model: Model, pairs) -> tuple[np.ndarray, list[np.ndarray]]:
 
 def predict(model: Model, H) -> np.ndarray:
     """Index into model.classes of the most similar class for each row of an
-    (N, D) batch, as (N,) int64; ties resolve to the lowest class index and
-    a zero-norm class or query scores 0.  A row that is not real or has a
-    non-finite component raises InvalidSampleError, as in labelled_blocks."""
+    (N, D) batch, as (N,) int64, by the float32 scores of the module
+    docstring; ties resolve to the lowest class index and a zero-norm class
+    or query scores 0.  A row that is not real or has a non-finite
+    component raises InvalidSampleError, as in labelled_blocks; so does a
+    finite row whose float32 cast or scores are not (a component past about
+    3.4e38, or a dot product with a class row past it), as training refuses
+    it, before any result is returned.  A row whose cast underflows to zero
+    is scored as the zero query."""
     try:
         h = np.asarray(H)
     except ValueError:  # numpy refuses a ragged H
@@ -545,47 +449,19 @@ def predict(model: Model, H) -> np.ndarray:
 
 def _best(model: Model, queries) -> np.ndarray:
     """Most similar class index per checked query (a list of (D,) rows or
-    one (N, D) array), as (N,) int64.  Each float32 block of _float_blocks
-    is screened with one product and keeps the screen's argmax when every
-    query in it is settled; any other block is cast to float64 afresh and
-    scored whole by _exact_best.  At seed 1 the benchmark's screen leaves
-    0 of 476, 0 of 521 and 3 of 226 test queries open, so a reused aligned
-    buffer for those blocks would buy nothing measurable.  It runs with
-    numpy's warnings off (the module docstring says why)."""
+    one (N, D) array), as (N,) int64: per float32 block of _float_blocks,
+    the argmax of one product with the class matrix times the reciprocals
+    of the class norms.  A block whose scores are not finite raises
+    InvalidSampleError (the module docstring gives the contract)."""
     if not model.is_trained:
         raise ModelNotTrainedError("model has not been trained")
-    M, norms = _class_rows(model)
-    inv = _reciprocals(norms)
-    margin = _margin(model.dim)
-    classes = np.arange(model.n_classes)[:, None]
+    M = model.class_matrix
+    inv_c = _inverse_norms(M)[:, None]
     best = np.empty(len(queries), dtype=np.int64)
     with np.errstate(all="ignore"):
         for start, B in _float_blocks(model.dim, queries, _block_rows(model.dim)):
-            C = _screened(model.class_matrix, inv, B)
-            top = C.argmax(axis=0)
-            if not _settled(C, top == classes, margin).all():
-                top = _exact_best(M, norms, np.array(queries[start : start + len(B)], np.float64))
-            best[start : start + len(B)] = top
+            best[start : start + len(B)] = (_finite(M @ B.T) * inv_c).argmax(axis=0)
     return best
-
-
-def _exact_best(M: np.ndarray, norms: np.ndarray, Hf: np.ndarray) -> np.ndarray:
-    """Most similar class index per row of the float64 block Hf, a fresh
-    copy it may change, from the float64 class rows M and their norms
-    (_class_rows).
-
-    A row whose norm is not finite, above 2**500, or 0 though the row is
-    not zero is first scaled in place by an exact power of two, the
-    exponent of its largest |component|, so that it is scored by its
-    direction; no other row changes, so their scores are those of the
-    float64 block path bit for bit."""
-    hn = _norms(Hf)  # squares out of range: the row is scaled below
-    for i in np.flatnonzero(~(hn <= 2.0**500) | (hn == 0)):
-        if Hf[i].any():
-            np.ldexp(Hf[i], -np.frexp(np.abs(Hf[i]).max())[1], out=Hf[i])
-            hn[i] = _norms(Hf[i])
-    den = np.multiply.outer(norms, hn)  # a zero-norm class or query scores 0
-    return np.divide(M @ Hf.T, den, out=np.zeros(den.shape), where=den > 0).argmax(axis=0)
 
 
 class EvalReport(NamedTuple):
@@ -612,6 +488,10 @@ class EvalReport(NamedTuple):
 
 
 def evaluate(model: Model, dataset) -> EvalReport:
+    """Confusion counts of predict's decisions over the (H, label) pairs of
+    dataset, which labelled_blocks checks first.  No pairs raise
+    EmptyInputError, and a query predict refuses, its float32 cast or
+    scores not finite, raises InvalidSampleError before any count."""
     truth, queries = labelled_blocks(model, dataset)
     if not len(truth):
         raise EmptyInputError("no (H, label) pairs to score")

@@ -15,7 +15,7 @@ from hdwear.datapipe import Recording, build_dataset
 from hdwear.encoding import EncoderConfig, FeatureEncoder, encode_records, quantize, record_tables
 from hdwear.errors import InvalidArgumentError, InvalidDimensionError, InvalidSampleError
 from hdwear.hv import level_flips, random_hv, rng
-from oracles import make_level_memory, sign_quantize
+from oracles import gather_encode, make_level_memory, sign_quantize
 
 D = 4096
 LEVEL_SEED, Q = 21, 16
@@ -37,17 +37,6 @@ def signatures(seed, count, dim=D):
 def encode(X, bounds, sigs, q=Q, seed=LEVEL_SEED):
     """encode_records against make_level_memory(seed, dim, q) and sigs."""
     return encode_records(X, bounds, record_tables(level_flips(seed, sigs.shape[1], q), sigs))
-
-
-def gather_encode(X, bounds, levels, sigs):
-    """The encoder before the nested tables, kept as their oracle: one
-    gather and add per feature, H[n] = sum_f sigs[f] * levels[lv[n, f]]."""
-    n_feat = len(sigs)
-    lv = quantize(np.asarray(X, dtype=np.float64).reshape(-1, n_feat), bounds, len(levels))
-    H = np.zeros((len(lv), sigs.shape[1]), dtype=np.min_scalar_type(-n_feat - 1))
-    for f in range(n_feat):
-        H += (sigs[f] * levels)[lv[:, f]]
-    return H
 
 
 def encode_one(features, bounds, sigs):

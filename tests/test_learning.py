@@ -33,10 +33,7 @@ from hdwear.hv import random_hv
 from hdwear.learning import (
     Model,
     _block_rows,
-    _class_rows,
     _float_blocks,
-    _margin,
-    _TRAIN_ROWS,
     evaluate,
     labelled_blocks,
     load_model,
@@ -48,6 +45,7 @@ from hdwear.learning import (
     train_online,
 )
 from hdwear.robustness import robustness_sweep
+from oracles import float32_block_path, naive_training, oracle_cosines
 
 D = 4096
 
@@ -345,70 +343,6 @@ def test_retrain_monotone_local_correction(seed):
     assert sims_after[pi] - sims_after[li] < margin_before
 
 
-def oracle_cosines(model, h):
-    """Cosine of a float64 query against every class row, from a fresh cast
-    of the float32 class matrix and fresh norms; 0 where a norm is 0.
-
-    Every norm is the square root of the pairwise add.reduce of the squares,
-    as the package's float64 scorer takes it, for the query too:
-    np.linalg.norm(h) without an axis is sqrt(h @ h), a BLAS dot whose last
-    bit can differ."""
-    M = model.class_matrix.astype(np.float64)
-    norms = np.sqrt(np.add.reduce(M * M, axis=1))
-    hn = np.sqrt(np.add.reduce(h * h))
-    out = np.zeros(len(M))
-    ok = (norms > 0) & (hn > 0)
-    out[ok] = (M @ h)[ok] / (norms[ok] * hn)
-    return out
-
-
-def naive_training(model, data, epochs=1, online=True):
-    """train_online (unless online is False), then up to `epochs` retraining
-    epochs, stopping after one without a miss as train_iterative does, as a
-    plain float32 loop: blocks of 16 rows, each row cast to float32 on its
-    own and scored against the class matrix as it stood at the block's
-    start, one sample at a time: a cosine is the dot product times the
-    reciprocals of the two norms (0 for a zero norm), each norm the root of
-    a float64 np.dot of the row with itself; the block's weights then move
-    every row with a nonzero weight by one product.  Returns the rows missed in each epoch and the
-    class matrix after it."""
-
-    def inverse_norm(row):
-        row = row.astype(np.float64)
-        norm = math.sqrt(np.dot(row, row))
-        return 1.0 / norm if norm > 0 else 0.0
-
-    def learn(retrain):
-        missed = []
-        for s in range(0, len(data), _TRAIN_ROWS):
-            B = np.array([h.astype(np.float32) for h, _ in data[s : s + _TRAIN_ROWS]])
-            M = model.class_matrix
-            dots, inv = M @ B.T, [inverse_norm(row) for row in M]
-            W = np.zeros(dots.shape, np.float32)
-            for i, (_, label) in enumerate(data[s : s + _TRAIN_ROWS]):
-                li, inv_h = model.class_index(label), inverse_norm(B[i])
-                cos = [float(dots[k, i]) * inv[k] * inv_h for k in range(len(M))]
-                pi = int(np.argmax(cos))
-                if retrain and pi != li:
-                    missed.append(s + i)
-                    W[pi, i] = -model.eta * (1.0 - cos[pi])
-                if not retrain or pi != li:
-                    W[li, i] = model.eta * (1.0 - cos[li])
-            rows = [k for k in range(len(M)) if W[k].any()]
-            M[rows] += W[rows] @ B
-        return missed
-
-    if online:
-        learn(retrain=False)
-    missed, snapshots = [], []
-    for _ in range(epochs):
-        missed.append(learn(retrain=True))
-        snapshots.append(model.class_matrix.copy())
-        if not missed[-1]:
-            break
-    return missed, snapshots
-
-
 def overlapping_int16_set(seed):
     """300 int16 queries (as the encoder gives) of 5 overlapping classes at
     D = 257, so retraining misses often and moves two rows per miss."""
@@ -421,8 +355,9 @@ def overlapping_int16_set(seed):
 
 def test_block_size_cannot_change_learning(monkeypatch):
     # budgets of 1 row, 16 rows and the whole set: training's blocks are
-    # _TRAIN_ROWS rows whatever the budget, and prediction (the screen and
-    # its float64 confirm path) must not see where its blocks end
+    # _TRAIN_ROWS rows whatever the budget, and prediction, whose float32
+    # products may round otherwise at another block width, takes the same
+    # decisions on this set
     data = overlapping_int16_set(5)
     H = np.array([h for h, _ in data])
     results = []
@@ -554,83 +489,31 @@ def test_screened_retraining_equals_per_sample_oracle(case):
     assert np.array_equal(out.class_matrix.view(np.uint32), best.view(np.uint32))
 
 
-def test_margin_is_nan_where_its_bound_fails():
-    # 8 (D + 2) eps32, until 4 D eps32 reaches 1 (D = 2**21): past it the
-    # screen settles nothing
-    eps = float(np.finfo(np.float32).eps)
-    assert _margin(64) == 8 * 66 * eps
-    assert _margin(2**21 - 1) == 8 * (2**21 + 1) * eps
-    assert np.isnan(_margin(2**21)) and np.isnan(_margin(2**32 - 1))
-
-
-@pytest.mark.parametrize("value, expect", [(-1e300, 1), (-1e-300, 1), (1e150, 0), (-1e150, 1)])
-def test_predict_scores_a_finite_query_by_its_direction(value, expect):
-    # the squares of +-1e300 pass the float64 range and those of 1e-300
-    # vanish; either way the query points at a class row, and it is scored
-    # by its direction, without a warning (warnings are errors here)
-    m = make_model(n_classes=2, dim=64)
-    m.class_matrix[:] = [np.ones(64), -np.ones(64)]
-    H = np.full((1, 64), value)
-    assert predict(m, H).tolist() == [expect]
-    assert evaluate(m, [(H[0], "c0")]).confusion[0, expect] == 1
-
-
-def float64_block_path(model, H):
-    """Class indices of the rows of H as the float64 block path scores
-    them: each block of _block_rows(D) rows cast to float64, one product
-    with the float64 class rows, divided by the norms (0 where their
-    product is 0), argmax."""
-    M = model.class_matrix.astype(np.float64)
-    norms = np.sqrt(np.add.reduce(M * M, axis=1))
-    step, out = _block_rows(model.dim), []
-    for s in range(0, len(H), step):
-        Hf = np.asarray(H[s : s + step], dtype=np.float64)
-        den = np.multiply.outer(norms, np.sqrt(np.add.reduce(Hf * Hf, axis=1)))
-        C = np.divide(M @ Hf.T, den, out=np.zeros(den.shape), where=den > 0)
-        out.append(C.argmax(axis=0))
-    return np.concatenate(out or [np.empty(0, np.int64)])
-
-
-def _power_of_two_scale(rows, exponents):
-    """rows scaled by powers of two so that each norm lies within a factor
-    sqrt(2) of 2**exponent."""
-    norms = np.sqrt(np.add.reduce(rows.astype(np.float64) ** 2, axis=-1))
-    return rows * 2.0 ** (exponents - np.round(np.log2(np.where(norms > 0, norms, 1.0))))[:, None]
-
-
 @given(
     st.sampled_from([np.int8, np.int16, np.int64, np.bool_, np.float32, np.float64]),
     st.integers(1, 5),
     st.sampled_from([3, 64, 130]),
     st.integers(0, 40),
     st.integers(1, 8),
-    st.sampled_from(["separated", "exact-tie", "ulp-tie", "zero-class", "norm-edges"]),
+    st.sampled_from(["separated", "exact-tie", "zero-class"]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_screened_predict_equals_the_float64_block_path(dtype, k, dim, n, rows, case, seed):
-    # the float32 screen keeps only decisions the float64 block path takes
-    # too, and leaves every other block to it, so predict equals that path
-    # bit for bit: on exact two-class ties, on ties broken by one float32
-    # ulp, on zero rows, on one-class models and on norms either side of
-    # the screen's range (2**+-39 inside it, 2**+-41 outside)
+def test_predict_equals_the_float32_block_path(dtype, k, dim, n, rows, case, seed):
+    # predict is the float32 argmax of each block, bit for bit the plain
+    # per-block oracle's: on blocks of 1 to 8 rows, on one-class models, on
+    # exact two-class ties (the lowest index wins), on a zero class row (it
+    # scores 0) and on zero queries (every class scores 0, so class 0 wins)
     r = np.random.default_rng(seed)
     C = r.normal(0, 1, (k, dim)).astype(np.float32)
-    if case in ("exact-tie", "ulp-tie") and k > 1:
+    if case == "exact-tie" and k > 1:
         C[1] = C[0]
-        if case == "ulp-tie":
-            i = r.integers(dim)
-            C[1, i] = np.nextafter(C[0, i], np.float32(np.inf))
     if case == "zero-class" and k > 1:
         C[r.integers(k)] = 0
     H = C[r.integers(k, size=n)] + r.normal(0, 0.7, (n, dim))
-    if case == "norm-edges":
-        C = _power_of_two_scale(C, r.choice([-41, -39, 0, 39, 41], k)).astype(np.float32)
     m = make_model(n_classes=k, dim=dim)
     m.class_matrix[:] = C
 
-    if case == "norm-edges" and np.dtype(dtype).kind == "f":
-        H = _power_of_two_scale(H, r.choice([-41, -39, 0, 39, 41], n))
     if dtype == np.bool_:
         H = H > 0
     elif dtype == np.int64:  # past 2**24, where the float32 cast rounds
@@ -638,35 +521,45 @@ def test_screened_predict_equals_the_float64_block_path(dtype, k, dim, n, rows, 
     elif np.dtype(dtype).kind == "i":
         H = np.rint(np.clip(H * 20, -127, 127))
     H = H.astype(dtype)
-    H[r.random(n) < 0.1] = 0
+    zero = r.random(n) < 0.1
+    H[zero] = 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learning, "_BLOCK_BYTES", rows * 8 * dim)
-        got, want = predict(m, H), float64_block_path(m, H)
+        got, want = predict(m, H), float32_block_path(m, H)
     assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert not got[zero].any()
+    if case == "exact-tie" and k > 1:
+        assert 1 not in got
 
 
-def test_screen_settles_separated_blocks_and_leaves_ties_to_float64(monkeypatch):
-    monkeypatch.setattr(learning, "_BLOCK_BYTES", 16 * 8 * 256)  # 16-row blocks
-    m = block_edge_model()
-    protos = [hv_accum(21, i, 256) for i in range(3)]
-    rng = np.random.default_rng(7)
-    H = np.array([protos[i % 3] + rng.normal(0, 0.5, 256) for i in range(48)])
-    opened = []
-    exact_best = learning._exact_best
-
-    def spy(M, norms, Hf):
-        opened.append(Hf.copy())
-        return exact_best(M, norms, Hf)
-
-    monkeypatch.setattr(learning, "_exact_best", spy)
-    want = [int(np.argmax(similarities(m, h))) for h in H]
-    assert predict(m, H).tolist() == want and opened == []
-    # the rows of c0 and c1 are the prototypes scaled alike, so their sum
-    # scores both exactly alike, and argmax picks c0
-    H[20] = protos[0] + protos[1]
-    assert similarities(m, H[20])[0] == similarities(m, H[20])[1]
-    assert predict(m, H).tolist() == want[:20] + [0] + want[21:]
-    assert len(opened) == 1 and np.array_equal(opened[0], H[16:32])
+@pytest.mark.parametrize(
+    "value",
+    [1e300, -1e300, 1e150, -1e150, 2.0**70, -1e-300],
+    ids=["1e300", "-1e300", "1e150", "-1e150", "2**70", "-1e-300"],
+)
+def test_predict_and_evaluate_take_exactly_the_queries_training_takes(value):
+    # +-1e300 and +-1e150 cast to float32 as inf, and 2**70 casts but scores
+    # 64 * 2**130 against the 2**60 row: predict, evaluate and training
+    # refuse each of them alike, evaluate before any count, with no numpy
+    # warning (warnings are errors here).  -1e-300 casts to zero: though it
+    # points at c1, it is the zero query, which scores 0 everywhere and
+    # takes class 0
+    m = make_model(n_classes=2, dim=64)
+    m.class_matrix[:] = [np.full(64, 2.0**60), -np.ones(64)]
+    H = np.full((1, 64), value)
+    if value == -1e-300:
+        assert predict(m, H).tolist() == [0]
+        assert evaluate(m, [(H[0], "c1")]).confusion[1, 0] == 1
+        assert np.array_equal(train_online(m.copy(), [(H[0], "c1")]).class_matrix, m.class_matrix)
+        return
+    calls = [
+        lambda: predict(m, np.concatenate([np.ones((20, 64)), H])),
+        lambda: evaluate(m, [(np.ones(64), "c0")] * 20 + [(H[0], "c0")]),
+        lambda: train_online(m.copy(), [(H[0], "c0")]),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidSampleError, match="overflow"):
+            call()
 
 
 def test_one_class_retraining_raises_no_invalid_value():
@@ -773,8 +666,7 @@ def alignment_case(dtype):
     never a label, so its row has norm 0 (the den == 0 path) until row 7,
     which points away from every prototype, is predicted as c3; rows 3 and
     21 are zero queries.  Float components are quarters, so every query's
-    sum of squares is exact in any order and the oracle's dot-product norm
-    equals _norms."""
+    sum of squares is exact in any order."""
     rng = np.random.default_rng(41)
     protos = rng.integers(-1, 2, (3, ALIGN_DIM))
     labels = rng.integers(0, 3, 96)
@@ -812,15 +704,9 @@ def test_query_alignment_cannot_change_results(dtype, offset):
     assert np.array_equal(evaluate(got, data).confusion, confusion)
 
 
-def test_class_rows_are_64_byte_aligned():
-    m = make_model(n_classes=3, dim=ALIGN_DIM)
-    M, norms = _class_rows(m)
-    assert M.ctypes.data % 64 == 0 and M.flags.c_contiguous and M.dtype == np.float64
-
-
 def test_class_matrix_is_64_byte_aligned_and_the_models_own():
-    # the float32 products of training and of the predict screen multiply
-    # by the class matrix, so every model keeps it on a 64-byte boundary:
+    # the float32 products of training and of prediction multiply by the
+    # class matrix, so every model keeps it on a 64-byte boundary:
     # after construction, copy() and model_from_bytes; it copies a caller's
     # float32 array rather than aliasing it
     given = offset_copy(np.ones((3, ALIGN_DIM), np.float32), 16)
@@ -1368,6 +1254,8 @@ def test_model_classes_cannot_change_in_place():
         math.inf,
         "x",
         None,
+        # finite, but not in float32, the dtype of training's weights
+        pytest.param(1e39, id="1e39"),
         # each below is a real the f64 eta field would not give back
         True,
         pytest.param(10**400, id="10**400"),
@@ -1380,6 +1268,14 @@ def test_model_classes_cannot_change_in_place():
 def test_model_rejects_bad_eta(eta):
     with pytest.raises(InvalidArgumentError):
         make_model(eta=eta)
+
+
+def test_eta_at_the_float32_edge_trains_a_zero_model():
+    # 2e38 is finite in float32, so a sample lands: on a zero row delta is
+    # 0, and the row becomes eta * H
+    m = Model(classes=["a"], encoder=EncoderConfig(dim=64), eta=2e38)
+    train_online(m, [(np.eye(64)[0], "a")])
+    assert m.class_matrix[0, 0] == np.float32(2e38) and not m.class_matrix[0, 1:].any()
 
 
 def test_retrain_curve_is_output_not_an_argument():
@@ -1476,7 +1372,7 @@ def test_bad_pair_in_training_stream_leaves_model_unchanged(call, kind, at):
     assert np.array_equal(m.class_matrix.view(np.uint32), before.view(np.uint32))
 
 
-@pytest.mark.parametrize("eta", [math.nan, 0.0])
+@pytest.mark.parametrize("eta", [math.nan, 0.0, 1e39])
 def test_model_file_with_bad_eta_rejected(eta):
     assert model_from_bytes(one_class_blob(8, 16, eta=0.25)).eta == 0.25
     with pytest.raises(ModelIOError):

@@ -33,11 +33,15 @@ from hdwear import (
     train_iterative,
     train_online,
 )
-from oracles import make_level_memory, per_cell_loop
+from oracles import (
+    gather_encode,
+    make_level_memory,
+    naive_training,
+    oracle_cosines,
+    oracle_sweep,
+    per_cell_loop,
+)
 from test_datapipe import assert_same_recordings
-from test_encoding import gather_encode
-from test_learning import naive_training, oracle_cosines
-from test_robustness import oracle_sweep
 
 # 14 features: an even count, so that H has exact zeros and the sweep draws tie coins
 CHANNELS = ["ax", "ay"]

@@ -16,8 +16,14 @@ from hdwear.errors import (
 from hdwear import hv, learning, robustness
 from hdwear.hv import pack, random_hv, rng
 from hdwear.learning import Model, evaluate, predict, train_iterative, train_online
-from hdwear.robustness import TABLE4_RATES, RobustnessReport, quantize_model, robustness_sweep
-from oracles import inject_bitflips, sign_quantize
+from hdwear.robustness import TABLE4_RATES, quantize_model, robustness_sweep
+from oracles import (
+    inject_bitflips,
+    oracle_flip_mask,
+    oracle_sweep,
+    oracle_trial_seed,
+    sign_quantize,
+)
 
 D = 4096
 
@@ -296,55 +302,6 @@ def test_sweep_report_rows_shape():
     rate, mean_acc, sd, loss = rows[1]
     assert rate == 0.1
     assert loss == pytest.approx(rep.acc_clean - mean_acc)
-
-
-# ------------------------------------------------------- the sweep's oracle
-# The plain path the sweep replaced, kept as its reference: one bool flip
-# mask per trial, packed and XORed into the class words, then one int64
-# popcount sum per class and the lowest-index argmin.
-
-
-def oracle_trial_seed(seed, rate_idx, trial):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(rate_idx, trial))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def oracle_flip_mask(k, dim, rate, trial_seed):
-    """(K, D) bool mask of round(rate * K * D) distinct positions drawn from
-    the trial seed's flip stream."""
-    total = k * dim
-    positions = rng(trial_seed, 2**33).choice(total, size=round(rate * total), replace=False)
-    mask = np.zeros(total, dtype=bool)
-    mask[positions] = True
-    return mask.reshape(k, dim)
-
-
-def oracle_accuracy(class_words, queries, truth):
-    dist = np.empty((len(queries), len(class_words)), dtype=np.int64)
-    for ci, words in enumerate(class_words):
-        dist[:, ci] = np.bitwise_count(queries ^ words).sum(axis=1, dtype=np.int64)
-    return int(np.count_nonzero(dist.argmin(axis=1) == truth)) / len(truth)
-
-
-def oracle_sweep(m, pairs, rates, trials, seed):
-    tie = m.encoder.tie_seed
-    class_words = pack(sign_quantize(m.class_matrix, tie))
-    queries = pack(sign_quantize(np.array([h for h, _ in pairs]), tie))
-    truth = np.array([m.classes.index(label) for _, label in pairs])
-    k = len(m.classes)
-    mean_acc, sd_acc = np.zeros(len(rates)), np.zeros(len(rates))
-    for ri, rate in enumerate(rates):
-        accs = [
-            oracle_accuracy(
-                class_words ^ pack(oracle_flip_mask(k, m.dim, rate, oracle_trial_seed(seed, ri, t))),
-                queries,
-                truth,
-            )
-            for t in range(trials)
-        ]
-        mean_acc[ri], sd_acc[ri] = np.mean(accs), np.std(accs)
-    acc_clean = oracle_accuracy(class_words, queries, truth)
-    return RobustnessReport(list(rates), acc_clean, mean_acc, sd_acc, trials, seed)
 
 
 def sweep_pairs(m, n, dtype):
