@@ -20,21 +20,40 @@ boundary (:func:`_aligned`).
 
 Training is one float32 kernel (:func:`_learn`) over blocks of
 _TRAIN_ROWS = 16 queries, for train_online and train_iterative alike.  Each
-block B is cast into one reused aligned float32 buffer
-(:func:`_float_blocks`) and scored against the class rows M as they stand
-at the block's start: one product M @ B.T, scaled by the reciprocals of the
-class and of the query norms (0 for a zero norm).  Its updates fill a
-(K, n) float32 weight matrix W, online W[l_i, i] = eta (1 - delta_i) and in
-retraining, for each miss, W[l, i] = eta (1 - delta_l) and
-W[l', i] = -eta (1 - delta_l'); one product W[rows] @ B moves the rows with
-a nonzero weight, and only their norms are taken again.  So a sample sees
-the updates of every earlier block but not those of its own.  Sixteen rows
-is a constant of the update rule, kept apart from _block_rows(D): 64-row
-blocks changed the online pass's accuracy.  Every training norm sums its
-squares in float64 (:func:`_inverse_norms`), so a finite float32 row never
-has an infinite norm; the query norms are taken once per call.  The results
-depend on the BLAS kernel's summation order, not on where an operand
-starts in memory.
+block B is scored against the class rows M as they stand at the block's
+start: the product M @ B.T, scaled by the reciprocals of the class and of
+the query norms (0 for a zero norm).  Its updates fill a (K, n) float32
+weight matrix W, online W[l_i, i] = eta (1 - delta_i) and in retraining,
+for each miss, W[l, i] = eta (1 - delta_l) and W[l', i] = -eta (1 - delta_l');
+one product W[rows] @ B moves the rows with a nonzero weight, and only
+their norms are taken again.  So a sample sees the updates of every earlier
+block but not those of its own.  Sixteen rows is a constant of the update
+rule, kept apart from _block_rows(D): 64-row blocks changed the online
+pass's accuracy.  Every training norm sums its squares in float64
+(:func:`_inverse_norms`), so a finite float32 row never has an infinite
+norm.
+
+The kernel casts the queries in chunks C of as many whole blocks as fit in
+_CHUNK_BYTES as float32 (:func:`_chunk_rows`: 128, 32 and 16 rows at
+D = 1024, 4096 and 10000), each into one reused aligned buffer
+(:func:`_float_blocks`), and takes a chunk's query norms in one call, on
+the first pass of a call only.  Retraining scores every whole block left in
+the chunk with one stacked product,
+``np.matmul(M, C[lo:lo + 16 nb].reshape(nb, 16, D).transpose(0, 2, 1))``,
+and scales, takes the argmax and compares in one step each.  The blocks
+before the first one with a miss make no update, so they are done; that
+block makes its update and scoring starts again at the next one.  Online
+training updates on every block, so it scores one per product, and a tail
+of fewer than 16 rows is scored on its own.  This is bit for bit the
+result of scoring each block alone: a stacked matmul runs one sgemm per
+slice, of the same (K, D) @ (D, 16) shape as M @ B.T; the scaling and the
+argmax are elementwise and the query norms per row; and :func:`_finite`
+checks the scores of each block before that block is decided, while the
+scores of blocks not yet used go unchecked (they are scored again after
+the update).  One wide product M @ C.T would not do: its columns round
+otherwise than 16-column products on every OpenBLAS kernel tried.  The
+results depend on the BLAS kernel's summation order, not on where an
+operand starts in memory.
 
 Overflow.  Training, predict and evaluate run their casts and products
 with numpy's warnings off.  A query whose float32 cast is not finite, a
@@ -60,10 +79,10 @@ summation orders differ, and CI compares digests within one kernel only.
 Over seeds 1-10 of the benchmark's workloads the top-1/top-2 cosine gap
 has a median of about 0.1, and none of 12,230 test decisions differed from
 the float64 scorer's.
-:func:`_float_blocks` is the one place that cuts queries into blocks, for
-training and prediction: it takes a list of (D,) rows or one (N, D) array
-and casts each block straight into one reused float32 buffer, and the
-callers slice their class indices by each block's start.
+:func:`_float_blocks` is the one place that cuts and casts queries, into
+training's chunks and prediction's blocks: it takes a list of (D,) rows or
+one (N, D) array and casts each run straight into one reused float32
+buffer, and the callers slice their class indices by each run's start.
 
 Inputs are checked once, where they enter.  :class:`Model` is frozen, so
 its fields are checked only at construction and cannot be rebound later.
@@ -235,7 +254,10 @@ def _aligned(shape: tuple) -> np.ndarray:
 
 def _float_blocks(dim: int, rows, step: int) -> Iterator[tuple[int, np.ndarray]]:
     """(start, block) for each run of at most step queries of rows, a list
-    of checked (D,) queries or one (N, D) array, in order: block holds
+    of checked (D,) queries or one (N, D) array, in order: training's
+    chunks of _chunk_rows(D), whose 16-row blocks _learn scores with one
+    stacked product (the module docstring says why that is bit-identical),
+    and prediction's blocks of _block_rows(D).  A block holds
     rows[start : start + len(block)], each row cast to float32 on its own.
     The rows are cast straight into one aligned buffer of min(step, N) rows
     that is reused, so a block is valid until the next one is drawn.  The
@@ -283,6 +305,19 @@ def _inverse_norms(A: np.ndarray) -> np.ndarray:
 # cache size: 64-row blocks changed the online pass's test accuracy.
 _TRAIN_ROWS = 16
 
+# Training's chunks (the module docstring): whole blocks of float32 rows
+# that fit in these bytes.  A cache size, not a rule: the chunk bounds how
+# many blocks one product scores, never what a block sees.  On
+# dense-stream's 2083 training queries (D = 1024) a retraining epoch takes
+# 29-45 scoring products instead of 131.
+_CHUNK_BYTES = 512 << 10
+
+
+def _chunk_rows(dim: int) -> int:
+    """Queries per training chunk: as many whole _TRAIN_ROWS blocks of
+    float32 rows of dim components as fit in _CHUNK_BYTES, at least one."""
+    return _TRAIN_ROWS * max(1, _CHUNK_BYTES // (4 * dim * _TRAIN_ROWS))
+
 
 def _learn(model: Model, truth: np.ndarray, queries, retrain: bool, inv_q=None) -> tuple:
     """One pass of the training kernel (the module docstring describes it)
@@ -298,25 +333,38 @@ def _learn(model: Model, truth: np.ndarray, queries, retrain: bool, inv_q=None) 
     misses = 0
     with np.errstate(all="ignore"):
         inv_c = _inverse_norms(M)
-        for start, B in _float_blocks(model.dim, queries, _TRAIN_ROWS):
-            span = slice(start, start + len(B))
+        for start, C in _float_blocks(model.dim, queries, _chunk_rows(model.dim)):
             if fill:
-                inv_q[span] = _inverse_norms(B)
-            cos = _finite(M @ B.T) * inv_c[:, None] * inv_q[span]
-            t, cols = truth[span], np.arange(len(B))
-            if retrain:
-                p = cos.argmax(axis=0)
-                cols = cols[p != t]
-                misses += len(cols)
+                inv_q[start : start + len(C)] = _inverse_norms(C)
+            lo = 0
+            while lo < len(C):
+                # score nb blocks of w rows: every whole block left in the
+                # chunk (one online, which updates on every block), else the tail
+                w = min(_TRAIN_ROWS, len(C) - lo)
+                nb = (len(C) - lo) // w if retrain else 1
+                span = slice(start + lo, start + lo + nb * w)
+                S = np.matmul(M, C[lo : lo + nb * w].reshape(nb, w, -1).transpose(0, 2, 1))
+                cos = S * inv_c[:, None] * inv_q[span].reshape(nb, 1, w)
+                t = truth[span].reshape(nb, w)
+                b, cols = 0, np.arange(w)
+                if retrain:  # decide up to the first block with a miss, else all
+                    p = cos.argmax(axis=1)
+                    miss = p != t
+                    b = int(miss.any(axis=1).argmax()) if miss.any() else nb - 1
+                    p, cols = p[b], miss[b].nonzero()[0]
+                    misses += len(cols)
+                _finite(S[: b + 1])
+                B, t, cos = C[lo + b * w : lo + (b + 1) * w], t[b], cos[b]
+                lo += (b + 1) * w
                 if not len(cols):
                     continue
-            W = np.zeros(cos.shape, np.float32)
-            W[t[cols], cols] = eta * (1.0 - cos[t[cols], cols])
-            if retrain:
-                W[p[cols], cols] = -eta * (1.0 - cos[p[cols], cols])
-            rows = W.any(axis=1).nonzero()[0]
-            M[rows] += W[rows] @ B
-            inv_c[rows] = _inverse_norms(M[rows])
+                W = np.zeros(cos.shape, np.float32)
+                W[t[cols], cols] = eta * (1.0 - cos[t[cols], cols])
+                if retrain:
+                    W[p[cols], cols] = -eta * (1.0 - cos[p[cols], cols])
+                rows = W.any(axis=1).nonzero()[0]
+                M[rows] += W[rows] @ B
+                inv_c[rows] = _inverse_norms(M[rows])
     return misses, inv_q
 
 

@@ -33,6 +33,7 @@ from hdwear.hv import random_hv
 from hdwear.learning import (
     Model,
     _block_rows,
+    _chunk_rows,
     _float_blocks,
     evaluate,
     labelled_blocks,
@@ -353,25 +354,91 @@ def overlapping_int16_set(seed):
     return [(h, f"c{c}") for h, c in zip(H, labels)]
 
 
+def chunk_edge_set():
+    """103 int8 queries of 3 classes at D = 257 (+-1 rows around three
+    prototypes) that carry the wrong label at rows 40, 50 and 100 only: the
+    last block of the first 48-row chunk, the first block of the next one
+    and the 7-row tail.  Returns the pairs and those rows."""
+    rng = np.random.default_rng(6)
+    protos = rng.choice(np.array([-1, 1]), (3, 257))
+    labels = np.arange(103) % 3
+    flips = rng.random((103, 257)) < 0.2
+    H = np.where(flips, -protos[labels], protos[labels]).astype(np.int8)
+    wrong = [40, 50, 100]
+    names = [f"c{(c + 1) % 3 if i in wrong else c}" for i, c in enumerate(labels)]
+    return list(zip(H, names)), wrong
+
+
 def test_block_size_cannot_change_learning(monkeypatch):
-    # budgets of 1 row, 16 rows and the whole set: training's blocks are
-    # _TRAIN_ROWS rows whatever the budget, and prediction, whose float32
-    # products may round otherwise at another block width, takes the same
-    # decisions on this set
-    data = overlapping_int16_set(5)
-    H = np.array([h for h, _ in data])
-    results = []
-    for rows in [1, 16, len(data)]:
-        monkeypatch.setattr(learning, "_BLOCK_BYTES", rows * 8 * 257)
-        assert _block_rows(257) == rows
-        m = train_online(make_model(n_classes=5, dim=257, eta=0.25), data)
-        train_iterative(m, data, max_epochs=3)
-        results.append((m.class_matrix.view(np.uint32).tobytes(), m.retrain_curve, predict(m, H)))
-    (matrix, curve, labels), *others = results
-    assert curve[0] > 20
-    for other in others:
-        assert other[0] == matrix and other[1] == curve
-        assert np.array_equal(other[2], labels)
+    # prediction budgets of 1 row, 16 rows and the whole set, each with
+    # training chunks of 16 rows, 48 rows and the whole set: training's
+    # blocks are _TRAIN_ROWS rows whatever the budgets (a chunk only bounds
+    # how many of them one stacked product scores), so it equals the
+    # per-block oracle bit for bit, and prediction, whose float32 products
+    # may round otherwise at another block width, takes the same decisions
+    # on these sets
+    edges, wrong = chunk_edge_set()
+    for data, k in [(overlapping_int16_set(5), 5), (edges, 3)]:
+        expect = make_model(n_classes=k, dim=257, eta=0.25)
+        missed, snapshots = naive_training(expect, data, epochs=3)
+        curve = [len(rows) for rows in missed]
+        best = snapshots[curve.index(min(curve))].view(np.uint32)
+        if data is edges:
+            assert missed[0] == wrong
+        else:
+            assert curve[0] > 20
+        H, decisions = np.array([h for h, _ in data]), []
+        whole = -(-len(data) // 16) * 16
+        for rows in [1, 16, len(data)]:
+            for chunk in [16, 48, whole]:
+                monkeypatch.setattr(learning, "_BLOCK_BYTES", rows * 8 * 257)
+                monkeypatch.setattr(learning, "_CHUNK_BYTES", chunk * 4 * 257)
+                assert (_block_rows(257), _chunk_rows(257)) == (rows, chunk)
+                m = train_online(make_model(n_classes=k, dim=257, eta=0.25), data)
+                train_iterative(m, data, max_epochs=3)
+                assert m.retrain_curve == curve
+                assert np.array_equal(m.class_matrix.view(np.uint32), best)
+                decisions.append(predict(m, H))
+        assert all(np.array_equal(d, decisions[0]) for d in decisions)
+
+
+class CountedProducts(np.ndarray):
+    """A class matrix that counts the matrix products it is an operand of;
+    a test sets it on a model with object.__setattr__, as Model does."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountedProducts.products += 1
+
+        def plain(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, CountedProducts) else x for x in xs)
+
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+
+def test_a_miss_free_retraining_epoch_scores_each_chunk_with_one_product(monkeypatch):
+    # 400 queries that online training already separates: the epoch makes
+    # no update, so it scores all the blocks of a chunk with one stacked
+    # product, ceil(400 / chunk) products in all, not one per 16-row block
+    rng = np.random.default_rng(7)
+    protos = rng.choice(np.array([-1, 1]), (3, 256))
+    labels = rng.integers(0, 3, 400)
+    H = np.where(rng.random((400, 256)) < 0.1, -protos[labels], protos[labels]).astype(np.int8)
+    data = [(h, f"c{c}") for h, c in zip(H, labels)]
+    assert [_chunk_rows(d) for d in (256, 1024, 4096, 10000)] == [512, 128, 32, 16]
+    for chunk, products in [(16, 25), (48, 9), (512, 1)]:
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", chunk * 4 * 256)
+        m = train_online(make_model(n_classes=3, dim=256), data)
+        before = m.class_matrix.copy()
+        object.__setattr__(m, "class_matrix", m.class_matrix.view(CountedProducts))
+        CountedProducts.products = 0
+        assert train_iterative(m, data, max_epochs=4).retrain_curve == [0]
+        assert CountedProducts.products == products
+        assert np.array_equal(m.class_matrix, before)
 
 
 def test_cached_class_rows_match_per_sample_recompute_bit_for_bit():
@@ -384,70 +451,71 @@ def test_cached_class_rows_match_per_sample_recompute_bit_for_bit():
     assert np.array_equal(got.class_matrix.view(np.uint32), expect.class_matrix.view(np.uint32))
 
 
-# Retraining scores each 16-row block with one matrix product against the
-# class rows at the block's start and moves the rows its misses name with
-# one more.  Each case below returns a model ready to retrain, its
-# retraining pairs, and the rows the oracle must miss in the first epoch.
-SCREEN_DIM = 256
+# Retraining scores each 16-row block against the class rows at the
+# block's start (one stacked product scores every block up to the next
+# update) and moves the rows its misses name with one more product.  Each
+# case below returns a model ready to retrain, its retraining pairs, and
+# the rows the oracle must miss in the first epoch.
+RETRAIN_DIM = 256
 
 
-def _screen_block_edges(dtype):
+def _retrain_block_edges(dtype):
     # +-1 rows around three prototypes; rows 15, 16 and 17 (either side of
     # the first block edge at 16-row blocks) and 31 (the end of the second
     # block) carry the wrong label, so the first epoch misses exactly there
     rng = np.random.default_rng(31)
-    protos = rng.choice(np.array([-1, 1]), (3, SCREEN_DIM))
+    protos = rng.choice(np.array([-1, 1]), (3, RETRAIN_DIM))
     labels = np.arange(48) % 3
-    flips = rng.random((48, SCREEN_DIM)) < 0.2
+    flips = rng.random((48, RETRAIN_DIM)) < 0.2
     H = np.where(flips, -protos[labels], protos[labels]).astype(dtype)
     wrong = [15, 16, 17, 31]
     names = [f"c{(c + 1) % 3 if i in wrong else c}" for i, c in enumerate(labels)]
-    m = make_model(n_classes=3, dim=SCREEN_DIM, eta=0.25)
+    m = make_model(n_classes=3, dim=RETRAIN_DIM, eta=0.25)
     data = list(zip(H, names))
     train_online(m, data)
     return m, data, wrong
 
 
-def _screen_exact_ties():
+def _retrain_exact_ties():
     # rows c0 and c1 are identical, so every query of the first block scores
     # them equally and argmax must pick c0: each "c1" query there is a miss
     # whose two weights are equal and opposite, and together they pull the
     # two rows apart for the later blocks
     rng = np.random.default_rng(32)
-    m = make_model(n_classes=3, dim=SCREEN_DIM, eta=0.5)
-    row = rng.integers(-4, 5, SCREEN_DIM)
-    m.class_matrix[:] = [row, row, rng.integers(-4, 5, SCREEN_DIM)]
-    H = (row + rng.integers(-2, 3, (40, SCREEN_DIM))).astype(np.int16)
+    m = make_model(n_classes=3, dim=RETRAIN_DIM, eta=0.5)
+    row = rng.integers(-4, 5, RETRAIN_DIM)
+    m.class_matrix[:] = [row, row, rng.integers(-4, 5, RETRAIN_DIM)]
+    H = (row + rng.integers(-2, 3, (40, RETRAIN_DIM))).astype(np.int16)
     names = ["c1"] * 20 + ["c0"] * 10 + ["c2"] * 10
     data = list(zip(H, names))
     return m, data, list(range(16)) + list(range(20, 40))
 
 
-def _screen_near_ties():
+def _retrain_near_ties():
     # float64 queries with non-integer components, constant over each run of
     # 8 components, against two rows that rotate every such run by one: the
     # two cosines are equal in exact arithmetic, so which one wins rests on
     # rounding alone, and a blocked product may round it the other way
     rng = np.random.default_rng(33)
-    m = make_model(n_classes=3, dim=SCREEN_DIM, eta=0.5)
-    row = rng.normal(0, 1, SCREEN_DIM)
+    m = make_model(n_classes=3, dim=RETRAIN_DIM, eta=0.5)
+    row = rng.normal(0, 1, RETRAIN_DIM)
     rotated = np.roll(row.reshape(-1, 8), 1, axis=1).ravel()
-    m.class_matrix[:] = [row, rotated, rng.normal(0, 1, SCREEN_DIM)]
-    runs = m.class_matrix[0].reshape(-1, 8).mean(axis=1) + rng.normal(0, 1, (64, SCREEN_DIM // 8))
+    m.class_matrix[:] = [row, rotated, rng.normal(0, 1, RETRAIN_DIM)]
+    runs = m.class_matrix[0].reshape(-1, 8).mean(axis=1) + rng.normal(0, 1, (64, RETRAIN_DIM // 8))
     H = np.repeat(runs, 8, axis=1)
     data = list(zip(H, ["c0", "c1"] * 32))
     return m, data, None
 
 
-def _screen_zero_norms():
+def _retrain_zero_norms():
     # class c3 is never trained (a zero-norm row, scoring 0); row 5 is the
     # zero query (every class scores 0, so argmax picks c0); rows 7 and 20
     # point away from every trained class, so the zero row wins them
     rng = np.random.default_rng(34)
-    protos = rng.normal(0, 1, (3, SCREEN_DIM))
+    protos = rng.normal(0, 1, (3, RETRAIN_DIM))
     labels = np.arange(36) % 3
-    H = protos[labels] + rng.normal(0, 0.8, (36, SCREEN_DIM))
-    m = make_model(n_classes=4, dim=SCREEN_DIM, eta=0.5)
+    H = protos[labels] + rng.normal(0, 0.8, (36, RETRAIN_DIM))
+    m = make_model(n_classes=4, dim=RETRAIN_DIM, eta=0.5)
     train_online(m, list(zip(H, [f"c{c}" for c in labels])))
     assert not m.class_matrix[3].any()
     H[5] = 0.0
@@ -456,23 +524,23 @@ def _screen_zero_norms():
     return m, data, None
 
 
-SCREEN_CASES = {
-    "block-edges-int8": lambda: _screen_block_edges(np.int8),
-    "block-edges-int16": lambda: _screen_block_edges(np.int16),
-    "exact-ties-int16": _screen_exact_ties,
-    "near-ties-float64": _screen_near_ties,
-    "zero-norms-float64": _screen_zero_norms,
+RETRAIN_CASES = {
+    "block-edges-int8": lambda: _retrain_block_edges(np.int8),
+    "block-edges-int16": lambda: _retrain_block_edges(np.int16),
+    "exact-ties-int16": _retrain_exact_ties,
+    "near-ties-float64": _retrain_near_ties,
+    "zero-norms-float64": _retrain_zero_norms,
 }
-SCREEN_EPOCHS = 4
+RETRAIN_EPOCHS = 4
 
 
-@pytest.mark.parametrize("case", list(SCREEN_CASES))
-def test_screened_retraining_equals_per_sample_oracle(case):
+@pytest.mark.parametrize("case", list(RETRAIN_CASES))
+def test_retraining_equals_per_block_oracle(case):
     # the kernel equals the plain per-block float32 loop bit for bit, on
     # every epoch, across the block edges each case was built around
-    model, data, first_misses = SCREEN_CASES[case]()
+    model, data, first_misses = RETRAIN_CASES[case]()
     expect = model.copy()
-    missed, snapshots = naive_training(expect, data, SCREEN_EPOCHS, online=False)
+    missed, snapshots = naive_training(expect, data, RETRAIN_EPOCHS, online=False)
     curve = [len(rows) for rows in missed]
     if first_misses is not None:
         assert missed[0] == first_misses
@@ -483,7 +551,7 @@ def test_screened_retraining_equals_per_sample_oracle(case):
         assert train_iterative(got, data, max_epochs=1).retrain_curve == [misses]
         assert np.array_equal(got.class_matrix.view(np.uint32), snapshot.view(np.uint32))
 
-    out = train_iterative(model, data, max_epochs=SCREEN_EPOCHS, patience=SCREEN_EPOCHS)
+    out = train_iterative(model, data, max_epochs=RETRAIN_EPOCHS, patience=RETRAIN_EPOCHS)
     best = snapshots[curve.index(min(curve))]
     assert out.retrain_curve == curve
     assert np.array_equal(out.class_matrix.view(np.uint32), best.view(np.uint32))
@@ -615,6 +683,14 @@ def test_training_that_overflows_raises_and_leaves_the_model():
     with pytest.raises(InvalidSampleError, match="overflow"):
         train_online(m, [(np.full(64, 2.0**70), "b")])
     assert np.array_equal(m.class_matrix, [np.full(64, 2.0**60), -np.ones(64)])
+    # that score in the third block of a retraining chunk, after two blocks
+    # without a miss, on the query's own class (so no miss either)
+    pairs = [(np.ones(64), "a")] * 47
+    pairs.insert(40, (np.full(64, 2.0**70), "a"))
+    with pytest.raises(InvalidSampleError, match="overflow"):
+        train_iterative(m, pairs, max_epochs=1)
+    assert np.array_equal(m.class_matrix, [np.full(64, 2.0**60), -np.ones(64)])
+    assert m.retrain_curve == [7]
     # a finite update still lands, also on a row whose squares pass the
     # float32 range (norm 2**127): they are summed in float64
     m.class_matrix[0] = 1.0
